@@ -46,7 +46,12 @@ pub struct DfsToken {
 
 /// Everything that can cross one wire in one tick: at most one character
 /// per snake kind, plus the token channels.
+///
+/// Aligned to its 32-byte size so a wire slot never straddles two cache
+/// lines: the engine's saturated gather reads one slot per wire in
+/// random order, and a straddling slot costs two misses instead of one.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[repr(align(32))]
 pub struct Signal {
     /// One optional character per snake kind, indexed by [`SnakeKind::idx`].
     pub snakes: [Option<SnakeChar>; 6],
@@ -179,11 +184,14 @@ mod tests {
     #[test]
     fn signal_stays_compact() {
         // The wire buffer is the hottest allocation in the simulator: two
-        // copies of N·δ signals. Keep the product alphabet word-efficient.
-        assert!(
-            std::mem::size_of::<Signal>() <= 48,
-            "Signal grew to {} bytes",
-            std::mem::size_of::<Signal>()
+        // copies of N·δ signals. Under `align(32)` one more byte of
+        // payload would round every slot up to 64 bytes (+192 MB at
+        // n = 1M, δ = 3), so the size is pinned exactly.
+        assert_eq!(std::mem::size_of::<Signal>(), 32, "Signal size changed");
+        assert_eq!(
+            std::mem::align_of::<Signal>(),
+            32,
+            "Signal alignment changed"
         );
     }
 
