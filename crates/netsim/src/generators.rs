@@ -106,8 +106,18 @@ pub fn debruijn(k: usize, m: usize) -> Topology {
 /// connectivity and one in-/out-port per node), then random extra edges
 /// added wherever both endpoints have free ports, skipping self-loops and
 /// duplicate (same-direction) pairs. Extra edges are attempted until ~
-/// `(delta − 1) · n` additions or the attempt budget runs out, yielding an
-/// expected out-degree close to δ.
+/// `(delta − 1) · n` additions or the attempt budget (20 attempts per
+/// targeted addition, plus 100) runs out, yielding an expected out-degree
+/// close to δ.
+///
+/// At large n the loop runs to its attempt budget: at n = 1,000,000, δ = 3,
+/// seed 9 it makes 40,000,100 attempts and accepts 1,964,213 of them:
+/// once most ports are wired, nearly every attempt is rejected. Rejection
+/// is O(1): the builder's per-node port counts answer the free-port
+/// checks, an attempt whose `u` is full skips `v`'s draw uncomputed, and
+/// only attempts with free ports on both ends scan `u`'s slots for a
+/// duplicate. The stream and the accepted edges are the same as drawing
+/// and checking every pair in full.
 pub fn random_sc(n: usize, delta: u8, seed: u64) -> Topology {
     assert!(n >= 2 && delta >= 2);
     let mut rng = DetRng::seed_from_u64(seed ^ 0x6774645f72616e64); // "gtd_rand"
@@ -127,8 +137,15 @@ pub fn random_sc(n: usize, delta: u8, seed: u64) -> Topology {
     while added < target_extra && attempts < attempt_budget {
         attempts += 1;
         let u = NodeId(rng.random_range(0..n as u32));
+        // At scale most attempts draw a `u` whose out-ports are all wired.
+        // Such an attempt fails whatever `v` is, so `v`'s draw is skipped
+        // uncomputed (the stream stays where drawing it would leave it).
+        if b.out_degree(u) == delta as usize {
+            rng.skip();
+            continue;
+        }
         let v = NodeId(rng.random_range(0..n as u32));
-        if u == v || b.has_edge(u, v) || !b.can_connect(u, v) {
+        if !b.can_connect(u, v) || b.has_edge(u, v) {
             continue;
         }
         b.connect_auto(u, v).expect("checked free ports");
@@ -434,6 +451,71 @@ mod tests {
         let t = random_sc(200, 4, 1);
         let avg = t.num_edges() as f64 / 200.0;
         assert!(avg > 2.5, "expected density near delta = 4, got {avg}");
+    }
+
+    /// `(edges, pair hash, wiring hash)` of a topology: FNV-1a over the
+    /// sorted edge list, once as bare `src -> dst` pairs and once with
+    /// both port numbers, so a pin catches a changed port assignment
+    /// even when the node pairs survive.
+    fn fingerprint(t: &Topology) -> (usize, u64, u64) {
+        fn fnv(h: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *h = (*h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let (mut pairs, mut wiring) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
+        for e in t.sorted_edges() {
+            let (src, dst) = (e.src.0.to_le_bytes(), e.dst.0.to_le_bytes());
+            fnv(&mut pairs, &src);
+            fnv(&mut pairs, &dst);
+            fnv(&mut wiring, &src);
+            fnv(&mut wiring, &[e.src_port.0]);
+            fnv(&mut wiring, &dst);
+            fnv(&mut wiring, &[e.dst_port.0]);
+        }
+        (t.num_edges(), pairs, wiring)
+    }
+
+    /// Every `random_sc` network is pinned port for port: the generator's
+    /// RNG stream and acceptance order are part of every golden file and
+    /// tick count downstream. The values are the generator's output from
+    /// before its attempt loop was optimised and must never move. Cases
+    /// span δ = 2..40, one run that reaches its edge target early
+    /// (n = 3) and runs that exhaust the attempt budget (all others,
+    /// including n = 100,000).
+    #[test]
+    fn random_sc_output_is_pinned() {
+        #[rustfmt::skip]
+        let pins: [(usize, u8, u64, usize, u64, u64); 9] = [
+            (2, 2, 0, 2, 0xb1d7_6322_1120_75d5, 0xe545_e1d3_88e4_af43),
+            (3, 2, 5, 6, 0x6929_c784_dfdb_6da5, 0xb9df_be00_eb3d_de8b),
+            (64, 2, 7, 125, 0x9935_1bf3_aefc_12bc, 0xf1c0_17dd_f751_77b0),
+            (512, 3, 1, 1521, 0x2196_6c14_5617_f73d, 0x073b_c65c_b0e3_7f88),
+            (1000, 4, 2, 3973, 0xa8b1_d2c9_ad58_d70b, 0xa7ae_1d83_20ae_e296),
+            (5000, 5, 3, 24854, 0xe176_7b81_ce11_01ba, 0x3bf5_c445_f307_77d0),
+            (300, 8, 11, 2396, 0x7920_a0b2_e5e1_b6ed, 0x747e_59ac_800b_7bd2),
+            (20, 40, 1, 380, 0xd6fe_51f5_fc52_e145, 0x25e3_e2e1_8c31_aca9),
+            (100_000, 3, 4, 296_471, 0x5041_9d8c_98b9_1d3e, 0x9023_e1df_2d6f_1a0c),
+        ];
+        for (n, delta, seed, edges, pairs, wiring) in pins {
+            assert_eq!(
+                fingerprint(&random_sc(n, delta, seed)),
+                (edges, pairs, wiring),
+                "random_sc({n}, {delta}, {seed})"
+            );
+        }
+    }
+
+    /// The benchmark's million-node graph (`random-sc:n=1000000,delta=3,
+    /// seed=9`): 1,000,000 cycle edges plus 1,964,213 accepted extras.
+    /// Release-only, so the unoptimised default `cargo test` stays quick.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn random_sc_million_node_benchmark_graph_is_pinned() {
+        assert_eq!(
+            fingerprint(&random_sc(1_000_000, 3, 9)),
+            (2_964_213, 0xd94e_74f2_0e0c_19d4, 0x6a8f_421d_490b_f84e)
+        );
     }
 
     #[test]

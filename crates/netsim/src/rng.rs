@@ -9,7 +9,14 @@
 
 use std::ops::Range;
 
+/// splitmix64's per-draw state increment (the golden-ratio constant).
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// Deterministic splitmix64 generator.
+///
+/// splitmix64 is counter-based: the state advances by a fixed increment
+/// per draw and the output is a pure function of the new state, so a draw
+/// can be [skipped](DetRng::skip) without computing it.
 #[derive(Clone, Debug)]
 pub struct DetRng {
     state: u64,
@@ -23,11 +30,19 @@ impl DetRng {
 
     /// Next raw 64-bit value (splitmix64).
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
+    }
+
+    /// Advance the stream past one draw without computing it: afterwards
+    /// the generator is exactly where a discarded [`DetRng::next_u64`]
+    /// would leave it.
+    #[inline]
+    pub(crate) fn skip(&mut self) {
+        self.state = self.state.wrapping_add(GAMMA);
     }
 
     /// Uniform value in `range` (modulo method: the tiny bias is
@@ -68,6 +83,32 @@ mod tests {
         }
         let mut c = DetRng::seed_from_u64(43);
         assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn skip_matches_a_discarded_draw() {
+        for seed in [0, 1, 42, u64::MAX] {
+            let mut drawn = DetRng::seed_from_u64(seed);
+            let mut skipped = DetRng::seed_from_u64(seed);
+            for i in 0..200 {
+                // Interleave skips with real draws, including runs of skips.
+                if i % 3 == 0 || i % 7 == 0 {
+                    drawn.next_u64();
+                    skipped.skip();
+                } else {
+                    assert_eq!(
+                        drawn.next_u64(),
+                        skipped.next_u64(),
+                        "seed {seed}, draw {i}"
+                    );
+                }
+            }
+            assert_eq!(drawn.state, skipped.state);
+            assert_eq!(
+                drawn.random_range(0..1_000_000),
+                skipped.random_range(0..1_000_000)
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::engine::FaultPlane;
 use crate::generators;
 use crate::mutation::{MutationSchedule, MutationSuffixError, ScheduledMutation};
-use crate::topology::Topology;
+use crate::topology::{Topology, MAX_DELTA};
 use std::fmt;
 use std::str::FromStr;
 
@@ -56,14 +56,14 @@ pub enum TopologySpec {
     },
     /// `debruijn:K,M` — de Bruijn graph B(K, M) on K^M nodes.
     Debruijn {
-        /// Alphabet size / out-degree (≥ 2).
+        /// Alphabet size / out-degree (2..=[`MAX_DELTA`]).
         k: usize,
         /// Word length; D = M.
         m: usize,
     },
     /// `kautz:K,M` — Kautz graph K(K, M) on (K+1)·K^M nodes.
     Kautz {
-        /// Out-degree (≥ 2).
+        /// Out-degree (2..=[`MAX_DELTA`]).
         k: usize,
         /// Word length; D = M + 1.
         m: usize,
@@ -82,7 +82,7 @@ pub enum TopologySpec {
     RandomSc {
         /// Number of processors (≥ 2).
         n: usize,
-        /// Degree bound δ (≥ 2).
+        /// Degree bound δ (2..=[`MAX_DELTA`]).
         delta: u8,
         /// Deterministic seed.
         seed: u64,
@@ -173,7 +173,7 @@ pub const REGISTRY: &[FamilySpec] = &[
     FamilySpec {
         name: "debruijn",
         params: &[
-            p("k", "alphabet / out-degree (>= 2)"),
+            p("k", "alphabet / out-degree (2..=64)"),
             p("m", "word length (>= 1)"),
         ],
         example: "debruijn:2,5",
@@ -181,7 +181,7 @@ pub const REGISTRY: &[FamilySpec] = &[
     },
     FamilySpec {
         name: "kautz",
-        params: &[p("k", "out-degree (>= 2)"), p("m", "word length (>= 1)")],
+        params: &[p("k", "out-degree (2..=64)"), p("m", "word length (>= 1)")],
         example: "kautz:2,3",
         summary: "Kautz K(k,m): densest bounded-degree/low-diameter family",
     },
@@ -201,7 +201,7 @@ pub const REGISTRY: &[FamilySpec] = &[
         name: "random-sc",
         params: &[
             p("n", "processors (>= 2)"),
-            p("delta", "degree bound (>= 2)"),
+            p("delta", "degree bound (2..=64)"),
             p_opt("seed", "0", "deterministic seed"),
         ],
         example: "random-sc:n=32,delta=3,seed=1",
@@ -486,6 +486,16 @@ impl TopologySpec {
             TopologySpec::RandomSc { n, delta, .. } if n < 2 || delta < 2 => fail(format!(
                 "need n >= 2 and delta >= 2 (got n={n}, delta={delta})"
             )),
+            // Port bound: connectivity masks are single 64-bit words, so
+            // the builder refuses δ > MAX_DELTA (δ = k for the word graphs).
+            TopologySpec::RandomSc { delta, .. } if delta > MAX_DELTA => {
+                fail(format!("delta must be <= {MAX_DELTA} (got {delta})"))
+            }
+            TopologySpec::Debruijn { k, .. } | TopologySpec::Kautz { k, .. }
+                if k > MAX_DELTA as usize =>
+            {
+                fail(format!("k must be <= {MAX_DELTA} (got {k})"))
+            }
             TopologySpec::BidiGridFaulty { w, h, p, .. }
                 if w * h < 2 || !(0.0..1.0).contains(&p) =>
             {
@@ -1095,6 +1105,38 @@ mod tests {
                 "{bad} -> {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn port_bounds_above_max_delta_are_structured_errors_not_panics() {
+        // δ = MAX_DELTA is the largest bound the builder accepts: it builds.
+        let ok: TopologySpec = "random-sc:n=8,delta=64,seed=1".parse().unwrap();
+        assert_eq!(ok.build().delta(), MAX_DELTA);
+        let ok: TopologySpec = "debruijn:64,1".parse().unwrap();
+        assert_eq!(ok.build().delta(), MAX_DELTA);
+        // Above it the builder would panic, so parsing must refuse.
+        for bad in [
+            "random-sc:n=8,delta=65",
+            "random-sc:n=8,delta=255",
+            "debruijn:65,1",
+            "kautz:65,1",
+        ] {
+            let err = bad.parse::<TopologySpec>().unwrap_err();
+            assert!(
+                matches!(err, ParseSpecError::OutOfRange { .. }),
+                "{bad} -> {err:?}"
+            );
+            assert!(err.to_string().contains("<= 64"), "{bad} -> {err}");
+        }
+        let direct = TopologySpec::RandomSc {
+            n: 8,
+            delta: 65,
+            seed: 0,
+        };
+        assert!(matches!(
+            direct.validate(),
+            Err(ParseSpecError::OutOfRange { .. })
+        ));
     }
 
     #[test]

@@ -275,7 +275,50 @@ impl Topology {
     /// Validate the cross-linking invariants; used by tests and after
     /// deserialization. Checks that out- and in-tables mirror each other and
     /// that model requirements hold.
+    ///
+    /// A valid network is confirmed by one pass over its wires
+    /// ([`Topology::wired_consistently`]); only a network that fails it is
+    /// scanned node by node, so the error always names the first defect in
+    /// node order.
     pub fn validate(&self) -> Result<(), TopologyError> {
+        if self.wired_consistently() {
+            return Ok(());
+        }
+        self.first_defect()
+    }
+
+    /// Sufficient condition for [`Topology::validate`] to pass, checked
+    /// with one lookup per wire instead of two.
+    ///
+    /// Every row holds 1..=δ entries with strictly ascending ports, every
+    /// out-wire avoids a self-loop and its in-end mirrors it, and both
+    /// directions hold the same number of entries. Mirroring makes the map
+    /// from out-wires to the in-entries they land on injective (an entry
+    /// names one sender); equal totals make it onto, so every in-entry is
+    /// some out-wire's mirror and the in-to-out check holds as well.
+    fn wired_consistently(&self) -> bool {
+        let delta = self.delta as usize;
+        let rows_ok = |off: &[u32], adj: &[CsrEntry]| {
+            off.windows(2).all(|w| {
+                let row = &adj[w[0] as usize..w[1] as usize];
+                (1..=delta).contains(&row.len()) && row.windows(2).all(|p| p[0].local < p[1].local)
+            })
+        };
+        self.n >= 2
+            && self.out_adj.len() == self.in_adj.len()
+            && rows_ok(&self.out_off, &self.out_adj)
+            && rows_ok(&self.in_off, &self.in_adj)
+            && self.node_ids().all(|node| {
+                self.out_edges(node).all(|(o, ep)| {
+                    ep.node != node
+                        && self.in_endpoint(ep.node, ep.port) == Some(Endpoint::new(node, o))
+                })
+            })
+    }
+
+    /// The first defect in node order, checking each node's degree bound,
+    /// wires in both directions and degrees in turn; `Ok` if there is none.
+    fn first_defect(&self) -> Result<(), TopologyError> {
         if self.n < 2 {
             return Err(TopologyError::Malformed(
                 "the model requires at least two processors".into(),
@@ -332,7 +375,9 @@ impl Topology {
 ///
 /// Internally the builder keeps two flat `n·δ` slot tables (`slot = node·δ +
 /// port`) and compresses them to the CSR form of [`Topology`] at
-/// [`TopologyBuilder::build`].
+/// [`TopologyBuilder::build`]. Per-node wired-port counts sit beside the
+/// tables, so free-port queries such as [`TopologyBuilder::can_connect`]
+/// are O(1) and never touch them.
 #[derive(Clone, Debug)]
 pub struct TopologyBuilder {
     delta: u8,
@@ -341,6 +386,12 @@ pub struct TopologyBuilder {
     outs: Vec<Option<Endpoint>>,
     /// `ins[v·δ + i]` = remote `(node, out-port)` feeding `v`'s in-port `i`.
     ins: Vec<Option<Endpoint>>,
+    /// `out_used[v]` = number of wired out-ports of `v` (the `Some`s in its
+    /// `outs` slots). [`TopologyBuilder::connect`] is the only writer of the
+    /// slot tables and of these counts.
+    out_used: Vec<u8>,
+    /// `in_used[v]` = number of wired in-ports of `v`.
+    in_used: Vec<u8>,
 }
 
 impl TopologyBuilder {
@@ -369,6 +420,8 @@ impl TopologyBuilder {
             n,
             outs: vec![None; n * delta as usize],
             ins: vec![None; n * delta as usize],
+            out_used: vec![0; n],
+            in_used: vec![0; n],
         }
     }
 
@@ -445,6 +498,8 @@ impl TopologyBuilder {
         let (so, si) = (self.slot(src, src_port), self.slot(dst, dst_port));
         self.outs[so] = Some(Endpoint::new(dst, dst_port));
         self.ins[si] = Some(Endpoint::new(src, src_port));
+        self.out_used[src.idx()] += 1;
+        self.in_used[dst.idx()] += 1;
         Ok(())
     }
 
@@ -479,13 +534,20 @@ impl TopologyBuilder {
         Ok((o, i))
     }
 
-    /// True if `src` has a free out-port and `dst` a free in-port.
+    /// True if `src` has a free out-port and `dst` a free in-port. O(1).
     pub fn can_connect(&self, src: NodeId, dst: NodeId) -> bool {
         src != dst
             && src.idx() < self.n
             && dst.idx() < self.n
-            && self.outs[self.slots(src)].iter().any(Option::is_none)
-            && self.ins[self.slots(dst)].iter().any(Option::is_none)
+            && self.out_used[src.idx()] < self.delta
+            && self.in_used[dst.idx()] < self.delta
+    }
+
+    /// Number of wired out-ports of `node` so far. O(1).
+    ///
+    /// Panics if `node` does not exist.
+    pub(crate) fn out_degree(&self, node: NodeId) -> usize {
+        self.out_used[node.idx()] as usize
     }
 
     /// True if some wire `src → dst` already exists (any port pair).
@@ -499,9 +561,10 @@ impl TopologyBuilder {
     /// Finish and validate: compress the slot tables to CSR form.
     pub fn build(self) -> Result<Topology, TopologyError> {
         let delta = self.delta as usize;
+        let wires = self.out_used.iter().map(|&c| c as usize).sum();
         let pack = |slots: &[Option<Endpoint>]| {
             let mut off = Vec::with_capacity(self.n + 1);
-            let mut adj = Vec::with_capacity(slots.iter().flatten().count());
+            let mut adj = Vec::with_capacity(wires);
             off.push(0u32);
             for node in 0..self.n {
                 for port in 0..delta {
@@ -711,6 +774,216 @@ mod tests {
         let t2 = b.build().unwrap();
         assert_eq!(t, t2);
         t2.validate().unwrap();
+    }
+
+    /// A `Topology` assembled from per-node rows exactly as given: no
+    /// sorting and no validation, so a test can hand `validate` anything.
+    fn from_rows(delta: u8, outs: &[Vec<CsrEntry>], ins: &[Vec<CsrEntry>]) -> Topology {
+        let flat = |rows: &[Vec<CsrEntry>]| {
+            let mut off = vec![0u32];
+            let mut adj = Vec::new();
+            for row in rows {
+                adj.extend_from_slice(row);
+                off.push(adj.len() as u32);
+            }
+            (off, adj)
+        };
+        let ((out_off, out_adj), (in_off, in_adj)) = (flat(outs), flat(ins));
+        Topology {
+            delta,
+            n: outs.len() as u32,
+            out_off,
+            out_adj,
+            in_off,
+            in_adj,
+        }
+    }
+
+    /// `validate`'s one-pass acceptance never admits a network the
+    /// node-ordered scan rejects, so both report the same first defect.
+    /// Corruptions of a valid network with rows of 1 to δ wires: a field
+    /// of one entry or an extra entry on one side only, or, keeping both
+    /// ends mirrored, a removed wire, an added wire (self-loops included)
+    /// or a relabelled port (duplicates and ports ≥ δ included).
+    #[test]
+    fn validate_reports_the_node_ordered_first_defect() {
+        use crate::rng::DetRng;
+        let (n, delta) = (10u32, 3u8);
+        let mut b = TopologyBuilder::new(n as usize, delta);
+        for u in 0..n {
+            b.connect_auto(NodeId(u), NodeId((u + 1) % n)).unwrap();
+            if u % 3 == 0 {
+                b.connect_auto(NodeId(u), NodeId((u + 4) % n)).unwrap();
+            }
+        }
+        let base = b.build().unwrap();
+        assert!(base.wired_consistently());
+        let rows = |out: bool| -> Vec<Vec<CsrEntry>> {
+            base.node_ids()
+                .map(|v| if out { base.out_row(v) } else { base.in_row(v) }.to_vec())
+                .collect()
+        };
+        let mut rng = DetRng::seed_from_u64(0x7661_6c69_6461_7465);
+        let mut outcomes = [0usize; 2];
+        for case in 0..4000 {
+            let (mut outs, mut ins) = (rows(true), rows(false));
+            let port = |rng: &mut DetRng| rng.random_range(0..delta as u32 + 2) as u8;
+            let node = |rng: &mut DetRng| rng.random_range(0..n) as usize;
+            // A random wire: (u, index in u's out-row, v, index in v's in-row).
+            let wire = |rng: &mut DetRng, outs: &[Vec<CsrEntry>], ins: &[Vec<CsrEntry>]| {
+                let u = (0..)
+                    .map(|_| node(rng))
+                    .find(|&u| !outs[u].is_empty())
+                    .unwrap();
+                let k = rng.random_range(0..outs[u].len() as u32) as usize;
+                let (v, i) = (outs[u][k].peer as usize, outs[u][k].peer_port);
+                let j = ins[v].iter().position(|e| e.local == i).unwrap();
+                (u, k, v, j)
+            };
+            match rng.random_range(0..5) {
+                0 => {
+                    let side = if rng.random_bool(0.5) {
+                        &mut outs
+                    } else {
+                        &mut ins
+                    };
+                    let v = (0..)
+                        .map(|_| node(&mut rng))
+                        .find(|&v| !side[v].is_empty())
+                        .unwrap();
+                    let k = rng.random_range(0..side[v].len() as u32) as usize;
+                    match rng.random_range(0..3) {
+                        0 => side[v][k].local = port(&mut rng),
+                        1 => side[v][k].peer_port = port(&mut rng),
+                        _ => side[v][k].peer = rng.random_range(0..n),
+                    }
+                }
+                1 => {
+                    let side = if rng.random_bool(0.5) {
+                        &mut outs
+                    } else {
+                        &mut ins
+                    };
+                    let entry = CsrEntry {
+                        local: port(&mut rng),
+                        peer_port: port(&mut rng),
+                        peer: rng.random_range(0..n),
+                    };
+                    side[node(&mut rng)].push(entry);
+                }
+                2 => {
+                    let (u, k, v, j) = wire(&mut rng, &outs, &ins);
+                    outs[u].remove(k);
+                    ins[v].remove(j);
+                }
+                3 => {
+                    let (u, v) = (node(&mut rng), node(&mut rng));
+                    let (o, i) = (port(&mut rng), port(&mut rng));
+                    outs[u].push(CsrEntry {
+                        local: o,
+                        peer_port: i,
+                        peer: v as u32,
+                    });
+                    ins[v].push(CsrEntry {
+                        local: i,
+                        peer_port: o,
+                        peer: u as u32,
+                    });
+                }
+                _ => {
+                    let (u, k, v, j) = wire(&mut rng, &outs, &ins);
+                    let p = port(&mut rng);
+                    if rng.random_bool(0.5) {
+                        (outs[u][k].local, ins[v][j].peer_port) = (p, p);
+                    } else {
+                        (ins[v][j].local, outs[u][k].peer_port) = (p, p);
+                    }
+                }
+            }
+            let t = from_rows(delta, &outs, &ins);
+            let first = t.first_defect();
+            assert_eq!(t.validate(), first, "case {case}");
+            outcomes[usize::from(first.is_err())] += 1;
+        }
+        assert!(
+            outcomes.iter().all(|&c| c > 500),
+            "valid/defective: {outcomes:?}"
+        );
+    }
+
+    /// The O(1) free-port counts against a scan of the slot tables, after
+    /// every call of a random sequence of explicit and automatic connects
+    /// that includes each way a connect can fail.
+    #[test]
+    fn can_connect_agrees_with_a_slot_scan_through_failing_connects() {
+        use crate::rng::DetRng;
+        let (n, delta) = (6u32, 3u8);
+        let mut b = TopologyBuilder::new(n as usize, delta);
+        // Reference: scan `node`'s slots on one side (`None` past the last node).
+        let scan = |b: &TopologyBuilder, node: NodeId, out: bool| {
+            let table = if out { &b.outs } else { &b.ins };
+            (node.idx() < b.n).then(|| table[b.slots(node)].to_vec())
+        };
+        let free = |b: &TopologyBuilder, node: NodeId, out: bool| {
+            scan(b, node, out).is_some_and(|row| row.contains(&None))
+        };
+        let wired = |b: &TopologyBuilder, node: NodeId, out: bool| {
+            scan(b, node, out).map_or(0, |row| row.iter().flatten().count())
+        };
+        let mut rng = DetRng::seed_from_u64(0x636f_756e_7473);
+        let mut failures = std::collections::BTreeSet::new();
+        for step in 0..600 {
+            // One draw past the last node exercises the range checks too.
+            let src = NodeId(rng.random_range(0..n + 1));
+            let dst = NodeId(rng.random_range(0..n + 1));
+            let counts = (b.out_used.clone(), b.in_used.clone());
+            let result = if rng.random_bool(0.5) {
+                b.connect_auto(src, dst).map(|_| ())
+            } else {
+                // Ports up to δ inclusive: δ itself is out of range.
+                let o = Port(rng.random_range(0..delta as u32 + 1) as u8);
+                let i = Port(rng.random_range(0..delta as u32 + 1) as u8);
+                b.connect(src, o, dst, i)
+            };
+            if let Err(e) = result {
+                failures.insert(match e {
+                    TopologyError::UnknownNode(_) => "UnknownNode",
+                    TopologyError::PortOutOfRange { .. } => "PortOutOfRange",
+                    TopologyError::PortBusy { .. } => "PortBusy",
+                    TopologyError::SelfLoop(_) => "SelfLoop",
+                    TopologyError::NodeFull { .. } => "NodeFull",
+                    TopologyError::Malformed(_) => "Malformed",
+                });
+                assert_eq!(
+                    (&b.out_used, &b.in_used),
+                    (&counts.0, &counts.1),
+                    "step {step}: failed {e:?} moved the counts"
+                );
+            }
+            for v in (0..n).map(NodeId) {
+                assert_eq!(b.out_degree(v), wired(&b, v, true), "step {step}");
+                assert_eq!(
+                    b.in_used[v.idx()] as usize,
+                    wired(&b, v, false),
+                    "step {step}"
+                );
+            }
+            for s in (0..n + 1).map(NodeId) {
+                for d in (0..n + 1).map(NodeId) {
+                    let scan = s != d && free(&b, s, true) && free(&b, d, false);
+                    assert_eq!(b.can_connect(s, d), scan, "step {step}: {s} -> {d}");
+                }
+            }
+        }
+        for kind in [
+            "PortBusy",
+            "SelfLoop",
+            "PortOutOfRange",
+            "NodeFull",
+            "UnknownNode",
+        ] {
+            assert!(failures.contains(kind), "{kind} never hit: {failures:?}");
+        }
     }
 
     #[test]
