@@ -437,7 +437,7 @@ impl ProtocolNode {
 
     fn broadcast_kill(&self, outputs: &mut [Signal]) {
         for o in self.out_ports.iter() {
-            outputs[o.idx()].kill = true;
+            outputs[o.idx()].set_kill();
         }
     }
 
@@ -863,7 +863,7 @@ impl ProtocolNode {
                 let Some(succ) = self.marks.succ(MarkPair::First) else {
                     return; // marks half-erased by a mutation
                 };
-                ctx.outputs[succ.idx()].unmark = true;
+                ctx.outputs[succ.idx()].set_unmark();
                 self.rca = RcaState::AwaitUnmarkReturn { after };
                 return;
             }
@@ -874,7 +874,7 @@ impl ProtocolNode {
             let Some(succ) = self.marks.succ(MarkPair::First) else {
                 return; // marks half-erased by a mutation
             };
-            ctx.outputs[succ.idx()].unmark = true;
+            ctx.outputs[succ.idx()].set_unmark();
             self.marks.clear();
             self.dying_bd.reset();
             self.bca = BcaState::Idle;
@@ -941,7 +941,7 @@ impl ProtocolNode {
         }
         // Ordinary forwarding: pass (speed-3) and forget the designations.
         if let Some(route) = self.marks.unmark(p) {
-            ctx.outputs[route.succ.idx()].unmark = true;
+            ctx.outputs[route.succ.idx()].set_unmark();
             match route.pair {
                 MarkPair::First => {
                     self.dying_id.reset();
@@ -1123,13 +1123,13 @@ impl Automaton for ProtocolNode {
                 done: false,
             };
             for o in self.out_ports.iter() {
-                ctx.outputs[o.idx()].reset = Some(self.reset_parity);
+                ctx.outputs[o.idx()].set_reset(self.reset_parity);
             }
             ctx.events.push(TranscriptEvent::Start);
             self.advance_dfs(now, ctx);
         }
         if !self.is_root {
-            let stamp = (0..self.delta as usize).find_map(|i| ctx.inputs[i].reset);
+            let stamp = (0..self.delta as usize).find_map(|i| ctx.inputs[i].reset());
             if let Some(p) = stamp {
                 if p != self.reset_parity {
                     // first copy of the new round: clear, stamp, forward.
@@ -1142,7 +1142,7 @@ impl Automaton for ProtocolNode {
                         done: false,
                     };
                     for o in self.out_ports.iter() {
-                        ctx.outputs[o.idx()].reset = Some(p);
+                        ctx.outputs[o.idx()].set_reset(p);
                     }
                 }
             }
@@ -1151,7 +1151,7 @@ impl Automaton for ProtocolNode {
         // Phase 1: KILL tokens — erasure wins ties with arriving characters.
         let mut killed = false;
         for i in 0..self.delta as usize {
-            if ctx.inputs[i].kill && self.kill_accepted(Port(i as u8)) {
+            if ctx.inputs[i].kill() && self.kill_accepted(Port(i as u8)) {
                 killed = true;
             }
         }
@@ -1198,7 +1198,7 @@ impl Automaton for ProtocolNode {
 
         // Phase 4: loop tokens (speed-1).
         for i in 0..self.delta as usize {
-            if let Some(tok) = ctx.inputs[i].loop_tok {
+            if let Some(tok) = ctx.inputs[i].loop_tok() {
                 self.on_loop(Port(i as u8), tok, now, ctx);
             }
         }
@@ -1206,14 +1206,14 @@ impl Automaton for ProtocolNode {
         // Phase 5: UNMARK tokens (speed-3: processed and forwarded within
         // the same tick).
         for i in 0..self.delta as usize {
-            if ctx.inputs[i].unmark {
+            if ctx.inputs[i].unmark() {
                 self.on_unmark(Port(i as u8), now, ctx);
             }
         }
 
         // Phase 6: the DFS token.
         for i in 0..self.delta as usize {
-            if let Some(d) = ctx.inputs[i].dfs {
+            if let Some(d) = ctx.inputs[i].dfs() {
                 self.on_dfs_forward(d.sender_out_port, Port(i as u8), now, ctx);
             }
         }
@@ -1256,5 +1256,23 @@ impl Automaton for ProtocolNode {
             return;
         }
         self.on_rewire(meta);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn protocol_node_stays_compact() {
+        // A saturated tick streams every processor's state once: at
+        // n = 1M a byte here is a megabyte of traffic per tick. The six
+        // dwell lanes keep their lengths inline (16 bytes each) so an
+        // idle lane is answered without touching its slab.
+        assert!(
+            std::mem::size_of::<ProtocolNode>() <= 264,
+            "ProtocolNode grew to {} bytes",
+            std::mem::size_of::<ProtocolNode>()
+        );
     }
 }

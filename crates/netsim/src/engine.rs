@@ -417,10 +417,10 @@ fn resolve_shards(n: usize, requested: Option<usize>) -> (usize, bool) {
 /// engine runs the GTD protocol, unit-test probes, and ablation automata.
 ///
 /// Steady-state ticks are allocation-free in every mode: all per-tick
-/// scratch (`event_bufs`, per-shard step lists, frontier worklists, timer
-/// structures, cross-shard lanes) is reused across ticks, the worker pool
-/// is pre-spawned and coordinated by atomics, and topology mutations
-/// reuse the route-table rebuild buffers (`apply_scratch`).
+/// scratch (per-shard event buffers and step lists, frontier worklists,
+/// timer structures, cross-shard lanes) is reused across ticks, the
+/// worker pool is pre-spawned and coordinated by atomics, and topology
+/// mutations reuse the route-table rebuild buffers (`apply_scratch`).
 pub struct Engine<A: Automaton> {
     mode: EngineMode,
     delta: usize,
@@ -462,8 +462,8 @@ pub struct Engine<A: Automaton> {
     /// Persistent tick-phase workers (Parallel with > 1 shard only);
     /// spawned once here, parked between dispatches, joined on drop.
     pool: Option<WorkerPool>,
-    /// Per-node event buffers (kept separate for parallel stepping).
-    event_bufs: Vec<Vec<A::Event>>,
+    /// Per-shard event buffers (one for Dense), drained every tick.
+    event_bufs: Vec<EventBuf<A::Event>>,
     /// Route-table and invalidation rebuild buffers for
     /// [`Engine::apply_topology_with`], reused across mutations so
     /// mutation-dense schedules don't reallocate per event.
@@ -471,6 +471,35 @@ pub struct Engine<A: Automaton> {
     /// The unreliable-wire model, when one is interposed
     /// ([`Engine::set_fault_plane`]); `None` on the reliable path.
     fault: Option<Box<FaultState<A::Sig>>>,
+}
+
+/// The events one shard's steps emit in a tick. A step pushes into
+/// `scratch` ([`StepCtx::events`]); [`EventBuf::tag`] moves them into
+/// `tagged` with the stepping node's id right after the step. Step lists
+/// ascend within a shard and shard ranges ascend, so concatenating the
+/// shards' `tagged` lists in shard order yields ascending node order —
+/// the same order Dense emits, at any shard count.
+struct EventBuf<E> {
+    scratch: Vec<E>,
+    tagged: Vec<(NodeId, E)>,
+}
+
+impl<E> EventBuf<E> {
+    fn new() -> Self {
+        EventBuf {
+            scratch: Vec::new(),
+            tagged: Vec::new(),
+        }
+    }
+
+    /// File whatever node `n`'s step just emitted.
+    #[inline]
+    fn tag(&mut self, n: usize) {
+        if !self.scratch.is_empty() {
+            let id = NodeId(n as u32);
+            self.tagged.extend(self.scratch.drain(..).map(|e| (id, e)));
+        }
+    }
 }
 
 /// Reusable buffers for the atomic rewire path.
@@ -523,7 +552,8 @@ struct ParCtx<A: Automaton> {
     nodes: *mut A,
     in_buf: *mut A::Sig,
     out_buf: *mut A::Sig,
-    event_bufs: *mut Vec<A::Event>,
+    /// Indexed by shard: phase `s` touches only `event_bufs.add(s)`.
+    event_bufs: *mut EventBuf<A::Event>,
     wake_at: *mut u64,
     has_input: *mut bool,
     shards: *mut Shard,
@@ -575,6 +605,7 @@ unsafe fn shard_step<A: Automaton>(ctx: *const (), s: usize) {
     // double entries.
     sh.stepped.sort_unstable();
     sh.stepped.dedup();
+    let ev = &mut *c.event_bufs.add(s);
     for &n in &sh.stepped {
         let n = n as usize;
         // Pre-blank the out chunk: saturated ticks leave out_buf dirty,
@@ -589,10 +620,11 @@ unsafe fn shard_step<A: Automaton>(ctx: *const (), s: usize) {
             tick,
             inputs: std::slice::from_raw_parts(c.in_buf.add(n * delta), delta),
             outputs: outs,
-            events: &mut *c.event_bufs.add(n),
+            events: &mut ev.scratch,
             wake: &mut wake,
         };
         (*c.nodes.add(n)).step(&mut step_ctx);
+        ev.tag(n);
         if wake != old_wake {
             match (old_wake == NO_WAKE, wake == NO_WAKE) {
                 (true, false) => sh.armed_delta += 1,
@@ -717,6 +749,7 @@ unsafe fn shard_step_all<A: Automaton>(ctx: *const (), s: usize) {
     let delta = c.delta;
     let tick = c.tick;
     let mut armed = 0i64;
+    let ev = &mut *c.event_bufs.add(s);
     for n in sh.lo..sh.hi {
         let outs = std::slice::from_raw_parts_mut(c.out_buf.add(n * delta), delta);
         for sig in outs.iter_mut() {
@@ -727,10 +760,11 @@ unsafe fn shard_step_all<A: Automaton>(ctx: *const (), s: usize) {
             tick,
             inputs: std::slice::from_raw_parts(c.in_buf.add(n * delta), delta),
             outputs: outs,
-            events: &mut *c.event_bufs.add(n),
+            events: &mut ev.scratch,
             wake: &mut wake,
         };
         (*c.nodes.add(n)).step(&mut step_ctx);
+        ev.tag(n);
         *c.wake_at.add(n) = wake;
         if wake != NO_WAKE {
             armed += 1;
@@ -740,7 +774,7 @@ unsafe fn shard_step_all<A: Automaton>(ctx: *const (), s: usize) {
 }
 
 /// In-slots whose source signals [`shard_gather`] loads as one batch
-/// (32 × a 32-byte signal = 1 KiB of stack).
+/// (32 × the 16-byte GTD signal = 512 B of stack).
 const GATHER_BLOCK: usize = 32;
 
 /// Saturated phase B (per shard): dense gather — copy every wired
@@ -938,7 +972,7 @@ impl<A: Automaton> Engine<A> {
             frontier_dirty: false,
             forced_fanout,
             pool,
-            event_bufs: (0..n).map(|_| Vec::new()).collect(),
+            event_bufs: (0..s_count.max(1)).map(|_| EventBuf::new()).collect(),
             apply_scratch: ApplyScratch::default(),
             fault: None,
         }
@@ -1207,12 +1241,10 @@ impl<A: Automaton> Engine<A> {
                 let mut automaton = factory(meta.clone());
                 automaton.on_join(&meta);
                 self.nodes.push(automaton);
-                self.event_bufs.push(Vec::new());
             }
             MembershipChange::Left { node } => {
                 let x = node.idx();
                 self.nodes.remove(x);
-                self.event_bufs.remove(x);
                 if self.root.idx() > x {
                     self.root = NodeId(self.root.0 - 1);
                 }
@@ -1625,16 +1657,14 @@ impl<A: Automaton> Engine<A> {
         self.run_phases(&phases, use_pool);
         self.settle_counters(false);
         self.settle_faults();
-        // Drain events shard by shard: ranges ascend and each step list
-        // is sorted, so the order is ascending node id — identical to
-        // Dense and to every other shard count.
-        for si in 0..s_count {
-            for i in 0..self.shards[si].stepped.len() {
-                let n = self.shards[si].stepped[i] as usize;
-                if !self.event_bufs[n].is_empty() {
-                    events.extend(self.event_bufs[n].drain(..).map(|e| (NodeId(n as u32), e)));
-                }
-            }
+        self.drain_events(events);
+    }
+
+    /// Hand the tick's events to the caller in ascending node order (see
+    /// [`EventBuf`]); the buffers keep their capacity.
+    fn drain_events(&mut self, events: &mut Vec<(NodeId, A::Event)>) {
+        for buf in &mut self.event_bufs {
+            events.append(&mut buf.tagged);
         }
     }
 
@@ -1649,11 +1679,7 @@ impl<A: Automaton> Engine<A> {
         self.settle_counters(true);
         self.settle_faults();
         self.frontier_dirty = true;
-        for (n, buf) in self.event_bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                events.extend(buf.drain(..).map(|e| (NodeId(n as u32), e)));
-            }
-        }
+        self.drain_events(events);
     }
 
     /// Re-derive every shard's worklists from the authoritative tables
@@ -1695,11 +1721,12 @@ impl<A: Automaton> Engine<A> {
         // wake slot is reset and re-requested within its step (the
         // deadline contract keeps re-requests idempotent).
         let in_buf = &self.in_buf;
-        for (idx, ((node, out_chunk), (evs, wake))) in self
+        let ev = &mut self.event_bufs[0];
+        for (idx, ((node, out_chunk), wake)) in self
             .nodes
             .iter_mut()
             .zip(self.out_buf.chunks_mut(delta))
-            .zip(self.event_bufs.iter_mut().zip(self.wake_at.iter_mut()))
+            .zip(self.wake_at.iter_mut())
             .enumerate()
         {
             for s in out_chunk.iter_mut() {
@@ -1710,10 +1737,11 @@ impl<A: Automaton> Engine<A> {
                 tick,
                 inputs: &in_buf[idx * delta..(idx + 1) * delta],
                 outputs: out_chunk,
-                events: evs,
+                events: &mut ev.scratch,
                 wake,
             };
             node.step(&mut ctx);
+            ev.tag(idx);
         }
         // Phase 2: gather — route every wired out-slot to its in-slot by
         // plain copy (the `Copy` bound keeps this a word move, never a
@@ -1773,11 +1801,7 @@ impl<A: Automaton> Engine<A> {
         self.pending_inputs = self.has_input.iter().filter(|&&h| h).count();
         self.armed = self.wake_at.iter().filter(|&&w| w != NO_WAKE).count();
         // Phase 4: drain events in node order.
-        for (n, buf) in self.event_bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                events.extend(buf.drain(..).map(|e| (NodeId(n as u32), e)));
-            }
-        }
+        self.drain_events(events);
     }
 }
 
@@ -1988,6 +2012,171 @@ mod tests {
                 "dense vs parallel/{shards} shards across saturation"
             );
         }
+    }
+
+    /// Event-order probe: a flood in which every node emits two events
+    /// per step that sees a new value (the first carrying its wave value,
+    /// the second marking it), then one more "echo" event a staggered
+    /// 2–5 ticks later. The flood drives Parallel through saturated
+    /// ticks; the echoes fall in event ticks where many nodes emit at
+    /// once but few hold inputs.
+    #[derive(Clone)]
+    struct Chorus {
+        id: u32,
+        is_root: bool,
+        out_ports: Vec<usize>,
+        started: bool,
+        best: u32,
+        echo_at: Option<u64>,
+    }
+
+    impl Automaton for Chorus {
+        type Sig = U32Sig;
+        type Event = (u64, u32);
+
+        fn step(&mut self, ctx: &mut StepCtx<'_, U32Sig, (u64, u32)>) {
+            let mut fresh = 0;
+            if self.is_root && !self.started {
+                self.started = true;
+                fresh = 1;
+            }
+            for s in ctx.inputs {
+                if s.0 > self.best.max(fresh) {
+                    fresh = s.0;
+                }
+            }
+            if fresh != 0 {
+                self.best = fresh;
+                ctx.events.push((ctx.tick, fresh));
+                ctx.events.push((ctx.tick, 100 + fresh));
+                if fresh < 10 {
+                    for &o in &self.out_ports {
+                        ctx.outputs[o] = U32Sig(fresh + 1);
+                    }
+                }
+                self.echo_at = Some(ctx.tick + 2 + u64::from(self.id % 4));
+            }
+            match self.echo_at {
+                Some(at) if at <= ctx.tick => {
+                    ctx.events.push((ctx.tick, 1000 + self.id));
+                    self.echo_at = None;
+                }
+                Some(at) => ctx.request_restep_at(at),
+                None => {}
+            }
+        }
+
+        fn on_rewire(&mut self, meta: &NodeMeta) {
+            self.out_ports = meta.out_connected.iter().map(|p| p.idx()).collect();
+        }
+    }
+
+    fn chorus_factory(meta: NodeMeta) -> Chorus {
+        Chorus {
+            id: meta.id.0,
+            is_root: meta.is_root,
+            out_ports: meta.out_connected.iter().map(|p| p.idx()).collect(),
+            started: false,
+            best: 0,
+            echo_at: None,
+        }
+    }
+
+    /// One tick's events, and whether the tick ran saturated.
+    type TickLog = Vec<(Vec<(NodeId, (u64, u32))>, bool)>;
+
+    /// Run a Chorus flood to quiet, applying `mutations` (tick, topology,
+    /// change) between ticks, and log each tick's events separately.
+    fn chorus_run(
+        topo: &Topology,
+        mode: EngineMode,
+        shards: Option<usize>,
+        mutations: &[(u64, Topology, MembershipChange)],
+    ) -> TickLog {
+        let mut eng = Engine::with_root_sharded(topo, mode, NodeId(0), shards, &mut chorus_factory);
+        let mut log = Vec::new();
+        for _ in 0..200 {
+            for (at, t, change) in mutations {
+                if *at == eng.tick_count() {
+                    eng.apply_topology_with(t, *change, &mut chorus_factory);
+                }
+            }
+            let mut events = Vec::new();
+            eng.tick(&mut events);
+            log.push((events, eng.frontier_dirty));
+            let pending = mutations.iter().any(|(at, ..)| *at >= eng.tick_count());
+            if eng.is_quiet() && !pending {
+                break;
+            }
+        }
+        assert!(eng.is_quiet(), "{mode:?}/{shards:?} must quiesce");
+        log
+    }
+
+    /// Every tick's events come out in ascending node order (a node's own
+    /// events keep their emission order), identical to Dense at every
+    /// shard count; the Parallel runs must include both saturated and
+    /// event ticks in which several nodes emit.
+    fn assert_event_order(topo: &Topology, mutations: &[(u64, Topology, MembershipChange)]) {
+        let strip = |log: &TickLog| log.iter().map(|(e, _)| e.clone()).collect::<Vec<_>>();
+        let base = chorus_run(topo, EngineMode::Dense, None, mutations);
+        let sparse = chorus_run(topo, EngineMode::Sparse, None, mutations);
+        assert_eq!(strip(&base), strip(&sparse), "dense vs sparse");
+        for shards in [1usize, 2, 7, 16] {
+            let log = chorus_run(topo, EngineMode::Parallel, Some(shards), mutations);
+            assert_eq!(strip(&base), strip(&log), "dense vs parallel/{shards}");
+            let mut seen = [false; 2];
+            for (events, saturated) in &log {
+                assert!(
+                    events.windows(2).all(|w| w[0].0 <= w[1].0),
+                    "parallel/{shards}: events out of node order: {events:?}"
+                );
+                let mut nodes: Vec<NodeId> = events.iter().map(|&(n, _)| n).collect();
+                nodes.dedup();
+                if nodes.len() > 1 {
+                    seen[usize::from(*saturated)] = true;
+                }
+            }
+            assert_eq!(
+                seen,
+                [true, true],
+                "parallel/{shards}: want multi-node event and saturated ticks"
+            );
+        }
+    }
+
+    #[test]
+    fn events_drain_in_node_order_in_saturated_and_event_ticks() {
+        assert_event_order(&generators::random_sc(48, 2, 11), &[]);
+    }
+
+    #[test]
+    fn events_drain_in_node_order_across_a_join_and_a_leave() {
+        use crate::mutation::{MutationKind, TopologyMutation};
+        let root = NodeId(0);
+        let base = generators::random_sc(48, 2, 11);
+        let join = base.apply_or_fallback_rooted(
+            &TopologyMutation {
+                kind: MutationKind::NodeJoin,
+                selector: 5,
+            },
+            root,
+        );
+        assert!(matches!(join.membership, MembershipChange::Joined { .. }));
+        let leave = join.topology.apply_or_fallback_rooted(
+            &TopologyMutation {
+                kind: MutationKind::NodeLeave,
+                selector: 9,
+            },
+            root,
+        );
+        assert!(matches!(leave.membership, MembershipChange::Left { .. }));
+        // Join mid-flood, leave while the echoes are still due.
+        let mutations = [
+            (3, join.topology, join.membership),
+            (7, leave.topology, leave.membership),
+        ];
+        assert_event_order(&base, &mutations);
     }
 
     #[test]

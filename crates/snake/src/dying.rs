@@ -72,6 +72,7 @@ impl DyingPassage {
     }
 
     /// Kind of the characters this passage emits.
+    #[inline]
     pub fn out_kind(&self) -> SnakeKind {
         self.out_kind
     }
@@ -123,47 +124,56 @@ impl DyingPassage {
     }
 
     /// Pop the next emission due at `now`.
+    #[inline]
     pub fn due(&mut self, now: u64) -> Option<DyingEmit> {
         let port = self.succ?;
         self.q.pop_due(now).map(|c| DyingEmit { c, port })
     }
 
     /// Earliest pending emission deadline.
+    #[inline]
     pub fn next_deadline(&self) -> Option<u64> {
         self.q.next_deadline()
     }
 
     /// Has the snake arrived (head consumed) on this lane?
+    #[inline]
     pub fn is_active(&self) -> bool {
         self.state != DState::Idle
     }
 
     /// Has the whole snake passed (tail scheduled/sent)?
+    #[inline]
     pub fn is_done(&self) -> bool {
         self.state == DState::Done
     }
 
     /// Was this processor the endpoint of the marked path?
+    #[inline]
     pub fn is_endpoint(&self) -> bool {
         self.endpoint
     }
 
     /// The predecessor in-port recorded at head consumption.
+    #[inline]
     pub fn pred(&self) -> Option<Port> {
         self.pred
     }
 
     /// The successor out-port recorded at head consumption.
+    #[inline]
     pub fn succ(&self) -> Option<Port> {
         self.succ
     }
 
     /// Any scheduled emissions pending?
+    #[inline]
     pub fn has_pending(&self) -> bool {
         !self.q.is_empty()
     }
 
     /// Number of characters dwelling here (E5 census).
+    #[inline]
     pub fn pending_len(&self) -> usize {
         self.q.len()
     }
@@ -178,6 +188,7 @@ impl DyingPassage {
     }
 
     /// True when indistinguishable from a factory-fresh passage.
+    #[inline]
     pub fn is_pristine(&self) -> bool {
         self.state == DState::Idle
             && self.pred.is_none()

@@ -70,6 +70,7 @@ impl LoopMarks {
     }
 
     /// Predecessor of a pair.
+    #[inline]
     pub fn pred(&self, pair: MarkPair) -> Option<Port> {
         match pair {
             MarkPair::First => self.pred1,
@@ -78,6 +79,7 @@ impl LoopMarks {
     }
 
     /// Successor of a pair.
+    #[inline]
     pub fn succ(&self, pair: MarkPair) -> Option<Port> {
         match pair {
             MarkPair::First => self.succ1,
@@ -94,6 +96,7 @@ impl LoopMarks {
     /// * both full pairs set → alternation decides which pair is "appropriate";
     /// * exactly one full pair set → that pair;
     /// * the root pattern (pred #1 + succ #2 only) → #1 in, #2 out.
+    #[inline]
     pub fn route(&self, arrival: Port) -> Option<Route> {
         let full1 = self.pred1.zip(self.succ1);
         let full2 = self.pred2.zip(self.succ2);
@@ -171,16 +174,19 @@ impl LoopMarks {
     }
 
     /// Are any marks set?
+    #[inline]
     pub fn is_marked(&self) -> bool {
         self.pred1.is_some() || self.succ1.is_some() || self.pred2.is_some() || self.succ2.is_some()
     }
 
     /// True when fully unmarked with reset alternation (Lemma 4.2 state).
+    #[inline]
     pub fn is_clear(&self) -> bool {
         !self.is_marked()
     }
 
     /// True when indistinguishable from factory-fresh.
+    #[inline]
     pub fn is_pristine(&self) -> bool {
         *self == LoopMarks::default()
     }

@@ -9,8 +9,8 @@
 //! still a constant alphabet; [`Signal`] is that product type. The blank
 //! character *b* of the quiescent state is `Signal::default()`.
 
-use crate::chars::{SnakeChar, SnakeKind};
-use gtd_netsim::Port;
+use crate::chars::{Hop, SnakeChar, SnakeKind};
+use gtd_netsim::{Port, MAX_DELTA};
 
 /// Constant-size message a BCA delivers backwards along an edge.
 ///
@@ -47,27 +47,99 @@ pub struct DfsToken {
 /// Everything that can cross one wire in one tick: at most one character
 /// per snake kind, plus the token channels.
 ///
-/// Aligned to its 32-byte size so a wire slot never straddles two cache
-/// lines: the engine's saturated gather reads one slot per wire in
-/// random order, and a straddling slot costs two misses instead of one.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-#[repr(align(32))]
+/// The paper's wire alphabet is a constant-size product of constant
+/// alphabets (§1.1, §2.3.1), and with δ ≤ [`MAX_DELTA`] = 64 every channel
+/// of that product fits in 16 bits, so the whole character packs into 16
+/// bytes:
+///
+/// * six `u16` snake slots, one per [`SnakeKind`]: bits 0–1 the role
+///   (0 = absent, 1 = head, 2 = body, 3 = tail), bits 2–7 the hop's
+///   out-port, bit 8 set when the in-port is known (clear = the paper's
+///   `∗`), bits 9–14 the in-port;
+/// * a `u16` loop token: bits 0–1 the variant (0 = absent, 1 = BACK,
+///   2 = BCA payload, 3 = FORWARD), bits 2–7 / 8–13 FORWARD's out-/in-port;
+/// * one flag byte: KILL, UNMARK, RESET present, RESET parity;
+/// * one DFS byte: the sender's out-port + 1 (0 = absent).
+///
+/// Every port below [`MAX_DELTA`] round-trips exactly, and the blank
+/// character *b* is all zeros, so the derived `==` is a single 16-byte
+/// compare. Aligned to its size so a wire slot never straddles two cache
+/// lines: the engine's saturated gather reads one slot per wire in random
+/// order, and a straddling slot costs two misses instead of one.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+#[repr(C, align(16))]
 pub struct Signal {
-    /// One optional character per snake kind, indexed by [`SnakeKind::idx`].
-    pub snakes: [Option<SnakeChar>; 6],
-    /// Speed-3 breadth-first KILL token (RCA step 4).
-    pub kill: bool,
-    /// Speed-3 UNMARK loop token (RCA step 5).
-    pub unmark: bool,
-    /// Speed-3 RESET flood: clears DFS bookkeeping so the root can re-map
-    /// a (possibly changed) network — our dynamic-remapping extension.
-    /// Carries the new round's parity bit so late-arriving flood copies
-    /// cannot re-clear a processor the new DFS already visited.
-    pub reset: Option<bool>,
-    /// Speed-1 loop token (FORWARD / BACK / BCA payload).
-    pub loop_tok: Option<LoopToken>,
-    /// The DFS token moving forward through this wire.
-    pub dfs: Option<DfsToken>,
+    snakes: [u16; 6],
+    loop_tok: u16,
+    flags: u8,
+    dfs: u8,
+}
+
+// The 6-bit port fields cover every port only while δ ≤ 64.
+const _: () = assert!(MAX_DELTA <= 64);
+
+const PORT_BITS: u8 = 0x3f;
+
+const ROLE_HEAD: u16 = 1;
+const ROLE_BODY: u16 = 2;
+const ROLE_TAIL: u16 = 3;
+const SNAKE_IN_PRESENT: u16 = 1 << 8;
+
+const LOOP_BACK: u16 = 1;
+const LOOP_BCA: u16 = 2;
+const LOOP_FORWARD: u16 = 3;
+
+const FLAG_KILL: u8 = 1;
+const FLAG_UNMARK: u8 = 1 << 1;
+const FLAG_RESET: u8 = 1 << 2;
+const FLAG_RESET_PARITY: u8 = 1 << 3;
+
+#[inline]
+fn port_field(p: Port, shift: u32) -> u16 {
+    u16::from(p.0 & PORT_BITS) << shift
+}
+
+#[inline]
+fn port_at(w: u16, shift: u32) -> Port {
+    Port((w >> shift) as u8 & PORT_BITS)
+}
+
+#[inline]
+fn encode_snake(c: SnakeChar) -> u16 {
+    let (role, hop) = match c {
+        SnakeChar::Head(h) => (ROLE_HEAD, h),
+        SnakeChar::Body(h) => (ROLE_BODY, h),
+        SnakeChar::Tail => return ROLE_TAIL,
+    };
+    let in_port = hop
+        .in_port
+        .map_or(0, |p| SNAKE_IN_PRESENT | port_field(p, 9));
+    role | port_field(hop.out_port, 2) | in_port
+}
+
+#[inline]
+fn decode_snake(w: u16) -> Option<SnakeChar> {
+    let hop = Hop {
+        out_port: port_at(w, 2),
+        in_port: (w & SNAKE_IN_PRESENT != 0).then(|| port_at(w, 9)),
+    };
+    match w & 3 {
+        0 => None,
+        ROLE_HEAD => Some(SnakeChar::Head(hop)),
+        ROLE_BODY => Some(SnakeChar::Body(hop)),
+        _ => Some(SnakeChar::Tail),
+    }
+}
+
+#[inline]
+fn encode_loop(t: LoopToken) -> u16 {
+    match t {
+        LoopToken::Forward { out_port, in_port } => {
+            LOOP_FORWARD | port_field(out_port, 2) | port_field(in_port, 8)
+        }
+        LoopToken::Back => LOOP_BACK,
+        LoopToken::Bca(BcaMsg::DfsReturn) => LOOP_BCA,
+    }
 }
 
 impl Signal {
@@ -86,7 +158,7 @@ impl Signal {
     /// The snake character of `kind` on this wire, if any.
     #[inline]
     pub fn snake(&self, kind: SnakeKind) -> Option<SnakeChar> {
-        self.snakes[kind.idx()]
+        decode_snake(self.snakes[kind.idx()])
     }
 
     /// Place a snake character of `kind` on this wire. Panics if the slot
@@ -96,43 +168,188 @@ impl Signal {
     pub fn put_snake(&mut self, kind: SnakeKind, c: SnakeChar) {
         let slot = &mut self.snakes[kind.idx()];
         assert!(
-            slot.is_none(),
+            *slot == 0,
             "snake channel collision: two {kind} characters on one wire in one tick"
         );
-        *slot = Some(c);
+        *slot = encode_snake(c);
+    }
+
+    /// The speed-1 loop token (FORWARD / BACK / BCA payload), if any.
+    #[inline]
+    pub fn loop_tok(&self) -> Option<LoopToken> {
+        let w = self.loop_tok;
+        match w & 3 {
+            0 => None,
+            LOOP_BACK => Some(LoopToken::Back),
+            LOOP_BCA => Some(LoopToken::Bca(BcaMsg::DfsReturn)),
+            _ => Some(LoopToken::Forward {
+                out_port: port_at(w, 2),
+                in_port: port_at(w, 8),
+            }),
+        }
     }
 
     /// Place a loop token; panics on collision (at most one loop construct
     /// exists per RCA/BCA phase).
     #[inline]
     pub fn put_loop(&mut self, t: LoopToken) {
-        assert!(self.loop_tok.is_none(), "loop-token channel collision");
-        self.loop_tok = Some(t);
+        assert!(self.loop_tok == 0, "loop-token channel collision");
+        self.loop_tok = encode_loop(t);
+    }
+
+    /// The DFS token moving forward through this wire, if any.
+    #[inline]
+    pub fn dfs(&self) -> Option<DfsToken> {
+        self.dfs.checked_sub(1).map(|p| DfsToken {
+            sender_out_port: Port(p),
+        })
     }
 
     /// Place the DFS token; panics on collision (there is exactly one DFS
     /// token in the network).
     #[inline]
     pub fn put_dfs(&mut self, t: DfsToken) {
-        assert!(self.dfs.is_none(), "dfs channel collision");
-        self.dfs = Some(t);
+        assert!(self.dfs == 0, "dfs channel collision");
+        self.dfs = (t.sender_out_port.0 & PORT_BITS) + 1;
+    }
+
+    /// Speed-3 breadth-first KILL token (RCA step 4).
+    #[inline]
+    pub fn kill(&self) -> bool {
+        self.flags & FLAG_KILL != 0
+    }
+
+    /// Place a KILL token.
+    #[inline]
+    pub fn set_kill(&mut self) {
+        self.flags |= FLAG_KILL;
+    }
+
+    /// Speed-3 UNMARK loop token (RCA step 5).
+    #[inline]
+    pub fn unmark(&self) -> bool {
+        self.flags & FLAG_UNMARK != 0
+    }
+
+    /// Place an UNMARK token.
+    #[inline]
+    pub fn set_unmark(&mut self) {
+        self.flags |= FLAG_UNMARK;
+    }
+
+    /// Speed-3 RESET flood: clears DFS bookkeeping so the root can re-map
+    /// a (possibly changed) network — our dynamic-remapping extension.
+    /// Carries the new round's parity bit so late-arriving flood copies
+    /// cannot re-clear a processor the new DFS already visited.
+    #[inline]
+    pub fn reset(&self) -> Option<bool> {
+        (self.flags & FLAG_RESET != 0).then_some(self.flags & FLAG_RESET_PARITY != 0)
+    }
+
+    /// Place a RESET stamped with round parity `parity` (a second RESET on
+    /// the same wire overwrites the stamp).
+    #[inline]
+    pub fn set_reset(&mut self, parity: bool) {
+        let p = if parity { FLAG_RESET_PARITY } else { 0 };
+        self.flags = (self.flags & !FLAG_RESET_PARITY) | FLAG_RESET | p;
     }
 
     /// Number of non-empty construct channels (diagnostics / E5 census).
     pub fn occupancy(&self) -> usize {
-        self.snakes.iter().flatten().count()
-            + usize::from(self.kill)
-            + usize::from(self.unmark)
-            + usize::from(self.reset.is_some())
-            + usize::from(self.loop_tok.is_some())
-            + usize::from(self.dfs.is_some())
+        self.snakes.iter().filter(|&&w| w != 0).count()
+            + usize::from(self.kill())
+            + usize::from(self.unmark())
+            + usize::from(self.reset().is_some())
+            + usize::from(self.loop_tok != 0)
+            + usize::from(self.dfs != 0)
+    }
+}
+
+impl std::fmt::Debug for Signal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Signal")
+            .field("snakes", &SnakeKind::ALL.map(|k| self.snake(k)))
+            .field("kill", &self.kill())
+            .field("unmark", &self.unmark())
+            .field("reset", &self.reset())
+            .field("loop_tok", &self.loop_tok())
+            .field("dfs", &self.dfs())
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chars::Hop;
+
+    /// Every character a snake slot can carry over ports `0..64`: heads
+    /// and bodies with and without the in-port, plus the tail.
+    fn all_snake_chars() -> Vec<SnakeChar> {
+        let mut out = vec![SnakeChar::Tail];
+        for o in 0..MAX_DELTA {
+            for hop in std::iter::once(Hop::star(Port(o)))
+                .chain((0..MAX_DELTA).map(|i| Hop::new(Port(o), Port(i))))
+            {
+                out.push(SnakeChar::Head(hop));
+                out.push(SnakeChar::Body(hop));
+            }
+        }
+        out
+    }
+
+    fn all_loop_tokens() -> Vec<LoopToken> {
+        let mut out = vec![LoopToken::Back, LoopToken::Bca(BcaMsg::DfsReturn)];
+        for o in 0..MAX_DELTA {
+            for i in 0..MAX_DELTA {
+                out.push(LoopToken::Forward {
+                    out_port: Port(o),
+                    in_port: Port(i),
+                });
+            }
+        }
+        out
+    }
+
+    /// Every channel read back at once, for "nothing else moved" checks.
+    type Channels = (
+        [Option<SnakeChar>; 6],
+        bool,
+        bool,
+        Option<bool>,
+        Option<LoopToken>,
+        Option<DfsToken>,
+    );
+
+    fn channels(s: &Signal) -> Channels {
+        (
+            SnakeKind::ALL.map(|k| s.snake(k)),
+            s.kill(),
+            s.unmark(),
+            s.reset(),
+            s.loop_tok(),
+            s.dfs(),
+        )
+    }
+
+    /// A signal with every channel occupied by a non-trivial value.
+    fn busy() -> Signal {
+        let mut s = Signal::blank();
+        for (n, k) in SnakeKind::ALL.into_iter().enumerate() {
+            let n = n as u8;
+            s.put_snake(k, SnakeChar::Body(Hop::new(Port(60 + n % 4), Port(n))));
+        }
+        s.set_kill();
+        s.set_unmark();
+        s.set_reset(true);
+        s.put_loop(LoopToken::Forward {
+            out_port: Port(63),
+            in_port: Port(62),
+        });
+        s.put_dfs(DfsToken {
+            sender_out_port: Port(61),
+        });
+        s
+    }
 
     #[test]
     fn blank_is_default_and_empty() {
@@ -142,6 +359,132 @@ mod tests {
         for k in SnakeKind::ALL {
             assert_eq!(b.snake(k), None);
         }
+        assert_eq!(channels(&b), ([None; 6], false, false, None, None, None));
+    }
+
+    #[test]
+    fn blank_is_all_zero() {
+        let b = Signal::blank();
+        assert_eq!((b.snakes, b.loop_tok, b.flags, b.dfs), ([0; 6], 0, 0, 0));
+    }
+
+    #[test]
+    fn every_snake_char_round_trips_in_every_slot() {
+        let chars = all_snake_chars();
+        assert_eq!(chars.len(), 2 * (64 * 64 + 64) + 1);
+        for k in SnakeKind::ALL {
+            for &c in &chars {
+                let mut s = Signal::blank();
+                s.put_snake(k, c);
+                assert_eq!(s.snake(k), Some(c), "{k} {c:?}");
+                assert!(!s.is_blank());
+                assert_eq!(s.occupancy(), 1);
+                for other in SnakeKind::ALL.into_iter().filter(|&o| o != k) {
+                    assert_eq!(s.snake(other), None);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_token_round_trips() {
+        let tokens = all_loop_tokens();
+        assert_eq!(tokens.len(), 64 * 64 + 2);
+        for t in tokens {
+            let mut s = Signal::blank();
+            s.put_loop(t);
+            assert_eq!(s.loop_tok(), Some(t));
+            assert_eq!(s.occupancy(), 1);
+        }
+        for o in 0..MAX_DELTA {
+            let d = DfsToken {
+                sender_out_port: Port(o),
+            };
+            let mut s = Signal::blank();
+            s.put_dfs(d);
+            assert_eq!(s.dfs(), Some(d));
+            assert_eq!(s.occupancy(), 1);
+        }
+        for parity in [false, true] {
+            let mut s = Signal::blank();
+            s.set_reset(parity);
+            assert_eq!(s.reset(), Some(parity));
+            // a later copy re-stamps the wire
+            s.set_reset(!parity);
+            assert_eq!(s.reset(), Some(!parity));
+            assert_eq!(s.occupancy(), 1);
+        }
+        let mut s = Signal::blank();
+        s.set_kill();
+        assert!(s.kill() && !s.unmark());
+        let mut s = Signal::blank();
+        s.set_unmark();
+        assert!(s.unmark() && !s.kill());
+    }
+
+    #[test]
+    fn setting_one_channel_leaves_the_others_unchanged() {
+        // Write each channel onto a blank signal and onto one where every
+        // other channel is busy: only the written channel may change.
+        let full = busy();
+        assert_eq!(full.occupancy(), 11);
+        for base in [Signal::blank(), full] {
+            for k in SnakeKind::ALL {
+                for c in [
+                    SnakeChar::Tail,
+                    SnakeChar::Head(Hop::star(Port(63))),
+                    SnakeChar::Body(Hop::new(Port(63), Port(63))),
+                ] {
+                    let mut s = base;
+                    s.snakes[k.idx()] = 0;
+                    let before = channels(&s);
+                    s.put_snake(k, c);
+                    let mut expect = before;
+                    expect.0[k.idx()] = Some(c);
+                    assert_eq!(channels(&s), expect);
+                }
+            }
+            for t in [
+                LoopToken::Back,
+                LoopToken::Bca(BcaMsg::DfsReturn),
+                LoopToken::Forward {
+                    out_port: Port(63),
+                    in_port: Port(63),
+                },
+            ] {
+                let mut s = base;
+                s.loop_tok = 0;
+                let mut expect = channels(&s);
+                s.put_loop(t);
+                expect.4 = Some(t);
+                assert_eq!(channels(&s), expect);
+            }
+            let mut s = base;
+            s.dfs = 0;
+            let mut expect = channels(&s);
+            let d = DfsToken {
+                sender_out_port: Port(63),
+            };
+            s.put_dfs(d);
+            expect.5 = Some(d);
+            assert_eq!(channels(&s), expect);
+            for parity in [false, true] {
+                let mut s = base;
+                let mut expect = channels(&s);
+                s.set_reset(parity);
+                expect.3 = Some(parity);
+                assert_eq!(channels(&s), expect);
+            }
+            let mut s = base;
+            s.flags &= !(FLAG_KILL | FLAG_UNMARK);
+            let mut expect = channels(&s);
+            s.set_kill();
+            expect.1 = true;
+            assert_eq!(channels(&s), expect);
+            s.set_unmark();
+            expect.2 = true;
+            assert_eq!(channels(&s), expect);
+        }
     }
 
     #[test]
@@ -149,7 +492,7 @@ mod tests {
         let mut s = Signal::blank();
         s.put_snake(SnakeKind::Ig, SnakeChar::Tail);
         s.put_snake(SnakeKind::Og, SnakeChar::Head(Hop::star(Port(0))));
-        s.kill = true;
+        s.set_kill();
         s.put_loop(LoopToken::Back);
         assert!(!s.is_blank());
         assert_eq!(s.occupancy(), 4);
@@ -182,15 +525,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "loop-token channel")]
+    fn loop_collision_panics() {
+        let mut s = Signal::blank();
+        s.put_loop(LoopToken::Back);
+        s.put_loop(LoopToken::Back);
+    }
+
+    #[test]
     fn signal_stays_compact() {
         // The wire buffer is the hottest allocation in the simulator: two
-        // copies of N·δ signals. Under `align(32)` one more byte of
-        // payload would round every slot up to 64 bytes (+192 MB at
-        // n = 1M, δ = 3), so the size is pinned exactly.
-        assert_eq!(std::mem::size_of::<Signal>(), 32, "Signal size changed");
+        // copies of N·δ signals, 96 MB at n = 1M, δ = 3. One more byte of
+        // payload would round every slot up to 32 bytes under
+        // `align(16)`, so the size is pinned exactly.
+        assert_eq!(std::mem::size_of::<Signal>(), 16, "Signal size changed");
         assert_eq!(
             std::mem::align_of::<Signal>(),
-            32,
+            16,
             "Signal alignment changed"
         );
     }

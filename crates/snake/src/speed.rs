@@ -26,13 +26,14 @@
 //! The queue is backed by a lazily-allocated **fixed-capacity slab**: one
 //! heap block of exactly [`DwellQueue::HARD_CAP`] slots, allocated on the
 //! first push, retained across [`DwellQueue::clear`], and never resized. An
-//! idle lane costs one pointer; an active lane costs one allocation for the
-//! lifetime of the processor — there is no growable `VecDeque` to
-//! reallocate mid-protocol, which is what keeps the steady-state tick loop
-//! allocation-free at million-node scale. Deadlines are stored as `u16`
-//! offsets from a slab-local base tick (rebased on every pop, so the live
-//! span stays within a few dwell windows) — 4 bytes per slot of
-//! bookkeeping instead of a 16-byte `(u64, T)` tuple.
+//! idle lane costs one pointer and an inline length (16 bytes); an active
+//! lane costs one allocation for the lifetime of the processor — there is
+//! no growable `VecDeque` to reallocate mid-protocol, which is what keeps
+//! the steady-state tick loop allocation-free at million-node scale.
+//! Deadlines are stored as `u16` offsets from a slab-local base tick
+//! (rebased on every pop, so the live span stays within a few dwell
+//! windows) — 4 bytes per slot of bookkeeping instead of a 16-byte
+//! `(u64, T)` tuple.
 
 /// Ticks a speed-1 construct dwells between reception and re-emission.
 pub const SPEED1_DWELL: u64 = 2;
@@ -48,8 +49,12 @@ struct Slab<T> {
     /// Absolute tick that offset 0 encodes; rebased so the front entry's
     /// offset is always 0 after a pop.
     base: u64,
+    /// Scheduled emissions refused at [`DwellQueue::HARD_CAP`] (see
+    /// [`DwellQueue::push_bounded`]); never reset, surfaced per-run as the
+    /// `dropped` statistic. Lives here, not in the queue, because a drop
+    /// needs a full ring — which needs the slab.
+    dropped: u64,
     head: u8,
-    len: u8,
     /// Per-slot deadline as `base + offs[slot]`.
     offs: [u16; CAP],
     items: [T; CAP],
@@ -59,8 +64,8 @@ impl<T: Copy + Default> Slab<T> {
     fn new() -> Self {
         Slab {
             base: 0,
+            dropped: 0,
             head: 0,
-            len: 0,
             offs: [0; CAP],
             items: [T::default(); CAP],
         }
@@ -84,21 +89,22 @@ impl<T: Copy + Default> Slab<T> {
 ///
 /// Equality compares the live `(deadline, item)` sequence plus the drop
 /// counter; slab identity and dead slots are ignored.
+///
+/// The length lives inline so the per-tick questions an idle lane is
+/// asked (`len`, `next_deadline`, `pop_due`, `clear`) never touch the
+/// slab: a saturated tick asks them of every lane of every processor,
+/// and a slab once allocated stays behind a pointer for the processor's
+/// lifetime.
 #[derive(Clone, Debug)]
 pub struct DwellQueue<T> {
     slab: Option<Box<Slab<T>>>,
-    /// Scheduled emissions refused at [`DwellQueue::HARD_CAP`] (see
-    /// [`DwellQueue::push_bounded`]); never reset, surfaced per-run as the
-    /// `dropped` statistic.
-    dropped: u64,
+    /// Number of queued items (0 whenever `slab` is `None`).
+    len: u8,
 }
 
 impl<T> Default for DwellQueue<T> {
     fn default() -> Self {
-        DwellQueue {
-            slab: None,
-            dropped: 0,
-        }
+        DwellQueue { slab: None, len: 0 }
     }
 }
 
@@ -116,29 +122,30 @@ impl<T: Copy + Default> DwellQueue<T> {
 
     /// Schedule `item` for emission at `deadline`.
     pub fn push(&mut self, deadline: u64, item: T) {
+        let len = self.len as usize;
         let slab = self.slab.get_or_insert_with(|| Box::new(Slab::new()));
-        if slab.len == 0 {
+        if len == 0 {
             slab.base = deadline;
             slab.head = 0;
         } else {
-            let last = slab.base + slab.offs[slab.slot(slab.len as usize - 1)] as u64;
+            let last = slab.deadline_at(len - 1);
             assert!(
                 deadline >= last,
                 "DwellQueue deadlines must be non-decreasing ({deadline} < {last})"
             );
         }
         assert!(
-            (slab.len as usize) < CAP,
+            len < CAP,
             "DwellQueue overflow: the automaton is no longer finite-state"
         );
         // The front offset is rebased to 0 on every pop, so the live span
         // is a few dwell windows at most — u16 is generous.
         let off = deadline - slab.base;
         assert!(off <= u16::MAX as u64, "DwellQueue deadline span overflow");
-        let slot = slab.slot(slab.len as usize);
+        let slot = slab.slot(len);
         slab.offs[slot] = off as u16;
         slab.items[slot] = item;
-        slab.len += 1;
+        self.len += 1;
     }
 
     /// Capacity-bounded [`DwellQueue::push`]: when the buffer is full,
@@ -159,7 +166,7 @@ impl<T: Copy + Default> DwellQueue<T> {
     /// [`DwellQueue::dropped`] so lossy-cap behavior is observable.
     pub fn push_bounded(&mut self, deadline: u64, item: T) -> bool {
         if self.len() >= Self::HARD_CAP {
-            self.dropped += 1;
+            self.record_drops(1);
             return false;
         }
         self.push(deadline, item);
@@ -168,33 +175,43 @@ impl<T: Copy + Default> DwellQueue<T> {
 
     /// Record `k` scheduled emissions refused without entering the queue
     /// (the all-or-nothing tail-extension rule drops pairs up front).
+    ///
+    /// Refusals happen only at a full ring, so the slab already exists;
+    /// allocating one here merely keeps the call total.
     pub fn record_drops(&mut self, k: u64) {
-        self.dropped += k;
+        self.slab
+            .get_or_insert_with(|| Box::new(Slab::new()))
+            .dropped += k;
     }
 
     /// Total scheduled emissions refused at capacity over this queue's
     /// lifetime. 0 on clean (mutation-free) runs.
+    #[inline]
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.slab.as_deref().map_or(0, |s| s.dropped)
     }
 
     /// Pop the next item whose deadline is ≤ `now`, if any.
+    #[inline]
     pub fn pop_due(&mut self, now: u64) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
         let slab = self.slab.as_deref_mut()?;
-        if slab.len == 0 || slab.base + slab.offs[slab.head as usize] as u64 > now {
+        if slab.base + slab.offs[slab.head as usize] as u64 > now {
             return None;
         }
         let item = slab.items[slab.head as usize];
         slab.head = ((slab.head as usize + 1) % CAP) as u8;
-        slab.len -= 1;
+        self.len -= 1;
         // Rebase so the new front sits at offset 0; keeps every live
         // offset within a dwell-window span of the base however long the
         // queue stays continuously occupied.
-        if slab.len > 0 {
+        if self.len > 0 {
             let d = slab.offs[slab.head as usize];
             if d > 0 {
                 slab.base += d as u64;
-                for i in 0..slab.len as usize {
+                for i in 0..self.len as usize {
                     let s = (slab.head as usize + i) % CAP;
                     slab.offs[s] -= d;
                 }
@@ -204,44 +221,45 @@ impl<T: Copy + Default> DwellQueue<T> {
     }
 
     /// Earliest pending deadline.
+    #[inline]
     pub fn next_deadline(&self) -> Option<u64> {
-        let slab = self.slab.as_deref()?;
-        (slab.len > 0).then(|| slab.deadline_at(0))
+        if self.len == 0 {
+            return None;
+        }
+        self.slab.as_deref().map(|s| s.deadline_at(0))
     }
 
     /// Number of queued items.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.slab.as_deref().map_or(0, |s| s.len as usize)
+        self.len as usize
     }
 
     /// Is the queue empty?
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Drop everything (KILL-token erasure). The slab is retained for
     /// reuse; the drop counter is a lifetime statistic and survives too.
+    /// The next push onto the empty ring rewinds its head.
+    #[inline]
     pub fn clear(&mut self) {
-        if let Some(slab) = self.slab.as_deref_mut() {
-            slab.len = 0;
-            slab.head = 0;
-        }
+        self.len = 0;
     }
 
     /// Iterate over pending `(deadline, item)` pairs (diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = (u64, T)> + '_ {
-        let slab = self.slab.as_deref();
-        let len = slab.map_or(0, |s| s.len as usize);
-        (0..len).map(move |i| {
-            let s = slab.expect("len > 0 implies a slab");
-            (s.deadline_at(i), s.items[s.slot(i)])
+        self.slab.as_deref().into_iter().flat_map(move |s| {
+            (0..self.len as usize).map(move |i| (s.deadline_at(i), s.items[s.slot(i)]))
         })
     }
 }
 
 impl<T: Copy + Default + PartialEq> PartialEq for DwellQueue<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.dropped == other.dropped && self.len() == other.len() && self.iter().eq(other.iter())
+        self.dropped() == other.dropped() && self.len == other.len && self.iter().eq(other.iter())
     }
 }
 
@@ -329,6 +347,67 @@ mod tests {
         assert_eq!(q.dropped(), 2);
         q.record_drops(3);
         assert_eq!(q.dropped(), 5);
+    }
+
+    #[test]
+    fn inline_length_agrees_with_a_reference_model() {
+        use gtd_netsim::rng::DetRng;
+        use std::collections::VecDeque;
+        for seed in 0..8 {
+            let mut rng = DetRng::seed_from_u64(seed);
+            let mut q: DwellQueue<u32> = DwellQueue::new();
+            let mut model: VecDeque<(u64, u32)> = VecDeque::new();
+            let mut dropped = 0u64;
+            let mut now = 0u64;
+            let mut last = 0u64;
+            for op in 0..4_000u32 {
+                now += u64::from(rng.random_range(0..2));
+                let deadline = last.max(now + u64::from(rng.random_range(0..4)));
+                match rng.random_range(0..16) {
+                    0..=4 if model.len() < CAP => {
+                        q.push(deadline, op);
+                        model.push_back((deadline, op));
+                        last = deadline;
+                    }
+                    0..=7 => {
+                        let took = q.push_bounded(deadline, op);
+                        assert_eq!(took, model.len() < CAP);
+                        if took {
+                            model.push_back((deadline, op));
+                            last = deadline;
+                        } else {
+                            dropped += 1;
+                        }
+                    }
+                    8..=12 => {
+                        let due = model.front().is_some_and(|&(d, _)| d <= now);
+                        let want = if due { model.pop_front() } else { None };
+                        assert_eq!(q.pop_due(now), want.map(|(_, x)| x));
+                    }
+                    13 => {
+                        q.clear();
+                        model.clear();
+                    }
+                    _ => {
+                        let k = u64::from(rng.random_range(1..3));
+                        q.record_drops(k);
+                        dropped += k;
+                    }
+                }
+                // Walk the slab itself under the inline length.
+                assert_eq!(q.len(), model.len(), "seed {seed} op {op}");
+                let walked: Vec<(u64, u32)> = match q.slab.as_deref() {
+                    Some(s) => (0..q.len())
+                        .map(|i| (s.deadline_at(i), s.items[s.slot(i)]))
+                        .collect(),
+                    None => Vec::new(),
+                };
+                assert!(walked.iter().eq(model.iter()), "seed {seed} op {op}");
+                assert_eq!(q.next_deadline(), model.front().map(|&(d, _)| d));
+                assert_eq!(q.is_empty(), model.is_empty());
+                assert_eq!(q.dropped(), dropped);
+            }
+        }
     }
 
     #[test]
