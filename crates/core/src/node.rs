@@ -27,7 +27,7 @@ use crate::events::{RcaReport, TranscriptEvent};
 use gtd_netsim::{Automaton, NodeMeta, Port, PortMask, StepCtx};
 use gtd_snake::{
     BcaMsg, DfsToken, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks, LoopToken, MarkPair,
-    Signal, SnakeChar, SnakeKind, SPEED1_DWELL,
+    Presence, Signal, SnakeChar, SnakeKind, SPEED1_DWELL,
 };
 
 type Ctx<'a> = StepCtx<'a, Signal, TranscriptEvent>;
@@ -1054,18 +1054,18 @@ impl ProtocolNode {
     /// deadline this processor hands the engine's frontier. `None` when
     /// nothing is dwelling (the processor is purely input-driven).
     fn next_emission_deadline(&self) -> Option<u64> {
-        [
-            self.ig.next_deadline(),
-            self.og.next_deadline(),
-            self.bg.next_deadline(),
-            self.dying_id.next_deadline(),
-            self.dying_od.next_deadline(),
-            self.dying_bd.next_deadline(),
-            self.pending_loop.map(|(deadline, _, _)| deadline),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        let never = u64::MAX;
+        let next = self
+            .ig
+            .next_deadline()
+            .unwrap_or(never)
+            .min(self.og.next_deadline().unwrap_or(never))
+            .min(self.bg.next_deadline().unwrap_or(never))
+            .min(self.dying_id.next_deadline().unwrap_or(never))
+            .min(self.dying_od.next_deadline().unwrap_or(never))
+            .min(self.dying_bd.next_deadline().unwrap_or(never))
+            .min(self.pending_loop.map_or(never, |(deadline, _, _)| deadline));
+        (next != never).then_some(next)
     }
 }
 
@@ -1109,6 +1109,12 @@ impl Automaton for ProtocolNode {
             }
         }
 
+        // Which channels arrived at all. Channels ride independent
+        // alphabets (§2.3.1), so every phase below whose channel is blank
+        // on all in-ports is skipped whole; within a phase the port-major
+        // order is unchanged.
+        let live = Presence::of(&ctx.inputs[..self.delta as usize]);
+
         // Phase 0: RESET flood (re-mapping extension). Processed before
         // everything else so a DFS token arriving the same tick sees a
         // cleared slate.
@@ -1128,7 +1134,7 @@ impl Automaton for ProtocolNode {
             ctx.events.push(TranscriptEvent::Start);
             self.advance_dfs(now, ctx);
         }
-        if !self.is_root {
+        if !self.is_root && live.reset() {
             let stamp = (0..self.delta as usize).find_map(|i| ctx.inputs[i].reset());
             if let Some(p) = stamp {
                 if p != self.reset_parity {
@@ -1150,9 +1156,11 @@ impl Automaton for ProtocolNode {
 
         // Phase 1: KILL tokens — erasure wins ties with arriving characters.
         let mut killed = false;
-        for i in 0..self.delta as usize {
-            if ctx.inputs[i].kill() && self.kill_accepted(Port(i as u8)) {
-                killed = true;
+        if live.kill() {
+            for i in 0..self.delta as usize {
+                if ctx.inputs[i].kill() && self.kill_accepted(Port(i as u8)) {
+                    killed = true;
+                }
             }
         }
         if killed {
@@ -1164,8 +1172,9 @@ impl Automaton for ProtocolNode {
         }
 
         // Phase 2: growing-snake characters (ascending port order ⇒ the
-        // paper's lowest-in-port tie-break).
-        if !killed {
+        // paper's lowest-in-port tie-break). `on_og`/`on_bg` may release
+        // the KILL flood mid-loop, so the kinds stay interleaved per port.
+        if !killed && live.growing() {
             for i in 0..self.delta as usize {
                 let p = Port(i as u8);
                 let sig = ctx.inputs[i];
@@ -1182,43 +1191,56 @@ impl Automaton for ProtocolNode {
         }
 
         // Phase 3: dying-snake characters.
-        for i in 0..self.delta as usize {
-            let p = Port(i as u8);
-            let sig = ctx.inputs[i];
-            if let Some(c) = sig.snake(SnakeKind::Id) {
-                self.on_id(p, c, now, ctx);
-            }
-            if let Some(c) = sig.snake(SnakeKind::Od) {
-                self.on_od(p, c, now, ctx);
-            }
-            if let Some(c) = sig.snake(SnakeKind::Bd) {
-                self.on_bd(p, c, now, ctx);
+        if live.dying() {
+            for i in 0..self.delta as usize {
+                let p = Port(i as u8);
+                let sig = ctx.inputs[i];
+                if let Some(c) = sig.snake(SnakeKind::Id) {
+                    self.on_id(p, c, now, ctx);
+                }
+                if let Some(c) = sig.snake(SnakeKind::Od) {
+                    self.on_od(p, c, now, ctx);
+                }
+                if let Some(c) = sig.snake(SnakeKind::Bd) {
+                    self.on_bd(p, c, now, ctx);
+                }
             }
         }
 
         // Phase 4: loop tokens (speed-1).
-        for i in 0..self.delta as usize {
-            if let Some(tok) = ctx.inputs[i].loop_tok() {
-                self.on_loop(Port(i as u8), tok, now, ctx);
+        if live.loop_tok() {
+            for i in 0..self.delta as usize {
+                if let Some(tok) = ctx.inputs[i].loop_tok() {
+                    self.on_loop(Port(i as u8), tok, now, ctx);
+                }
             }
         }
 
         // Phase 5: UNMARK tokens (speed-3: processed and forwarded within
         // the same tick).
-        for i in 0..self.delta as usize {
-            if ctx.inputs[i].unmark() {
-                self.on_unmark(Port(i as u8), now, ctx);
+        if live.unmark() {
+            for i in 0..self.delta as usize {
+                if ctx.inputs[i].unmark() {
+                    self.on_unmark(Port(i as u8), now, ctx);
+                }
             }
         }
 
         // Phase 6: the DFS token.
-        for i in 0..self.delta as usize {
-            if let Some(d) = ctx.inputs[i].dfs() {
-                self.on_dfs_forward(d.sender_out_port, Port(i as u8), now, ctx);
+        if live.dfs() {
+            for i in 0..self.delta as usize {
+                if let Some(d) = ctx.inputs[i].dfs() {
+                    self.on_dfs_forward(d.sender_out_port, Port(i as u8), now, ctx);
+                }
             }
         }
 
         // Phase 7: scheduled emissions whose dwell expired this tick.
+        // Nothing dwelling means nothing to emit, nothing to count and no
+        // wake to request.
+        if !self.has_pending() {
+            return;
+        }
         self.flush_due(now, ctx.outputs);
 
         // Phase 8: sleep until the earliest scheduled emission. The engine
@@ -1262,6 +1284,50 @@ impl Automaton for ProtocolNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_idle_processor_on_blank_inputs_does_nothing() {
+        // The contract `step`'s channel gating rests on: a started
+        // processor with nothing dwelling, stepped on all-blank inputs,
+        // writes only blank outputs, emits no event, requests no wake and
+        // keeps its state. Checked on every processor of a passive
+        // network after power-on and of a mapped network after
+        // termination (DFS marks set, the root terminated).
+        use crate::runner::build_gtd_engine;
+        use gtd_netsim::{generators, Engine, EngineMode, NodeId};
+
+        let topo = generators::random_sc(12, 3, 4);
+        let mut passive = Engine::new(&topo, EngineMode::Sparse, |meta| {
+            ProtocolNode::new(&meta, StartBehavior::Passive)
+        });
+        let mut mapped = build_gtd_engine(&topo, EngineMode::Sparse);
+        let mut events = Vec::new();
+        passive.tick(&mut events);
+        let mut done = false;
+        while !(done && mapped.is_quiet()) {
+            assert!(mapped.tick_count() < 1_000_000, "the map never settled");
+            events.clear();
+            mapped.tick(&mut events);
+            done |= events
+                .iter()
+                .any(|&(_, e)| e == TranscriptEvent::Terminated);
+        }
+        for engine in [&mut passive, &mut mapped] {
+            for n in (0..engine.num_nodes() as u32).map(NodeId) {
+                assert!(engine.is_quiet());
+                let before = format!("{:?}", engine.node(n));
+                assert!(!engine.node(n).has_pending(), "{n}: dwelling");
+                // `node_mut` schedules the processor for the coming tick.
+                engine.node_mut(n);
+                events.clear();
+                engine.tick(&mut events);
+                assert!(events.is_empty(), "{n}: emitted {events:?}");
+                assert_eq!(engine.signals_in_flight(), 0, "{n}: non-blank output");
+                assert!(engine.is_quiet(), "{n}: requested a wake");
+                assert_eq!(format!("{:?}", engine.node(n)), before, "{n}: state moved");
+            }
+        }
+    }
 
     #[test]
     fn protocol_node_stays_compact() {

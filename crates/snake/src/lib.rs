@@ -31,5 +31,5 @@ pub use dying::{DyingEmit, DyingPassage};
 pub use grow::{GrowEmit, GrowRelay};
 pub use marks::{LoopMarks, MarkPair, Route};
 pub use path::PortPath;
-pub use signal::{BcaMsg, DfsToken, LoopToken, Signal};
+pub use signal::{BcaMsg, DfsToken, LoopToken, Presence, Signal};
 pub use speed::{DwellQueue, SPEED1_DWELL, SPEED3_DWELL};

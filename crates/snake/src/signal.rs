@@ -80,11 +80,13 @@ const _: () = assert!(MAX_DELTA <= 64);
 
 const PORT_BITS: u8 = 0x3f;
 
+const ROLE_BITS: u16 = 3;
 const ROLE_HEAD: u16 = 1;
 const ROLE_BODY: u16 = 2;
 const ROLE_TAIL: u16 = 3;
 const SNAKE_IN_PRESENT: u16 = 1 << 8;
 
+const LOOP_BITS: u16 = 3;
 const LOOP_BACK: u16 = 1;
 const LOOP_BCA: u16 = 2;
 const LOOP_FORWARD: u16 = 3;
@@ -119,16 +121,22 @@ fn encode_snake(c: SnakeChar) -> u16 {
 
 #[inline]
 fn decode_snake(w: u16) -> Option<SnakeChar> {
+    let role = w & ROLE_BITS;
+    if role == 0 {
+        return None;
+    }
+    if role == ROLE_TAIL {
+        return Some(SnakeChar::Tail);
+    }
     let hop = Hop {
         out_port: port_at(w, 2),
         in_port: (w & SNAKE_IN_PRESENT != 0).then(|| port_at(w, 9)),
     };
-    match w & 3 {
-        0 => None,
-        ROLE_HEAD => Some(SnakeChar::Head(hop)),
-        ROLE_BODY => Some(SnakeChar::Body(hop)),
-        _ => Some(SnakeChar::Tail),
-    }
+    Some(if role == ROLE_HEAD {
+        SnakeChar::Head(hop)
+    } else {
+        SnakeChar::Body(hop)
+    })
 }
 
 #[inline]
@@ -178,7 +186,7 @@ impl Signal {
     #[inline]
     pub fn loop_tok(&self) -> Option<LoopToken> {
         let w = self.loop_tok;
-        match w & 3 {
+        match w & LOOP_BITS {
             0 => None,
             LOOP_BACK => Some(LoopToken::Back),
             LOOP_BCA => Some(LoopToken::Bca(BcaMsg::DfsReturn)),
@@ -262,6 +270,102 @@ impl Signal {
             + usize::from(self.reset().is_some())
             + usize::from(self.loop_tok != 0)
             + usize::from(self.dfs != 0)
+    }
+}
+
+/// Which construct channels are live on a set of wires: the field-wise OR
+/// of their characters.
+///
+/// Snake kinds and tokens ride independent alphabets and "do not
+/// interact" (§2.3.1), so a channel that is blank on every in-port cannot
+/// change anything in a step. The automaton builds one summary of its
+/// in-ports per step and skips every channel it reports absent.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct Presence(Signal);
+
+impl Presence {
+    /// The summary of `signals` (nothing is live on an empty slice).
+    #[inline]
+    pub fn of(signals: &[Signal]) -> Self {
+        let mut acc = Signal::default();
+        for s in signals {
+            for (a, w) in acc.snakes.iter_mut().zip(s.snakes) {
+                *a |= w;
+            }
+            acc.loop_tok |= s.loop_tok;
+            acc.flags |= s.flags;
+            acc.dfs |= s.dfs;
+        }
+        Presence(acc)
+    }
+
+    #[inline]
+    fn role_bits(&self, kinds: [SnakeKind; 3]) -> u16 {
+        (self.0.snakes[kinds[0].idx()]
+            | self.0.snakes[kinds[1].idx()]
+            | self.0.snakes[kinds[2].idx()])
+            & ROLE_BITS
+    }
+
+    /// Does some wire carry a character of `kind`?
+    #[inline]
+    pub fn snake(&self, kind: SnakeKind) -> bool {
+        self.0.snakes[kind.idx()] & ROLE_BITS != 0
+    }
+
+    /// Does some wire carry a growing-snake character (IG, OG or BG)?
+    #[inline]
+    pub fn growing(&self) -> bool {
+        self.role_bits(SnakeKind::GROWING) != 0
+    }
+
+    /// Does some wire carry a dying-snake character (ID, OD or BD)?
+    #[inline]
+    pub fn dying(&self) -> bool {
+        self.role_bits([SnakeKind::Id, SnakeKind::Od, SnakeKind::Bd]) != 0
+    }
+
+    /// Does some wire carry a KILL token?
+    #[inline]
+    pub fn kill(&self) -> bool {
+        self.0.kill()
+    }
+
+    /// Does some wire carry an UNMARK token?
+    #[inline]
+    pub fn unmark(&self) -> bool {
+        self.0.unmark()
+    }
+
+    /// Does some wire carry a RESET token (of either parity)?
+    #[inline]
+    pub fn reset(&self) -> bool {
+        self.0.flags & FLAG_RESET != 0
+    }
+
+    /// Does some wire carry a loop token?
+    #[inline]
+    pub fn loop_tok(&self) -> bool {
+        self.0.loop_tok & LOOP_BITS != 0
+    }
+
+    /// Does some wire carry the DFS token?
+    #[inline]
+    pub fn dfs(&self) -> bool {
+        self.0.dfs != 0
+    }
+}
+
+impl std::fmt::Debug for Presence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Presence")
+            .field("snakes", &SnakeKind::ALL.map(|k| self.snake(k)))
+            .field("kill", &self.kill())
+            .field("unmark", &self.unmark())
+            .field("reset", &self.reset())
+            .field("loop_tok", &self.loop_tok())
+            .field("dfs", &self.dfs())
+            .finish()
     }
 }
 
@@ -530,6 +634,98 @@ mod tests {
         let mut s = Signal::blank();
         s.put_loop(LoopToken::Back);
         s.put_loop(LoopToken::Back);
+    }
+
+    /// A random character: each channel independently present with
+    /// probability 1/4, so sets of up to δ signals often leave a channel
+    /// blank on every wire and often share one.
+    fn random_signal(rng: &mut gtd_netsim::rng::DetRng) -> Signal {
+        let mut s = Signal::blank();
+        let port = |rng: &mut gtd_netsim::rng::DetRng| Port(rng.random_range(0..64) as u8);
+        for k in SnakeKind::ALL {
+            if rng.random_bool(0.25) {
+                let c = match rng.random_range(0..3) {
+                    0 => SnakeChar::Tail,
+                    1 => SnakeChar::Head(Hop::new(port(rng), port(rng))),
+                    _ => SnakeChar::Body(Hop::star(port(rng))),
+                };
+                s.put_snake(k, c);
+            }
+        }
+        if rng.random_bool(0.25) {
+            s.set_kill();
+        }
+        if rng.random_bool(0.25) {
+            s.set_unmark();
+        }
+        if rng.random_bool(0.25) {
+            s.set_reset(rng.random_bool(0.5));
+        }
+        if rng.random_bool(0.25) {
+            s.put_loop(match rng.random_range(0..3) {
+                0 => LoopToken::Back,
+                1 => LoopToken::Bca(BcaMsg::DfsReturn),
+                _ => LoopToken::Forward {
+                    out_port: port(rng),
+                    in_port: port(rng),
+                },
+            });
+        }
+        if rng.random_bool(0.25) {
+            s.put_dfs(DfsToken {
+                sender_out_port: port(rng),
+            });
+        }
+        s
+    }
+
+    #[test]
+    fn presence_reports_exactly_the_channels_some_input_carries() {
+        let mut rng = gtd_netsim::rng::DetRng::seed_from_u64(15);
+        for _ in 0..20_000 {
+            let n = rng.random_range(0..MAX_DELTA as u32 + 1) as usize;
+            let sigs: Vec<Signal> = (0..n).map(|_| random_signal(&mut rng)).collect();
+            let live = Presence::of(&sigs);
+            let any = |f: &dyn Fn(&Signal) -> bool| sigs.iter().any(f);
+            let carried = |k: SnakeKind| any(&|s| s.snake(k).is_some());
+            for k in SnakeKind::ALL {
+                assert_eq!(live.snake(k), carried(k), "{k}");
+            }
+            assert_eq!(live.growing(), SnakeKind::GROWING.into_iter().any(carried));
+            let mut dying = SnakeKind::ALL.into_iter().filter(|k| k.is_dying());
+            assert_eq!(live.dying(), dying.any(carried));
+            assert_eq!(live.kill(), any(&|s| s.kill()));
+            assert_eq!(live.unmark(), any(&|s| s.unmark()));
+            assert_eq!(live.reset(), any(&|s| s.reset().is_some()));
+            assert_eq!(live.loop_tok(), any(&|s| s.loop_tok().is_some()));
+            assert_eq!(live.dfs(), any(&|s| s.dfs().is_some()));
+        }
+    }
+
+    #[test]
+    fn presence_of_blank_or_no_input_reports_nothing() {
+        for n in 0..=MAX_DELTA as usize {
+            let live = Presence::of(&vec![Signal::blank(); n]);
+            assert_eq!(live, Presence::default());
+            assert!(SnakeKind::ALL.iter().all(|&k| !live.snake(k)));
+            assert!(!live.growing() && !live.dying());
+            assert!(!live.kill() && !live.unmark() && !live.reset());
+            assert!(!live.loop_tok() && !live.dfs());
+        }
+    }
+
+    #[test]
+    fn a_slot_without_role_bits_decodes_to_nothing() {
+        // Whatever the port bits hold, role 0 is the absent character.
+        for w in (0..=u16::MAX).filter(|w| w & ROLE_BITS == 0) {
+            assert_eq!(decode_snake(w), None, "{w:#06x}");
+            for k in SnakeKind::ALL {
+                let mut s = Signal::blank();
+                s.snakes[k.idx()] = w;
+                assert_eq!(s.snake(k), None);
+                assert!(!Presence::of(&[s]).snake(k));
+            }
+        }
     }
 
     #[test]
