@@ -26,8 +26,8 @@
 use crate::events::{RcaReport, TranscriptEvent};
 use gtd_netsim::{Automaton, NodeMeta, Port, PortMask, StepCtx};
 use gtd_snake::{
-    BcaMsg, DfsToken, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks, LoopToken, MarkPair,
-    Presence, Signal, SnakeChar, SnakeKind, SPEED1_DWELL,
+    BcaMsg, DfsToken, DwellSpill, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks, LoopToken,
+    MarkPair, Presence, Signal, SnakeChar, SnakeKind, SPEED1_DWELL,
 };
 
 type Ctx<'a> = StepCtx<'a, Signal, TranscriptEvent>;
@@ -170,6 +170,13 @@ pub struct ProtocolNode {
     dying_od: DyingPassage,
     /// BD lane: BCA loop marking; at B, the BG→BD conversion.
     dying_bd: DyingPassage,
+    /// Where the six lanes above keep characters past their four inline
+    /// slots (never on a clean run), and the count of characters lost
+    /// to power cycles: relay drop counts retired at
+    /// [`ProtocolNode::restart`] (amnesia would otherwise zero them) plus
+    /// everything consumed while dark. Keeps
+    /// [`ProtocolNode::stat_dropped`] monotonic across restarts.
+    spill: DwellSpill,
     marks: LoopMarks,
     /// A loop token dwelling here (speed-1), with its emission deadline and
     /// successor out-port.
@@ -193,11 +200,6 @@ pub struct ProtocolNode {
     /// is dark — it consumes (and loses) every arriving character and
     /// emits nothing. 0 on processors that never restarted.
     offline_until: u64,
-    /// Characters lost to power cycles: relay drop counts folded in at
-    /// [`ProtocolNode::restart`] (amnesia would otherwise zero them) plus
-    /// everything consumed while dark. Keeps
-    /// [`ProtocolNode::stat_dropped`] monotonic across restarts.
-    dropped_carry: u64,
 
     // -- simulator-side counters (diagnostics/experiments only; a real
     // finite-state processor would not carry these) --
@@ -211,12 +213,24 @@ pub struct ProtocolNode {
     pub stat_max_chars: usize,
 }
 
+// A saturated tick streams every processor's state once: at n = 1M a byte
+// here is a megabyte of traffic per tick. The six dwell lanes hold their
+// characters inline, and the lanes that outgrow them share one pointer.
+const _: () = assert!(std::mem::size_of::<ProtocolNode>() <= 256);
+
 impl ProtocolNode {
     /// Snake characters this processor lost: refused at capacity by the
     /// bounded growing-snake queues, plus everything a `node-restart`
     /// power cycle destroyed (lifetime total; 0 on clean runs).
     pub fn stat_dropped(&self) -> u64 {
-        self.ig.dropped() + self.og.dropped() + self.bg.dropped() + self.dropped_carry
+        self.spill.dropped()
+    }
+
+    /// Dwell lanes that ever held more than four characters at once (or
+    /// refused one at capacity) since power-on. 0 on clean runs: the
+    /// automaton's lanes stay in their inline slots.
+    pub fn spilled_lanes(&self) -> usize {
+        self.spill.spilled_lanes()
     }
 }
 
@@ -244,6 +258,7 @@ impl ProtocolNode {
             dying_id: DyingPassage::new(SnakeKind::Id),
             dying_od: DyingPassage::new(SnakeKind::Od),
             dying_bd: DyingPassage::new(SnakeKind::Bd),
+            spill: DwellSpill::default(),
             marks: LoopMarks::new(),
             pending_loop: None,
             pending_bca: None,
@@ -254,7 +269,6 @@ impl ProtocolNode {
             pending_restart: false,
             reset_parity: false,
             offline_until: 0,
-            dropped_carry: 0,
             stat_kills_accepted: 0,
             stat_rcas_started: 0,
             stat_bcas_started: 0,
@@ -393,12 +407,12 @@ impl ProtocolNode {
     /// parity cleared (so the next RESET flood's stamp always reads as a
     /// new round), power-on behaviour re-armed. Only the power-on facts
     /// (`is_root`, δ, port awareness, start behaviour) and the
-    /// simulator-side diagnostic counters survive; relay drop counts are
-    /// folded into the carry first so `stat_dropped` never moves
+    /// simulator-side diagnostic counters survive; the lanes' drop counts
+    /// are retired into the spill first so `stat_dropped` never moves
     /// backwards. The root hosts the master computer and cannot restart.
     pub fn restart(&mut self, now: u64) {
         assert!(!self.is_root, "the master computer's host never restarts");
-        self.dropped_carry += self.ig.dropped() + self.og.dropped() + self.bg.dropped();
+        self.spill.retire_lanes();
         self.ig = GrowRelay::new(SnakeKind::Ig);
         self.og = GrowRelay::new(SnakeKind::Og);
         self.bg = GrowRelay::new(SnakeKind::Bg);
@@ -453,7 +467,7 @@ impl ProtocolNode {
         if self.rca != RcaState::Idle || self.ig.is_marked() {
             return;
         }
-        self.ig.start(now);
+        self.ig.start(&mut self.spill, now);
         self.stat_rcas_started += 1;
         self.rca = RcaState::AwaitOg { report, after };
     }
@@ -463,7 +477,7 @@ impl ProtocolNode {
         if self.bca != BcaState::Idle || self.bg.is_marked() {
             return;
         }
-        self.bg.start(now);
+        self.bg.start(&mut self.spill, now);
         self.stat_bcas_started += 1;
         self.bca = BcaState::AwaitBgHead { via };
     }
@@ -583,7 +597,7 @@ impl ProtocolNode {
                         };
                         ctx.events.push(TranscriptEvent::IgHop(hop));
                         self.og.mark_initiator();
-                        self.og.relay(c, now);
+                        self.og.relay(&mut self.spill, c, now);
                         self.root_rca = RootRca::ConvertingIg;
                     }
                 }
@@ -596,7 +610,7 @@ impl ProtocolNode {
                                 // the tail — "the root holds onto the tail
                                 // character while it sends OG(i, ∗) out of
                                 // each of its out-ports" (step 2).
-                                self.og.relay(SnakeChar::Tail, now);
+                                self.og.relay(&mut self.spill, SnakeChar::Tail, now);
                                 self.root_rca = RootRca::AwaitId;
                             }
                             other => {
@@ -607,7 +621,7 @@ impl ProtocolNode {
                                     return;
                                 };
                                 ctx.events.push(TranscriptEvent::IgHop(hop));
-                                self.og.relay(other, now);
+                                self.og.relay(&mut self.spill, other, now);
                             }
                         }
                     }
@@ -623,7 +637,7 @@ impl ProtocolNode {
             return;
         }
         if let Some(c) = self.ig.accept(p, c) {
-            self.ig.relay(c, now);
+            self.ig.relay(&mut self.spill, c, now);
         }
     }
 
@@ -665,7 +679,7 @@ impl ProtocolNode {
                     let c = c.filled(p);
                     // Convert the rest of the OG stream into the ID snake.
                     let is_tail = c.is_tail();
-                    self.dying_id.feed(p, c, now);
+                    self.dying_id.feed(&mut self.spill, p, c, now);
                     if is_tail {
                         // The whole OG stream is consumed: the growing
                         // snakes are pure garbage now — kill them early.
@@ -674,7 +688,7 @@ impl ProtocolNode {
                 }
             RcaState::Idle => {
                 if let Some(c) = self.og.accept(p, c) {
-                    self.og.relay(c, now);
+                    self.og.relay(&mut self.spill, c, now);
                 }
             }
             // Step 4/5 phases: closed to OG (stragglers die here).
@@ -707,7 +721,7 @@ impl ProtocolNode {
             {
                 let c = c.filled(p);
                 let is_tail = c.is_tail();
-                self.dying_bd.feed(via, c, now);
+                self.dying_bd.feed(&mut self.spill, via, c, now);
                 if is_tail {
                     self.bca = BcaState::AwaitBdTail { via };
                     // BG stream fully consumed: kill the flood early (the
@@ -717,7 +731,7 @@ impl ProtocolNode {
             }
             BcaState::Idle => {
                 if let Some(c) = self.bg.accept(p, c) {
-                    self.bg.relay(c, now);
+                    self.bg.relay(&mut self.spill, c, now);
                 }
             }
             // B ignores BG characters on other ports / later phases.
@@ -755,7 +769,7 @@ impl ProtocolNode {
                         SnakeChar::Tail => ctx.events.push(TranscriptEvent::IdTail),
                         SnakeChar::Head(_) => return, // cannot happen in a clean run
                     }
-                    self.dying_od.feed(p, c, now);
+                    self.dying_od.feed(&mut self.spill, p, c, now);
                     if c.is_tail() {
                         self.root_rca = RootRca::LoopPhase;
                     }
@@ -777,7 +791,7 @@ impl ProtocolNode {
                 self.dying_id.begin(p, hop.out_port);
             }
             _ if !self.dying_id.is_done() && self.dying_id.pred() == Some(p) => {
-                self.dying_id.feed(p, c, now);
+                self.dying_id.feed(&mut self.spill, p, c, now);
             }
             _ => {} // off-path character (only possible after a mutation)
         }
@@ -812,7 +826,7 @@ impl ProtocolNode {
                 self.dying_od.begin(p, hop.out_port);
             }
             _ if !self.dying_od.is_done() && self.dying_od.pred() == Some(p) => {
-                self.dying_od.feed(p, c, now);
+                self.dying_od.feed(&mut self.spill, p, c, now);
             }
             _ => {} // off-path character (only possible after a mutation)
         }
@@ -850,7 +864,7 @@ impl ProtocolNode {
                 self.dying_bd.begin(p, hop.out_port);
             }
             _ if !self.dying_bd.is_done() && self.dying_bd.pred() == Some(p) => {
-                self.dying_bd.feed(p, c, now);
+                self.dying_bd.feed(&mut self.spill, p, c, now);
             }
             _ => {} // off-path character (only possible after a mutation)
         }
@@ -1008,7 +1022,7 @@ impl ProtocolNode {
                 SnakeKind::Og => &mut self.og,
                 _ => &mut self.bg,
             };
-            if let Some(e) = relay.due(now) {
+            if let Some(e) = relay.due(&mut self.spill, now) {
                 match e {
                     GrowEmit::Heads => {
                         for o in self.out_ports.iter() {
@@ -1028,7 +1042,7 @@ impl ProtocolNode {
         // Dying lanes route each character to one specific port, but the
         // same collision argument applies per lane: one emission per tick.
         for lane in [&mut self.dying_id, &mut self.dying_od, &mut self.dying_bd] {
-            if let Some(e) = lane.due(now) {
+            if let Some(e) = lane.due(&mut self.spill, now) {
                 outputs[e.port.idx()].put_snake(lane.out_kind(), e.c);
             }
         }
@@ -1053,17 +1067,18 @@ impl ProtocolNode {
     /// Earliest tick at which any dwelling character emerges — the wake
     /// deadline this processor hands the engine's frontier. `None` when
     /// nothing is dwelling (the processor is purely input-driven).
-    fn next_emission_deadline(&self) -> Option<u64> {
+    fn next_emission_deadline(&self, now: u64) -> Option<u64> {
         let never = u64::MAX;
+        let spill = &self.spill;
         let next = self
             .ig
-            .next_deadline()
+            .next_deadline(spill, now)
             .unwrap_or(never)
-            .min(self.og.next_deadline().unwrap_or(never))
-            .min(self.bg.next_deadline().unwrap_or(never))
-            .min(self.dying_id.next_deadline().unwrap_or(never))
-            .min(self.dying_od.next_deadline().unwrap_or(never))
-            .min(self.dying_bd.next_deadline().unwrap_or(never))
+            .min(self.og.next_deadline(spill, now).unwrap_or(never))
+            .min(self.bg.next_deadline(spill, now).unwrap_or(never))
+            .min(self.dying_id.next_deadline(spill, now).unwrap_or(never))
+            .min(self.dying_od.next_deadline(spill, now).unwrap_or(never))
+            .min(self.dying_bd.next_deadline(spill, now).unwrap_or(never))
             .min(self.pending_loop.map_or(never, |(deadline, _, _)| deadline));
         (next != never).then_some(next)
     }
@@ -1082,10 +1097,11 @@ impl Automaton for ProtocolNode {
         // power-on lands on the same tick in every engine mode).
         if now < self.offline_until {
             let blank = Signal::default();
-            self.dropped_carry += ctx.inputs[..self.delta as usize]
+            let lost = ctx.inputs[..self.delta as usize]
                 .iter()
                 .filter(|s| **s != blank)
-                .count() as u64;
+                .count();
+            self.spill.record_lost(lost as u64);
             ctx.request_restep_at(self.offline_until);
             return;
         }
@@ -1250,7 +1266,7 @@ impl Automaton for ProtocolNode {
         // one emission per lane per tick, so a drained lane whose next
         // item is already due simply re-arms for the coming tick.
         self.stat_max_chars = self.stat_max_chars.max(self.chars_in_flight());
-        if let Some(deadline) = self.next_emission_deadline() {
+        if let Some(deadline) = self.next_emission_deadline(now) {
             ctx.request_restep_at(deadline);
         }
     }
@@ -1329,16 +1345,98 @@ mod tests {
         }
     }
 
+    /// Tick `engine` until it is quiet after `done` was emitted (or
+    /// `cap` ticks ran), calling `each` after every tick.
+    fn drive(
+        engine: &mut gtd_netsim::Engine<ProtocolNode>,
+        done: TranscriptEvent,
+        cap: u64,
+        mut each: impl FnMut(&mut gtd_netsim::Engine<ProtocolNode>),
+    ) {
+        let mut events = Vec::new();
+        let mut finished = false;
+        while !(finished && engine.is_quiet()) && engine.tick_count() < cap {
+            events.clear();
+            engine.tick(&mut events);
+            finished |= events.iter().any(|&(_, e)| e == done);
+            each(engine);
+        }
+    }
+
     #[test]
-    fn protocol_node_stays_compact() {
-        // A saturated tick streams every processor's state once: at
-        // n = 1M a byte here is a megabyte of traffic per tick. The six
-        // dwell lanes keep their lengths inline (16 bytes each) so an
-        // idle lane is answered without touching its slab.
-        assert!(
-            std::mem::size_of::<ProtocolNode>() <= 264,
-            "ProtocolNode grew to {} bytes",
-            std::mem::size_of::<ProtocolNode>()
-        );
+    fn clean_runs_never_spill_a_lane() {
+        // E5's finite-state census as a check. On one small network of
+        // every family, a full map and a standalone RCA keep every
+        // growing lane at most three characters deep after each step and
+        // every dying lane at most two, and no lane ever needs more than
+        // its four inline slots.
+        use crate::runner::build_gtd_engine;
+        use gtd_netsim::{spec::registry_examples, Engine, EngineMode, NodeId};
+
+        for spec in registry_examples() {
+            let topo = spec.build();
+            let map = build_gtd_engine(&topo, EngineMode::Sparse);
+            let rca = Engine::new(&topo, EngineMode::Sparse, |meta| {
+                let start = if meta.id == NodeId(1) {
+                    StartBehavior::SingleRca
+                } else {
+                    StartBehavior::Passive
+                };
+                ProtocolNode::new(&meta, start)
+            });
+            for (mut engine, done) in [
+                (map, TranscriptEvent::Terminated),
+                (rca, TranscriptEvent::RcaComplete),
+            ] {
+                let (mut growing, mut dying) = (0, 0);
+                drive(&mut engine, done, 1_000_000, |e| {
+                    for n in e.nodes() {
+                        for r in [&n.ig, &n.og, &n.bg] {
+                            growing = growing.max(r.pending_len());
+                        }
+                        for p in [&n.dying_id, &n.dying_od, &n.dying_bd] {
+                            dying = dying.max(p.pending_len());
+                        }
+                    }
+                });
+                let at = format!("{spec} until {done:?}");
+                assert!(engine.is_quiet(), "{at}: never settled");
+                assert!(growing <= 3 && dying <= 2, "{at}: {growing} / {dying}");
+                for n in engine.nodes() {
+                    assert_eq!(n.spilled_lanes(), 0, "{at}");
+                    assert!(n.stat_max_chars <= 8, "{at}: {}", n.stat_max_chars);
+                    assert_eq!(n.stat_dropped(), 0, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_orphaned_growing_snake_spills_and_drops() {
+        // Rewiring a port under a live flood orphans a growing stream
+        // into a cycle, where it grows one character per lap: its lanes
+        // spill, fill to capacity and refuse characters. The drop count
+        // is the one the queues gave before they held characters inline.
+        use crate::runner::build_gtd_engine;
+        use gtd_netsim::{EngineMode, MutationKind, TopologyMutation, TopologySpec};
+
+        let spec: TopologySpec = "debruijn:2,4".parse().expect("literal spec parses");
+        let topo = spec.build();
+        let rewired = topo
+            .apply(&TopologyMutation {
+                kind: MutationKind::RewirePort,
+                selector: 2,
+            })
+            .expect("rewire applies");
+        let mut engine = build_gtd_engine(&topo, EngineMode::Sparse);
+        drive(&mut engine, TranscriptEvent::Terminated, 20_000, |e| {
+            if e.tick_count() == 60 {
+                e.apply_topology(&rewired);
+            }
+        });
+        assert_eq!(engine.tick_count(), 20_000, "the orphan circulates forever");
+        let nodes = engine.nodes();
+        assert!(nodes.iter().map(|n| n.spilled_lanes()).sum::<usize>() > 0);
+        assert_eq!(nodes.iter().map(|n| n.stat_dropped()).sum::<u64>(), 4);
     }
 }

@@ -126,15 +126,13 @@ impl Hop {
 
 /// One snake character (kind is carried by the [`crate::Signal`] slot, so
 /// the character itself only stores role and hop).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum SnakeChar {
     /// A head character `XH(i, j)`.
     Head(Hop),
     /// A body character `X(i, j)`.
     Body(Hop),
-    /// The unique tail character `XT`. Also the `Default` filler for dead
-    /// dwell-slab slots (never read; any variant would do).
-    #[default]
+    /// The unique tail character `XT`.
     Tail,
 }
 

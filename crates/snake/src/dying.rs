@@ -18,7 +18,7 @@
 //! reconstruction uses to let the target recognize itself (DESIGN.md §5).
 
 use crate::chars::{SnakeChar, SnakeKind};
-use crate::speed::{DwellQueue, SPEED1_DWELL};
+use crate::speed::{DwellQueue, DwellSpill, SPEED1_DWELL};
 use gtd_netsim::Port;
 
 /// A scheduled dying-snake emission: one character through the successor
@@ -45,15 +45,18 @@ enum DState {
 }
 
 /// One dying snake's transit through one processor.
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// The passage's dwell queue spills into the processor's [`DwellSpill`],
+/// so every call that schedules or emits characters takes it.
+#[derive(Clone, Debug)]
 pub struct DyingPassage {
-    /// Kind used for emitted characters (differs from the incoming kind at
-    /// converting processors: root ID→OD, processor A OG→ID).
-    out_kind: SnakeKind,
     state: DState,
     pred: Option<Port>,
     succ: Option<Port>,
     endpoint: bool,
+    /// Dwell queue on the lane of the emitted kind, which differs from
+    /// the incoming kind at converting processors (root ID→OD, processor
+    /// A OG→ID).
     q: DwellQueue<SnakeChar>,
 }
 
@@ -62,19 +65,18 @@ impl DyingPassage {
     pub fn new(out_kind: SnakeKind) -> Self {
         assert!(out_kind.is_dying(), "DyingPassage emits dying kinds");
         DyingPassage {
-            out_kind,
             state: DState::Idle,
             pred: None,
             succ: None,
             endpoint: false,
-            q: DwellQueue::new(),
+            q: DwellQueue::new(out_kind),
         }
     }
 
     /// Kind of the characters this passage emits.
     #[inline]
     pub fn out_kind(&self) -> SnakeKind {
-        self.out_kind
+        self.q.lane()
     }
 
     /// The caller has consumed a head that arrived through in-port `pred`
@@ -90,7 +92,7 @@ impl DyingPassage {
     /// Feed the next stream character (caller guarantees it arrived through
     /// the predecessor in-port — asserted). Returns `true` when this call
     /// identified the processor as the path endpoint.
-    pub fn feed(&mut self, port: Port, c: SnakeChar, now: u64) -> bool {
+    pub fn feed(&mut self, spill: &mut DwellSpill, port: Port, c: SnakeChar, now: u64) -> bool {
         assert_eq!(Some(port), self.pred, "dying character arrived off-path");
         match (self.state, c) {
             (DState::AwaitFirst, SnakeChar::Tail) => {
@@ -100,23 +102,23 @@ impl DyingPassage {
                 // then it gets sent through the successor out-port as is").
                 self.endpoint = true;
                 self.state = DState::Done;
-                self.q.push(now + SPEED1_DWELL, SnakeChar::Tail);
+                self.q.push(spill, now + SPEED1_DWELL, SnakeChar::Tail);
                 true
             }
             (DState::AwaitFirst, c) => {
                 // First body character → promoted to the new head.
                 self.state = DState::Passing;
-                self.q.push(now + SPEED1_DWELL, c.as_head());
+                self.q.push(spill, now + SPEED1_DWELL, c.as_head());
                 false
             }
             (DState::Passing, SnakeChar::Tail) => {
                 self.state = DState::Done;
-                self.q.push(now + SPEED1_DWELL, SnakeChar::Tail);
+                self.q.push(spill, now + SPEED1_DWELL, SnakeChar::Tail);
                 false
             }
             (DState::Passing, c) => {
                 // Pass through exactly as received (as a body character).
-                self.q.push(now + SPEED1_DWELL, c.as_body());
+                self.q.push(spill, now + SPEED1_DWELL, c.as_body());
                 false
             }
             (s, c) => panic!("dying passage fed {c:?} in state {s:?}"),
@@ -125,15 +127,15 @@ impl DyingPassage {
 
     /// Pop the next emission due at `now`.
     #[inline]
-    pub fn due(&mut self, now: u64) -> Option<DyingEmit> {
+    pub fn due(&mut self, spill: &mut DwellSpill, now: u64) -> Option<DyingEmit> {
         let port = self.succ?;
-        self.q.pop_due(now).map(|c| DyingEmit { c, port })
+        self.q.pop_due(spill, now).map(|c| DyingEmit { c, port })
     }
 
     /// Earliest pending emission deadline.
     #[inline]
-    pub fn next_deadline(&self) -> Option<u64> {
-        self.q.next_deadline()
+    pub fn next_deadline(&self, spill: &DwellSpill, now: u64) -> Option<u64> {
+        self.q.next_deadline(spill, now)
     }
 
     /// Has the snake arrived (head consumed) on this lane?
@@ -209,10 +211,11 @@ mod tests {
 
     #[test]
     fn first_body_promoted_to_head() {
+        let mut spill = DwellSpill::default();
         let mut p = DyingPassage::new(SnakeKind::Id);
         p.begin(Port(1), Port(2));
-        assert!(!p.feed(Port(1), body(3, 0), 10));
-        let e = p.due(12).unwrap();
+        assert!(!p.feed(&mut spill, Port(1), body(3, 0), 10));
+        let e = p.due(&mut spill, 12).unwrap();
         assert_eq!(e.port, Port(2));
         assert_eq!(e.c, SnakeChar::Head(Hop::new(Port(3), Port(0))));
         assert!(!p.is_done());
@@ -220,49 +223,53 @@ mod tests {
 
     #[test]
     fn later_chars_pass_unchanged_then_tail_finishes() {
+        let mut spill = DwellSpill::default();
         let mut p = DyingPassage::new(SnakeKind::Od);
         p.begin(Port(0), Port(0));
-        p.feed(Port(0), body(1, 1), 10);
-        p.feed(Port(0), body(2, 2), 11);
-        p.feed(Port(0), SnakeChar::Tail, 12);
+        p.feed(&mut spill, Port(0), body(1, 1), 10);
+        p.feed(&mut spill, Port(0), body(2, 2), 11);
+        p.feed(&mut spill, Port(0), SnakeChar::Tail, 12);
         assert!(p.is_done());
         assert!(!p.is_endpoint());
         assert_eq!(
-            p.due(12).unwrap().c,
+            p.due(&mut spill, 12).unwrap().c,
             SnakeChar::Head(Hop::new(Port(1), Port(1)))
         );
-        assert_eq!(p.due(13).unwrap().c, body(2, 2));
-        assert_eq!(p.due(14).unwrap().c, SnakeChar::Tail);
+        assert_eq!(p.due(&mut spill, 13).unwrap().c, body(2, 2));
+        assert_eq!(p.due(&mut spill, 14).unwrap().c, SnakeChar::Tail);
         assert!(!p.has_pending());
     }
 
     #[test]
     fn head_then_tail_is_endpoint() {
+        let mut spill = DwellSpill::default();
         let mut p = DyingPassage::new(SnakeKind::Bd);
         p.begin(Port(3), Port(1));
-        assert!(p.feed(Port(3), SnakeChar::Tail, 20));
+        assert!(p.feed(&mut spill, Port(3), SnakeChar::Tail, 20));
         assert!(p.is_endpoint());
         assert!(p.is_done());
-        let e = p.due(22).unwrap();
+        let e = p.due(&mut spill, 22).unwrap();
         assert_eq!(e.c, SnakeChar::Tail);
         assert_eq!(e.port, Port(1));
     }
 
     #[test]
     fn speed_one_dwell_on_every_char() {
+        let mut spill = DwellSpill::default();
         let mut p = DyingPassage::new(SnakeKind::Id);
         p.begin(Port(0), Port(0));
-        p.feed(Port(0), body(0, 0), 7);
-        assert_eq!(p.due(8), None);
-        assert!(p.due(9).is_some());
+        p.feed(&mut spill, Port(0), body(0, 0), 7);
+        assert_eq!(p.due(&mut spill, 8), None);
+        assert!(p.due(&mut spill, 9).is_some());
     }
 
     #[test]
     #[should_panic(expected = "off-path")]
     fn wrong_port_panics() {
+        let mut spill = DwellSpill::default();
         let mut p = DyingPassage::new(SnakeKind::Id);
         p.begin(Port(0), Port(0));
-        p.feed(Port(1), body(0, 0), 0);
+        p.feed(&mut spill, Port(1), body(0, 0), 0);
     }
 
     #[test]
@@ -275,9 +282,10 @@ mod tests {
 
     #[test]
     fn reset_restores_pristine() {
+        let mut spill = DwellSpill::default();
         let mut p = DyingPassage::new(SnakeKind::Od);
         p.begin(Port(0), Port(1));
-        p.feed(Port(0), SnakeChar::Tail, 5);
+        p.feed(&mut spill, Port(0), SnakeChar::Tail, 5);
         assert!(!p.is_pristine());
         p.reset();
         assert!(p.is_pristine());

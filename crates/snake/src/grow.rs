@@ -26,11 +26,11 @@
 //! own conversion pipelines (`gtd-core`).
 
 use crate::chars::{SnakeChar, SnakeKind};
-use crate::speed::{DwellQueue, SPEED1_DWELL};
+use crate::speed::{DwellQueue, DwellSpill, SPEED1_DWELL};
 use gtd_netsim::Port;
 
 /// A scheduled growing-snake emission.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GrowEmit {
     /// Emit `Head(o, ∗)` through each connected out-port `o` (birth).
     Heads,
@@ -39,16 +39,16 @@ pub enum GrowEmit {
     /// Emit a fresh `Body(o, ∗)` through each connected out-port `o`
     /// (tail-extension rule).
     Extend,
-    /// Emit the tail through every out-port. Also the `Default` filler
-    /// for dead dwell-slab slots (never read; any variant would do).
-    #[default]
+    /// Emit the tail through every out-port.
     Tail,
 }
 
 /// Per-processor, per-kind growing-snake state.
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// The relay's dwell queue spills into the processor's [`DwellSpill`], so
+/// every call that schedules or emits characters takes it.
+#[derive(Clone, Debug)]
 pub struct GrowRelay {
-    kind: SnakeKind,
     visited: bool,
     /// Parent in-port; `None` while unvisited *or* when this processor is
     /// the initiator (the initiator has no parent).
@@ -62,28 +62,27 @@ impl GrowRelay {
     pub fn new(kind: SnakeKind) -> Self {
         assert!(kind.is_growing(), "GrowRelay only handles growing kinds");
         GrowRelay {
-            kind,
             visited: false,
             parent: None,
             initiator: false,
-            q: DwellQueue::new(),
+            q: DwellQueue::new(kind),
         }
     }
 
     /// The snake kind this relay handles.
     #[inline]
     pub fn kind(&self) -> SnakeKind {
-        self.kind
+        self.q.lane()
     }
 
     /// Become the initiator: mark self visited (no parent) and schedule the
     /// baby snake — heads this tick, tail next tick (§2.3.2, first rule).
-    pub fn start(&mut self, now: u64) {
+    pub fn start(&mut self, spill: &mut DwellSpill, now: u64) {
         assert!(!self.visited, "initiator must start on a clean relay");
         self.visited = true;
         self.initiator = true;
-        self.q.push(now, GrowEmit::Heads);
-        self.q.push(now + 1, GrowEmit::Tail);
+        self.q.push(spill, now, GrowEmit::Heads);
+        self.q.push(spill, now + 1, GrowEmit::Tail);
     }
 
     /// Become the initiator **without** emitting a baby snake: used by the
@@ -138,35 +137,35 @@ impl GrowRelay {
     /// [`DwellQueue::push_bounded`]); the dropped stream is mutation-era
     /// junk by construction, and the session-level remap driver recovers
     /// the disturbed run.
-    pub fn relay(&mut self, c: SnakeChar, now: u64) {
+    pub fn relay(&mut self, spill: &mut DwellSpill, c: SnakeChar, now: u64) {
         match c {
             SnakeChar::Tail => {
                 // all-or-nothing: an extension without its tail (or vice
                 // versa) would corrupt even streams we could still carry
                 if self.q.len() + 2 <= DwellQueue::<GrowEmit>::HARD_CAP {
-                    self.q.push(now + SPEED1_DWELL, GrowEmit::Extend);
-                    self.q.push(now + SPEED1_DWELL + 1, GrowEmit::Tail);
+                    self.q.push(spill, now + SPEED1_DWELL, GrowEmit::Extend);
+                    self.q.push(spill, now + SPEED1_DWELL + 1, GrowEmit::Tail);
                 } else {
-                    self.q.record_drops(2);
+                    self.q.record_drops(spill, 2);
                 }
             }
             other => {
                 self.q
-                    .push_bounded(now + SPEED1_DWELL, GrowEmit::Relay(other));
+                    .push_bounded(spill, now + SPEED1_DWELL, GrowEmit::Relay(other));
             }
         }
     }
 
     /// Pop the next emission due at `now`, if any.
     #[inline]
-    pub fn due(&mut self, now: u64) -> Option<GrowEmit> {
-        self.q.pop_due(now)
+    pub fn due(&mut self, spill: &mut DwellSpill, now: u64) -> Option<GrowEmit> {
+        self.q.pop_due(spill, now)
     }
 
     /// Earliest pending emission deadline (restep scheduling).
     #[inline]
-    pub fn next_deadline(&self) -> Option<u64> {
-        self.q.next_deadline()
+    pub fn next_deadline(&self, spill: &DwellSpill, now: u64) -> Option<u64> {
+        self.q.next_deadline(spill, now)
     }
 
     /// Has this processor been visited by (or initiated) this snake kind?
@@ -197,13 +196,6 @@ impl GrowRelay {
     #[inline]
     pub fn pending_len(&self) -> usize {
         self.q.len()
-    }
-
-    /// Scheduled emissions refused at the capacity bound over this relay's
-    /// lifetime (see [`GrowRelay::relay`]). 0 on clean runs.
-    #[inline]
-    pub fn dropped(&self) -> u64 {
-        self.q.dropped()
     }
 
     /// KILL-token erasure: "completely eradicate all traces of growing
@@ -268,8 +260,9 @@ mod tests {
 
     #[test]
     fn initiator_ignores_returning_snakes() {
+        let mut spill = DwellSpill::default();
         let mut r = GrowRelay::new(SnakeKind::Ig);
-        r.start(10);
+        r.start(&mut spill, 10);
         assert!(r.is_initiator());
         assert!(r.parent().is_none());
         // A snake of our own kind looping back must be ignored.
@@ -280,66 +273,71 @@ mod tests {
 
     #[test]
     fn birth_schedule_heads_then_tail() {
+        let mut spill = DwellSpill::default();
         let mut r = GrowRelay::new(SnakeKind::Bg);
-        r.start(10);
-        assert_eq!(r.due(9), None);
-        assert_eq!(r.due(10), Some(GrowEmit::Heads));
-        assert_eq!(r.due(10), None);
-        assert_eq!(r.due(11), Some(GrowEmit::Tail));
+        r.start(&mut spill, 10);
+        assert_eq!(r.due(&mut spill, 9), None);
+        assert_eq!(r.due(&mut spill, 10), Some(GrowEmit::Heads));
+        assert_eq!(r.due(&mut spill, 10), None);
+        assert_eq!(r.due(&mut spill, 11), Some(GrowEmit::Tail));
         assert!(!r.has_pending());
     }
 
     #[test]
     fn relay_dwells_speed_one() {
+        let mut spill = DwellSpill::default();
         let mut r = GrowRelay::new(SnakeKind::Ig);
         // adopt via the stream's head, then relay a body character
         r.accept(Port(0), SnakeChar::Head(Hop::star(Port(1))))
             .unwrap();
         let c = r.accept(Port(0), body(1, 0)).unwrap();
-        r.relay(c, 100);
-        assert_eq!(r.due(101), None);
-        assert_eq!(r.due(102), Some(GrowEmit::Relay(body(1, 0))));
+        r.relay(&mut spill, c, 100);
+        assert_eq!(r.due(&mut spill, 101), None);
+        assert_eq!(r.due(&mut spill, 102), Some(GrowEmit::Relay(body(1, 0))));
     }
 
     #[test]
     fn tail_triggers_extend_then_tail() {
+        let mut spill = DwellSpill::default();
         let mut r = GrowRelay::new(SnakeKind::Ig);
         r.accept(Port(0), SnakeChar::Head(Hop::star(Port(1))))
             .unwrap();
         let c = r.accept(Port(0), SnakeChar::Tail).unwrap();
-        r.relay(c, 50);
-        assert_eq!(r.due(52), Some(GrowEmit::Extend));
-        assert_eq!(r.due(52), None);
-        assert_eq!(r.due(53), Some(GrowEmit::Tail));
+        r.relay(&mut spill, c, 50);
+        assert_eq!(r.due(&mut spill, 52), Some(GrowEmit::Extend));
+        assert_eq!(r.due(&mut spill, 52), None);
+        assert_eq!(r.due(&mut spill, 53), Some(GrowEmit::Tail));
     }
 
     #[test]
     fn stream_spacing_preserved_through_relay() {
         // chars arriving 1 tick apart leave 1 tick apart
+        let mut spill = DwellSpill::default();
         let mut r = GrowRelay::new(SnakeKind::Ig);
         let h = r
             .accept(Port(0), SnakeChar::Head(Hop::star(Port(0))))
             .unwrap();
-        r.relay(h, 10);
+        r.relay(&mut spill, h, 10);
         let b = r.accept(Port(0), body(0, 0)).unwrap();
-        r.relay(b, 11);
+        r.relay(&mut spill, b, 11);
         assert!(matches!(
-            r.due(12),
+            r.due(&mut spill, 12),
             Some(GrowEmit::Relay(SnakeChar::Head(_)))
         ));
         assert!(matches!(
-            r.due(13),
+            r.due(&mut spill, 13),
             Some(GrowEmit::Relay(SnakeChar::Body(_)))
         ));
     }
 
     #[test]
     fn erase_restores_pristine() {
+        let mut spill = DwellSpill::default();
         let mut r = GrowRelay::new(SnakeKind::Og);
         let c = r
             .accept(Port(1), SnakeChar::Head(Hop::star(Port(0))))
             .unwrap();
-        r.relay(c, 5);
+        r.relay(&mut spill, c, 5);
         assert!(!r.is_pristine());
         r.erase();
         assert!(r.is_pristine());

@@ -32,4 +32,4 @@ pub use grow::{GrowEmit, GrowRelay};
 pub use marks::{LoopMarks, MarkPair, Route};
 pub use path::PortPath;
 pub use signal::{BcaMsg, DfsToken, LoopToken, Presence, Signal};
-pub use speed::{DwellQueue, SPEED1_DWELL, SPEED3_DWELL};
+pub use speed::{DwellItem, DwellQueue, DwellSpill, SPEED1_DWELL, SPEED3_DWELL};

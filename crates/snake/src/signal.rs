@@ -10,6 +10,8 @@
 //! character *b* of the quiescent state is `Signal::default()`.
 
 use crate::chars::{Hop, SnakeChar, SnakeKind};
+use crate::grow::GrowEmit;
+use crate::speed::DwellItem;
 use gtd_netsim::{Port, MAX_DELTA};
 
 /// Constant-size message a BCA delivers backwards along an edge.
@@ -121,22 +123,66 @@ fn encode_snake(c: SnakeChar) -> u16 {
 
 #[inline]
 fn decode_snake(w: u16) -> Option<SnakeChar> {
+    (w & ROLE_BITS != 0).then(|| snake_of(w))
+}
+
+/// The character a slot word with a non-zero role encodes.
+#[inline]
+fn snake_of(w: u16) -> SnakeChar {
     let role = w & ROLE_BITS;
-    if role == 0 {
-        return None;
-    }
     if role == ROLE_TAIL {
-        return Some(SnakeChar::Tail);
+        return SnakeChar::Tail;
     }
     let hop = Hop {
         out_port: port_at(w, 2),
         in_port: (w & SNAKE_IN_PRESENT != 0).then(|| port_at(w, 9)),
     };
-    Some(if role == ROLE_HEAD {
+    if role == ROLE_HEAD {
         SnakeChar::Head(hop)
     } else {
         SnakeChar::Body(hop)
-    })
+    }
+}
+
+/// A dwelling character is held in its slot word.
+impl DwellItem for SnakeChar {
+    #[inline]
+    fn pack(self) -> u16 {
+        encode_snake(self)
+    }
+
+    #[inline]
+    fn unpack(w: u16) -> Self {
+        snake_of(w)
+    }
+}
+
+// The growing-snake emissions that carry no character take role-0 codes,
+// which no snake character uses.
+const EMIT_HEADS: u16 = 0;
+const EMIT_EXTEND: u16 = 1 << 2;
+const EMIT_TAIL: u16 = 2 << 2;
+
+impl DwellItem for GrowEmit {
+    #[inline]
+    fn pack(self) -> u16 {
+        match self {
+            GrowEmit::Heads => EMIT_HEADS,
+            GrowEmit::Relay(c) => encode_snake(c),
+            GrowEmit::Extend => EMIT_EXTEND,
+            GrowEmit::Tail => EMIT_TAIL,
+        }
+    }
+
+    #[inline]
+    fn unpack(w: u16) -> Self {
+        match w {
+            EMIT_HEADS => GrowEmit::Heads,
+            EMIT_EXTEND => GrowEmit::Extend,
+            EMIT_TAIL => GrowEmit::Tail,
+            _ => GrowEmit::Relay(snake_of(w)),
+        }
+    }
 }
 
 #[inline]
@@ -487,6 +533,22 @@ mod tests {
                     assert_eq!(s.snake(other), None);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_dwelling_item_round_trips_through_its_slot_word() {
+        let chars = all_snake_chars();
+        let mut emits = vec![GrowEmit::Heads, GrowEmit::Extend, GrowEmit::Tail];
+        emits.extend(chars.iter().map(|&c| GrowEmit::Relay(c)));
+        let mut words = std::collections::HashSet::new();
+        for &e in &emits {
+            assert_eq!(GrowEmit::unpack(e.pack()), e, "{e:?}");
+            assert!(words.insert(e.pack()), "{e:?} shares a code");
+        }
+        for &c in &chars {
+            assert_eq!(SnakeChar::unpack(c.pack()), c, "{c:?}");
+            assert_eq!(GrowEmit::Relay(c).pack(), c.pack());
         }
     }
 

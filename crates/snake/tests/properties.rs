@@ -4,8 +4,8 @@
 
 use gtd_netsim::Port;
 use gtd_snake::{
-    DwellQueue, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks, MarkPair, SnakeChar, SnakeKind,
-    SPEED1_DWELL,
+    DwellQueue, DwellSpill, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks, MarkPair, SnakeChar,
+    SnakeKind, SPEED1_DWELL,
 };
 use proptest::prelude::*;
 
@@ -32,13 +32,14 @@ proptest! {
     /// with the extend-then-tail rule at the end.
     #[test]
     fn relay_preserves_stream_order_and_timing(stream in arb_stream(), port in 0u8..6) {
+        let mut spill = DwellSpill::default();
         let mut r = GrowRelay::new(SnakeKind::Ig);
         let mut t = 100u64;
         let mut accepted = Vec::new();
         for &c in &stream {
             if let Some(c) = r.accept(Port(port), c) {
                 accepted.push((t, c));
-                r.relay(c, t);
+                r.relay(&mut spill, c, t);
             }
             t += 1;
         }
@@ -47,7 +48,7 @@ proptest! {
         // drain emissions
         let mut emitted = Vec::new();
         for tick in 100..t + SPEED1_DWELL + 2 {
-            while let Some(e) = r.due(tick) {
+            while let Some(e) = r.due(&mut spill, tick) {
                 emitted.push((tick, e));
             }
         }
@@ -87,17 +88,18 @@ proptest! {
     fn dying_passage_shrinks_stream_by_one(stream in arb_stream(), pred in 0u8..6) {
         // feed everything after the consumed head
         let body = &stream[1..];
+        let mut spill = DwellSpill::default();
         let mut p = DyingPassage::new(SnakeKind::Id);
         p.begin(Port(pred), Port(0));
         let mut t = 50u64;
         for &c in body {
-            p.feed(Port(pred), c, t);
+            p.feed(&mut spill, Port(pred), c, t);
             t += 1;
         }
         prop_assert!(p.is_done());
         let mut outs = Vec::new();
         for tick in 50..t + SPEED1_DWELL + 1 {
-            while let Some(e) = p.due(tick) {
+            while let Some(e) = p.due(&mut spill, tick) {
                 outs.push(e.c);
             }
         }
@@ -122,19 +124,20 @@ proptest! {
     ) {
         let mut sorted = deadlines.clone();
         sorted.sort_unstable();
-        let mut q = DwellQueue::new();
+        let mut spill = DwellSpill::default();
+        let mut q = DwellQueue::new(SnakeKind::Ig);
         for (i, &d) in sorted.iter().enumerate() {
-            q.push(d, i);
+            q.push(&mut spill, d, i as u16);
         }
         let mut got = Vec::new();
         let mut t = 0;
         while !q.is_empty() {
-            while let Some(x) = q.pop_due(t) {
+            while let Some(x) = q.pop_due(&mut spill, t) {
                 got.push(x);
             }
             t += poll_gap;
         }
-        let want: Vec<usize> = (0..sorted.len()).collect();
+        let want: Vec<u16> = (0..sorted.len() as u16).collect();
         prop_assert_eq!(got, want);
     }
 
@@ -169,10 +172,11 @@ proptest! {
     /// pristine relay (KILL semantics are total).
     #[test]
     fn erase_is_total(stream in arb_stream(), port in 0u8..6, cut in 0usize..14) {
+        let mut spill = DwellSpill::default();
         let mut r = GrowRelay::new(SnakeKind::Og);
         for (t, &c) in (10u64..).zip(stream.iter().take(cut.min(stream.len()))) {
             if let Some(c) = r.accept(Port(port), c) {
-                r.relay(c, t);
+                r.relay(&mut spill, c, t);
             }
         }
         r.erase();
