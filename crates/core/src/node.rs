@@ -27,7 +27,7 @@ use crate::events::{RcaReport, TranscriptEvent};
 use gtd_netsim::{Automaton, NodeMeta, Port, PortMask, StepCtx};
 use gtd_snake::{
     BcaMsg, DfsToken, DwellSpill, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks, LoopToken,
-    MarkPair, Presence, Signal, SnakeChar, SnakeKind, SPEED1_DWELL,
+    MarkPair, OptPort, Presence, Signal, SnakeChar, SnakeKind, TickStamp, SPEED1_DWELL,
 };
 
 type Ctx<'a> = StepCtx<'a, Signal, TranscriptEvent>;
@@ -138,17 +138,56 @@ enum BcaState {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct DfsState {
     visited: bool,
-    parent: Option<Port>,
+    parent: OptPort,
     /// Out-ports below this index (into the connected-out-port list) are
-    /// finished; the one at it is being explored.
-    cursor: usize,
+    /// finished; the one at it is being explored. Saturates: every value
+    /// at or past the list's end (δ ≤ 64) means "all finished".
+    cursor: u8,
     /// Waiting for the DFS token to come back through a BCA.
     awaiting: bool,
     /// Root only: the terminal state has been reached.
     done: bool,
 }
 
+impl DfsState {
+    /// The bookkeeping of a processor the DFS has not reached (or, with
+    /// `visited`, of the root it starts from).
+    fn fresh(visited: bool) -> Self {
+        DfsState {
+            visited,
+            parent: OptPort::NONE,
+            cursor: 0,
+            awaiting: false,
+            done: false,
+        }
+    }
+}
+
 /// The identical synchronous finite-state processor of the paper.
+///
+/// A saturated tick streams every processor's state once, so the struct
+/// holds only what `step` reads and writes as the protocol runs, at most
+/// 192 bytes (a const assert; 1M processors are 183 MiB). The hot budget,
+/// in bytes:
+///
+/// | fields | bytes |
+/// |--------|-------|
+/// | six dwell lanes: three `GrowRelay` (20), three `DyingPassage` (22) | 126 |
+/// | `out_ports` mask, `spill` pointer | 16 |
+/// | drivers: `rca` (6), `bca` (2), `root_rca`, `bca_probe`, `dfs` (5), two re-map flags | 17 |
+/// | `pending_loop` (`u16` deadline stamp, token, port) | 6 |
+/// | loop `marks` (four one-byte `OptPort`s, alternation) | 5 |
+/// | power-on facts: `is_root`, δ, `start` (2), `started` | 5 |
+/// | `pending_bca` | 1 |
+/// | diagnostics: KILLs accepted, RCAs and BCAs started (`u32` each), `max_chars` (`u8`) | 13 |
+/// | padding to the 8-byte alignment | 3 |
+///
+/// Everything else is cold and sits behind the one `spill` pointer, boxed
+/// on first use: lanes past four characters, drop counts and the end of a
+/// `node-restart` downtime. The diagnostic counters stay hot, narrowed
+/// and saturating: a KILL flood reaches every processor and every
+/// processor a GTD map visits starts an RCA, so counting them in the box
+/// would box it on every processor of every run.
 #[derive(Clone, Debug)]
 pub struct ProtocolNode {
     // -- static configuration (power-on facts) --
@@ -170,17 +209,19 @@ pub struct ProtocolNode {
     dying_od: DyingPassage,
     /// BD lane: BCA loop marking; at B, the BG→BD conversion.
     dying_bd: DyingPassage,
-    /// Where the six lanes above keep characters past their four inline
-    /// slots (never on a clean run), and the count of characters lost
-    /// to power cycles: relay drop counts retired at
+    /// Cold state: where the six lanes above keep characters past their
+    /// four inline slots (never on a clean run); the count of characters
+    /// lost to power cycles, i.e. relay drop counts retired at
     /// [`ProtocolNode::restart`] (amnesia would otherwise zero them) plus
-    /// everything consumed while dark. Keeps
-    /// [`ProtocolNode::stat_dropped`] monotonic across restarts.
+    /// everything consumed while dark, which keeps
+    /// [`ProtocolNode::stat_dropped`] monotonic across restarts; and the
+    /// end of the current power-cycle downtime.
     spill: DwellSpill,
     marks: LoopMarks,
-    /// A loop token dwelling here (speed-1), with its emission deadline and
+    /// A loop token dwelling here (speed-1), with the stamp of its
+    /// emission deadline (at most [`SPEED1_DWELL`] ahead) and its
     /// successor out-port.
-    pending_loop: Option<(u64, LoopToken, Port)>,
+    pending_loop: Option<(TickStamp, LoopToken, Port)>,
     /// BCA payload captured by the loop's endpoint, acted on at UNMARK.
     pending_bca: Option<BcaMsg>,
 
@@ -196,31 +237,54 @@ pub struct ProtocolNode {
     /// Re-map round parity: a RESET is accepted only when its stamp
     /// differs, so straggler flood copies are idempotent within a round.
     reset_parity: bool,
-    /// `node-restart` fault: while `tick < offline_until` the processor
-    /// is dark — it consumes (and loses) every arriving character and
-    /// emits nothing. 0 on processors that never restarted.
-    offline_until: u64,
 
     // -- simulator-side counters (diagnostics/experiments only; a real
     // finite-state processor would not carry these) --
-    /// KILL tokens this processor accepted (erasures performed).
-    pub stat_kills_accepted: u64,
+    /// KILL tokens this processor accepted (erasures performed),
+    /// saturating, like the two below.
+    kills_accepted: u32,
     /// RCAs initiated here.
-    pub stat_rcas_started: u64,
+    rcas_started: u32,
     /// BCAs initiated here.
-    pub stat_bcas_started: u64,
-    /// High-water mark of characters dwelling here at once.
-    pub stat_max_chars: usize,
+    bcas_started: u32,
+    /// High-water mark of characters dwelling here at once, saturating.
+    max_chars: u8,
 }
 
 // A saturated tick streams every processor's state once: at n = 1M a byte
-// here is a megabyte of traffic per tick. The six dwell lanes hold their
-// characters inline, and the lanes that outgrow them share one pointer.
-const _: () = assert!(std::mem::size_of::<ProtocolNode>() <= 256);
+// here is a megabyte of traffic per tick. See the budget above.
+const _: () = assert!(std::mem::size_of::<ProtocolNode>() <= 192);
 
 impl ProtocolNode {
+    /// KILL tokens this processor accepted (erasures performed).
+    pub fn stat_kills_accepted(&self) -> u64 {
+        u64::from(self.kills_accepted)
+    }
+
+    /// RCAs initiated here.
+    pub fn stat_rcas_started(&self) -> u64 {
+        u64::from(self.rcas_started)
+    }
+
+    /// BCAs initiated here.
+    pub fn stat_bcas_started(&self) -> u64 {
+        u64::from(self.bcas_started)
+    }
+
+    /// High-water mark of characters dwelling here at once (at most
+    /// 6 × 16 lane slots plus a loop token, 8 on clean runs).
+    pub fn stat_max_chars(&self) -> u64 {
+        u64::from(self.max_chars)
+    }
+
+    /// Raise the dwelling-character high-water mark to `chars`,
+    /// saturating at 255.
+    fn note_chars(&mut self, chars: usize) {
+        self.max_chars = self.max_chars.max(u8::try_from(chars).unwrap_or(u8::MAX));
+    }
+
     /// Snake characters this processor lost: refused at capacity by the
-    /// bounded growing-snake queues, plus everything a `node-restart`
+    /// bounded dwell lanes, plus everything a `node-restart`
     /// power cycle destroyed (lifetime total; 0 on clean runs).
     pub fn stat_dropped(&self) -> u64 {
         self.spill.dropped()
@@ -268,18 +332,11 @@ impl ProtocolNode {
             bca_probe: false,
             pending_restart: false,
             reset_parity: false,
-            offline_until: 0,
-            stat_kills_accepted: 0,
-            stat_rcas_started: 0,
-            stat_bcas_started: 0,
-            stat_max_chars: 0,
-            dfs: DfsState {
-                visited: meta.is_root,
-                parent: None,
-                cursor: 0,
-                awaiting: false,
-                done: false,
-            },
+            kills_accepted: 0,
+            rcas_started: 0,
+            bcas_started: 0,
+            max_chars: 0,
+            dfs: DfsState::fresh(meta.is_root),
         }
     }
 
@@ -398,7 +455,7 @@ impl ProtocolNode {
 
     /// Is this processor dark from a `node-restart` power cycle at `now`?
     pub fn is_offline(&self, now: u64) -> bool {
-        now < self.offline_until
+        now < self.spill.dark_until()
     }
 
     /// `node-restart` fault: power-cycle this processor at tick `now`.
@@ -429,14 +486,8 @@ impl ProtocolNode {
         self.pending_restart = false;
         self.reset_parity = false;
         self.started = false;
-        self.dfs = DfsState {
-            visited: false,
-            parent: None,
-            cursor: 0,
-            awaiting: false,
-            done: false,
-        };
-        self.offline_until = now + RESTART_DOWNTIME;
+        self.dfs = DfsState::fresh(false);
+        self.spill.go_dark(now + RESTART_DOWNTIME);
     }
 
     // ------------------------------------------------------------------
@@ -468,7 +519,7 @@ impl ProtocolNode {
             return;
         }
         self.ig.start(&mut self.spill, now);
-        self.stat_rcas_started += 1;
+        self.rcas_started = self.rcas_started.saturating_add(1);
         self.rca = RcaState::AwaitOg { report, after };
     }
 
@@ -478,7 +529,7 @@ impl ProtocolNode {
             return;
         }
         self.bg.start(&mut self.spill, now);
-        self.stat_bcas_started += 1;
+        self.bcas_started = self.bcas_started.saturating_add(1);
         self.bca = BcaState::AwaitBgHead { via };
     }
 
@@ -520,7 +571,7 @@ impl ProtocolNode {
             }
             AfterRca::Bounce { via } => self.start_bca(via, now),
             AfterRca::Advance => {
-                self.dfs.cursor += 1;
+                self.dfs.cursor = self.dfs.cursor.saturating_add(1);
                 self.advance_dfs(now, ctx);
             }
             AfterRca::ProbeDone => ctx.events.push(TranscriptEvent::RcaComplete),
@@ -530,7 +581,7 @@ impl ProtocolNode {
     /// Send the DFS token out the current out-port, backtrack via BCA, or —
     /// at the root — terminate (§3).
     fn advance_dfs(&mut self, now: u64, ctx: &mut Ctx) {
-        if let Some(o) = self.out_ports.nth(self.dfs.cursor) {
+        if let Some(o) = self.out_ports.nth(usize::from(self.dfs.cursor)) {
             self.dfs.awaiting = true;
             ctx.outputs[o.idx()].put_dfs(DfsToken { sender_out_port: o });
         } else if self.is_root {
@@ -539,7 +590,7 @@ impl ProtocolNode {
         } else {
             // A finished non-root processor always has a parent in an
             // undisturbed run; a mutation-era RESET can clear it.
-            let Some(parent) = self.dfs.parent else {
+            let Some(parent) = self.dfs.parent.get() else {
                 return;
             };
             self.start_bca(parent, now);
@@ -559,7 +610,7 @@ impl ProtocolNode {
                 self.dfs.awaiting = false;
                 if self.is_root {
                     ctx.events.push(TranscriptEvent::LocalBack);
-                    self.dfs.cursor += 1;
+                    self.dfs.cursor = self.dfs.cursor.saturating_add(1);
                     self.advance_dfs(now, ctx);
                 } else {
                     self.start_rca(RcaReport::Back, AfterRca::Advance, now);
@@ -924,7 +975,7 @@ impl ProtocolNode {
                 self.pending_bca = Some(msg);
             }
         }
-        self.pending_loop = Some((now + SPEED1_DWELL, tok, route.succ));
+        self.pending_loop = Some((TickStamp::new(now + SPEED1_DWELL), tok, route.succ));
         self.marks.advance(route);
     }
 
@@ -993,7 +1044,7 @@ impl ProtocolNode {
         };
         if !self.dfs.visited {
             self.dfs.visited = true;
-            self.dfs.parent = Some(i);
+            self.dfs.parent = OptPort::some(i);
             self.start_rca(report, AfterRca::Descend, now);
         } else {
             // "A processor never wants more than one parent": report the
@@ -1047,7 +1098,7 @@ impl ProtocolNode {
             }
         }
         if let Some((deadline, tok, port)) = self.pending_loop {
-            if deadline <= now {
+            if deadline.tick(now) <= now {
                 outputs[port.idx()].put_loop(tok);
                 self.pending_loop = None;
             }
@@ -1079,7 +1130,7 @@ impl ProtocolNode {
             .min(self.dying_id.next_deadline(spill, now).unwrap_or(never))
             .min(self.dying_od.next_deadline(spill, now).unwrap_or(never))
             .min(self.dying_bd.next_deadline(spill, now).unwrap_or(never))
-            .min(self.pending_loop.map_or(never, |(deadline, _, _)| deadline));
+            .min(self.pending_loop.map_or(never, |(at, _, _)| at.tick(now)));
         (next != never).then_some(next)
     }
 }
@@ -1095,14 +1146,15 @@ impl Automaton for ProtocolNode {
         // consumed and lost, nothing is emitted, and the engine is asked
         // to wake us exactly when the downtime expires (so the amnesiac
         // power-on lands on the same tick in every engine mode).
-        if now < self.offline_until {
+        let dark_until = self.spill.dark_until();
+        if now < dark_until {
             let blank = Signal::default();
             let lost = ctx.inputs[..self.delta as usize]
                 .iter()
                 .filter(|s| **s != blank)
                 .count();
             self.spill.record_lost(lost as u64);
-            ctx.request_restep_at(self.offline_until);
+            ctx.request_restep_at(dark_until);
             return;
         }
 
@@ -1137,13 +1189,7 @@ impl Automaton for ProtocolNode {
         if self.pending_restart {
             self.pending_restart = false;
             self.reset_parity = !self.reset_parity;
-            self.dfs = DfsState {
-                visited: true,
-                parent: None,
-                cursor: 0,
-                awaiting: false,
-                done: false,
-            };
+            self.dfs = DfsState::fresh(true);
             for o in self.out_ports.iter() {
                 ctx.outputs[o.idx()].set_reset(self.reset_parity);
             }
@@ -1156,13 +1202,7 @@ impl Automaton for ProtocolNode {
                 if p != self.reset_parity {
                     // first copy of the new round: clear, stamp, forward.
                     self.reset_parity = p;
-                    self.dfs = DfsState {
-                        visited: false,
-                        parent: None,
-                        cursor: 0,
-                        awaiting: false,
-                        done: false,
-                    };
+                    self.dfs = DfsState::fresh(false);
                     for o in self.out_ports.iter() {
                         ctx.outputs[o.idx()].set_reset(p);
                     }
@@ -1180,7 +1220,7 @@ impl Automaton for ProtocolNode {
             }
         }
         if killed {
-            self.stat_kills_accepted += 1;
+            self.kills_accepted = self.kills_accepted.saturating_add(1);
             self.ig.erase();
             self.og.erase();
             self.bg.erase();
@@ -1265,7 +1305,7 @@ impl Automaton for ProtocolNode {
         // protocol run cost no steps at all. `flush_due` drains at most
         // one emission per lane per tick, so a drained lane whose next
         // item is already due simply re-arms for the coming tick.
-        self.stat_max_chars = self.stat_max_chars.max(self.chars_in_flight());
+        self.note_chars(self.chars_in_flight());
         if let Some(deadline) = self.next_emission_deadline(now) {
             ctx.request_restep_at(deadline);
         }
@@ -1277,8 +1317,9 @@ impl Automaton for ProtocolNode {
         // — the session-level remap driver decides whether the disturbed
         // run needs a RESET flood or a full power-cycle.
         self.out_ports = meta.out_connected;
-        if self.dfs.cursor > self.out_ports.len() {
-            self.dfs.cursor = self.out_ports.len();
+        let len = self.out_ports.len() as u8;
+        if self.dfs.cursor > len {
+            self.dfs.cursor = len;
         }
     }
 
@@ -1404,7 +1445,7 @@ mod tests {
                 assert!(growing <= 3 && dying <= 2, "{at}: {growing} / {dying}");
                 for n in engine.nodes() {
                     assert_eq!(n.spilled_lanes(), 0, "{at}");
-                    assert!(n.stat_max_chars <= 8, "{at}: {}", n.stat_max_chars);
+                    assert!(n.stat_max_chars() <= 8, "{at}: {}", n.stat_max_chars());
                     assert_eq!(n.stat_dropped(), 0, "{at}");
                 }
             }
@@ -1438,5 +1479,110 @@ mod tests {
         let nodes = engine.nodes();
         assert!(nodes.iter().map(|n| n.spilled_lanes()).sum::<usize>() > 0);
         assert_eq!(nodes.iter().map(|n| n.stat_dropped()).sum::<u64>(), 4);
+    }
+
+    #[test]
+    fn a_swapped_network_overflowing_a_dying_lane_drops_instead_of_panicking() {
+        // Swapping two processors' labels under a running map can feed a
+        // dying lane a stream faster than it drains. The lane refuses the
+        // characters past its capacity and counts them, as growing lanes
+        // do; it used to trip the finite-state guard's panic.
+        use crate::runner::build_gtd_engine;
+        use gtd_netsim::{EngineMode, MutationKind, TopologyMutation, TopologySpec};
+
+        let spec: TopologySpec = "random-sc:n=24,delta=3,seed=1"
+            .parse()
+            .expect("literal spec parses");
+        let topo = spec.build();
+        let swapped = topo
+            .apply(&TopologyMutation {
+                kind: MutationKind::SwapLabels,
+                selector: 0,
+            })
+            .expect("swap applies");
+        let mut engine = build_gtd_engine(&topo, EngineMode::Sparse);
+        drive(&mut engine, TranscriptEvent::Terminated, 20_000, |e| {
+            if e.tick_count() == 45 {
+                e.apply_topology(&swapped);
+            }
+        });
+        let dropped: u64 = engine.nodes().iter().map(|n| n.stat_dropped()).sum();
+        assert!(dropped > 0, "the overflow was never reached");
+    }
+
+    #[test]
+    fn compact_deadlines_hold_above_u32_max_and_across_stamp_wraps() {
+        // Differential test of the 16-bit loop-token deadline and the
+        // cold restart deadline. A re-map, with one processor power-cycled
+        // along the way, runs once at the clock the first map left and
+        // once with the clock jumped past `u32::MAX` to just before a
+        // 16-bit wrap, so stamps wrap mid-run. Both must tell the same
+        // story tick for tick, and the restarted processor must be dark
+        // for exactly `RESTART_DOWNTIME` ticks.
+        use crate::runner::build_gtd_engine;
+        use gtd_netsim::{generators, Engine, EngineMode, NodeId};
+
+        type Story = Vec<(u64, NodeId, TranscriptEvent)>;
+        let topo = generators::random_sc(12, 3, 4);
+        let victim = NodeId(5);
+        let remap = |jump_to: Option<u64>| -> (Story, Vec<[u64; 5]>) {
+            let mut engine: Engine<ProtocolNode> = build_gtd_engine(&topo, EngineMode::Sparse);
+            drive(&mut engine, TranscriptEvent::Terminated, 1_000_000, |_| {});
+            if let Some(at) = jump_to {
+                engine.skip_quiet_ticks(at - engine.tick_count());
+            }
+            let base = engine.tick_count();
+            engine.node_mut(NodeId(0)).master_restart();
+            let (mut story, mut events) = (Story::new(), Vec::new());
+            while engine.tick_count() - base < 30_000 {
+                let now = engine.tick_count();
+                if now - base == 3_000 {
+                    engine.node_mut(victim).restart(now);
+                }
+                let dark = (3_000..3_000 + RESTART_DOWNTIME).contains(&(now - base));
+                assert_eq!(engine.node(victim).is_offline(now), dark, "tick {now}");
+                events.clear();
+                engine.tick(&mut events);
+                story.extend(events.iter().map(|&(n, e)| (now - base, n, e)));
+            }
+            let stats = engine.nodes().iter().map(|n| {
+                [
+                    n.stat_kills_accepted(),
+                    n.stat_rcas_started(),
+                    n.stat_bcas_started(),
+                    n.stat_max_chars(),
+                    n.stat_dropped(),
+                ]
+            });
+            (story, stats.collect())
+        };
+        let (story, stats) = remap(None);
+        assert!(story.len() > 300, "the re-map ran");
+        assert!(
+            stats[victim.0 as usize][4] > 0,
+            "the power cycle lost characters"
+        );
+        let wrap = 1u64 << 16;
+        for jump_to in [(1 << 32) + wrap - 97, (1 << 32) + 7 * wrap - 1_000, 1 << 40] {
+            assert_eq!(
+                remap(Some(jump_to)),
+                (story.clone(), stats.clone()),
+                "at {jump_to}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_character_high_water_mark_saturates() {
+        let topo = gtd_netsim::generators::ring(3);
+        let engine = crate::runner::build_gtd_engine(&topo, gtd_netsim::EngineMode::Sparse);
+        let mut node = engine.node(gtd_netsim::NodeId(1)).clone();
+        node.note_chars(7);
+        assert_eq!(node.stat_max_chars(), 7);
+        node.note_chars(300);
+        assert_eq!(node.stat_max_chars(), 255);
+        node.note_chars(usize::MAX);
+        node.note_chars(3);
+        assert_eq!(node.stat_max_chars(), 255);
     }
 }

@@ -227,8 +227,8 @@ fn stats_counters_census() {
         assert!(engine.tick_count() < 5_000_000);
     }
     let e = topo.num_edges() as u64;
-    let rcas: u64 = engine.nodes().iter().map(|n| n.stat_rcas_started).sum();
-    let bcas: u64 = engine.nodes().iter().map(|n| n.stat_bcas_started).sum();
+    let rcas: u64 = engine.nodes().iter().map(|n| n.stat_rcas_started()).sum();
+    let bcas: u64 = engine.nodes().iter().map(|n| n.stat_bcas_started()).sum();
     // one FORWARD RCA per edge + one BACK RCA per BCA-returned token,
     // minus the root's local transcriptions; one BCA per edge.
     assert_eq!(bcas, e, "exactly one BCA per edge");

@@ -1494,13 +1494,13 @@ fn e5_cleanup(out: &mut Out, scale: usize) {
         }
         assert!(terminated, "{} wedged", w.name());
         engine.tick(&mut events);
-        let rcas: u64 = engine.nodes().iter().map(|n| n.stat_rcas_started).sum();
-        let bcas: u64 = engine.nodes().iter().map(|n| n.stat_bcas_started).sum();
-        let kills: u64 = engine.nodes().iter().map(|n| n.stat_kills_accepted).sum();
-        let maxc: usize = engine
+        let rcas: u64 = engine.nodes().iter().map(|n| n.stat_rcas_started()).sum();
+        let bcas: u64 = engine.nodes().iter().map(|n| n.stat_bcas_started()).sum();
+        let kills: u64 = engine.nodes().iter().map(|n| n.stat_kills_accepted()).sum();
+        let maxc: u64 = engine
             .nodes()
             .iter()
-            .map(|n| n.stat_max_chars)
+            .map(|n| n.stat_max_chars())
             .max()
             .unwrap_or(0);
         let pristine = engine.nodes().iter().all(|n| n.snake_state_pristine())

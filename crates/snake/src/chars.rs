@@ -124,6 +124,54 @@ impl Hop {
     }
 }
 
+/// An optional port in one byte, where `Option<Port>` takes two: 0 is
+/// none and `p + 1` is port `p`, the encoding of [`crate::Signal`]'s DFS
+/// byte. The ports a processor remembers (loop marks, dying-lane
+/// predecessors and successors, the DFS parent) are stored this way.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct OptPort(u8);
+
+impl OptPort {
+    /// No port.
+    pub const NONE: OptPort = OptPort(0);
+
+    /// Port `p`.
+    #[inline]
+    pub fn some(p: Port) -> Self {
+        OptPort(p.0 + 1)
+    }
+
+    /// The port, if any.
+    #[inline]
+    pub fn get(self) -> Option<Port> {
+        self.0.checked_sub(1).map(Port)
+    }
+
+    /// Is no port held?
+    #[inline]
+    pub fn is_none(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Is a port held?
+    #[inline]
+    pub fn is_some(self) -> bool {
+        self.0 != 0
+    }
+
+    /// Is port `p` held?
+    #[inline]
+    pub fn is(self, p: Port) -> bool {
+        self.0 == p.0 + 1
+    }
+}
+
+impl std::fmt::Debug for OptPort {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 /// One snake character (kind is carried by the [`crate::Signal`] slot, so
 /// the character itself only stores role and hop).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -262,6 +310,24 @@ mod tests {
         assert!(b.as_head().is_head());
         assert!(!b.is_head());
         assert!(SnakeChar::Tail.is_tail());
+    }
+
+    #[test]
+    fn opt_port_round_trips_every_port_in_one_byte() {
+        use gtd_netsim::MAX_DELTA;
+        assert_eq!(std::mem::size_of::<OptPort>(), 1);
+        assert_eq!(OptPort::default(), OptPort::NONE);
+        assert_eq!(
+            (OptPort::NONE.get(), format!("{:?}", OptPort::NONE)),
+            (None, "None".into())
+        );
+        for p in (0..MAX_DELTA).map(Port) {
+            let o = OptPort::some(p);
+            assert_eq!(o.get(), Some(p));
+            assert!(o.is_some() && !o.is_none() && o.is(p));
+            assert!(!OptPort::NONE.is(p));
+            assert_eq!(format!("{o:?}"), format!("{:?}", Some(p)));
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! was immediately followed by the tail) — the local test our BCA
 //! reconstruction uses to let the target recognize itself (DESIGN.md §5).
 
-use crate::chars::{SnakeChar, SnakeKind};
+use crate::chars::{OptPort, SnakeChar, SnakeKind};
 use crate::speed::{DwellQueue, DwellSpill, SPEED1_DWELL};
 use gtd_netsim::Port;
 
@@ -51,8 +51,8 @@ enum DState {
 #[derive(Clone, Debug)]
 pub struct DyingPassage {
     state: DState,
-    pred: Option<Port>,
-    succ: Option<Port>,
+    pred: OptPort,
+    succ: OptPort,
     endpoint: bool,
     /// Dwell queue on the lane of the emitted kind, which differs from
     /// the incoming kind at converting processors (root ID→OD, processor
@@ -66,8 +66,8 @@ impl DyingPassage {
         assert!(out_kind.is_dying(), "DyingPassage emits dying kinds");
         DyingPassage {
             state: DState::Idle,
-            pred: None,
-            succ: None,
+            pred: OptPort::NONE,
+            succ: OptPort::NONE,
             endpoint: false,
             q: DwellQueue::new(out_kind),
         }
@@ -85,50 +85,48 @@ impl DyingPassage {
     pub fn begin(&mut self, pred: Port, succ: Port) {
         assert_eq!(self.state, DState::Idle, "dying passage already active");
         self.state = DState::AwaitFirst;
-        self.pred = Some(pred);
-        self.succ = Some(succ);
+        self.pred = OptPort::some(pred);
+        self.succ = OptPort::some(succ);
     }
 
     /// Feed the next stream character (caller guarantees it arrived through
     /// the predecessor in-port — asserted). Returns `true` when this call
     /// identified the processor as the path endpoint.
+    ///
+    /// Lossy at capacity, like [`crate::GrowRelay::relay`]: a clean run
+    /// keeps a dying lane at most two characters deep, but a stream
+    /// disturbed by a live topology mutation can outrun the lane. The
+    /// character is then refused and counted (see
+    /// [`DwellQueue::push_bounded`]) instead of breaking the finite-state
+    /// guard.
     pub fn feed(&mut self, spill: &mut DwellSpill, port: Port, c: SnakeChar, now: u64) -> bool {
-        assert_eq!(Some(port), self.pred, "dying character arrived off-path");
-        match (self.state, c) {
+        assert!(self.pred.is(port), "dying character arrived off-path");
+        let (state, out) = match (self.state, c) {
+            // Head immediately followed by tail: we are the last processor
+            // of the marked path. The tail is forwarded as-is (§2.3.3: "if
+            // the next character happens to be a tail, then it gets sent
+            // through the successor out-port as is").
             (DState::AwaitFirst, SnakeChar::Tail) => {
-                // Head immediately followed by tail: we are the last
-                // processor of the marked path. The tail is forwarded as-is
-                // (§2.3.3: "if the next character happens to be a tail,
-                // then it gets sent through the successor out-port as is").
                 self.endpoint = true;
-                self.state = DState::Done;
-                self.q.push(spill, now + SPEED1_DWELL, SnakeChar::Tail);
-                true
+                (DState::Done, SnakeChar::Tail)
             }
-            (DState::AwaitFirst, c) => {
-                // First body character → promoted to the new head.
-                self.state = DState::Passing;
-                self.q.push(spill, now + SPEED1_DWELL, c.as_head());
-                false
-            }
-            (DState::Passing, SnakeChar::Tail) => {
-                self.state = DState::Done;
-                self.q.push(spill, now + SPEED1_DWELL, SnakeChar::Tail);
-                false
-            }
-            (DState::Passing, c) => {
-                // Pass through exactly as received (as a body character).
-                self.q.push(spill, now + SPEED1_DWELL, c.as_body());
-                false
-            }
+            // First body character → promoted to the new head.
+            (DState::AwaitFirst, c) => (DState::Passing, c.as_head()),
+            (DState::Passing, SnakeChar::Tail) => (DState::Done, SnakeChar::Tail),
+            // Pass through exactly as received (as a body character).
+            (DState::Passing, c) => (DState::Passing, c.as_body()),
             (s, c) => panic!("dying passage fed {c:?} in state {s:?}"),
-        }
+        };
+        let endpoint = self.state == DState::AwaitFirst && state == DState::Done;
+        self.state = state;
+        self.q.push_bounded(spill, now + SPEED1_DWELL, out);
+        endpoint
     }
 
     /// Pop the next emission due at `now`.
     #[inline]
     pub fn due(&mut self, spill: &mut DwellSpill, now: u64) -> Option<DyingEmit> {
-        let port = self.succ?;
+        let port = self.succ.get()?;
         self.q.pop_due(spill, now).map(|c| DyingEmit { c, port })
     }
 
@@ -159,13 +157,13 @@ impl DyingPassage {
     /// The predecessor in-port recorded at head consumption.
     #[inline]
     pub fn pred(&self) -> Option<Port> {
-        self.pred
+        self.pred.get()
     }
 
     /// The successor out-port recorded at head consumption.
     #[inline]
     pub fn succ(&self) -> Option<Port> {
-        self.succ
+        self.succ.get()
     }
 
     /// Any scheduled emissions pending?
@@ -183,8 +181,8 @@ impl DyingPassage {
     /// Reset for the next RCA/BCA (performed alongside UNMARK).
     pub fn reset(&mut self) {
         self.state = DState::Idle;
-        self.pred = None;
-        self.succ = None;
+        self.pred = OptPort::NONE;
+        self.succ = OptPort::NONE;
         self.endpoint = false;
         self.q.clear();
     }
@@ -261,6 +259,22 @@ mod tests {
         p.feed(&mut spill, Port(0), body(0, 0), 7);
         assert_eq!(p.due(&mut spill, 8), None);
         assert!(p.due(&mut spill, 9).is_some());
+    }
+
+    #[test]
+    fn a_lane_past_capacity_drops_and_counts() {
+        // A mutation-era stream can outrun a dying lane; the refused
+        // characters are counted, not a panic.
+        let mut spill = DwellSpill::default();
+        let mut p = DyingPassage::new(SnakeKind::Id);
+        p.begin(Port(0), Port(1));
+        let cap = DwellQueue::<SnakeChar>::HARD_CAP;
+        for _ in 0..cap + 3 {
+            assert!(!p.feed(&mut spill, Port(0), body(1, 1), 5));
+        }
+        p.feed(&mut spill, Port(0), SnakeChar::Tail, 6);
+        assert!(p.is_done());
+        assert_eq!((p.pending_len(), spill.dropped()), (cap, 4));
     }
 
     #[test]

@@ -43,17 +43,25 @@ pub enum GrowEmit {
     Tail,
 }
 
+/// [`GrowRelay::link`] of a processor this snake kind has not visited.
+const FRESH: u8 = 0;
+
+/// [`GrowRelay::link`] of the snake's initiator (it has no parent).
+const INITIATOR: u8 = 1;
+
+/// [`GrowRelay::link`] base of a processor that adopted the stream
+/// arriving through its parent in-port `p`: `ADOPTED + p`.
+const ADOPTED: u8 = 2;
+
 /// Per-processor, per-kind growing-snake state.
 ///
 /// The relay's dwell queue spills into the processor's [`DwellSpill`], so
 /// every call that schedules or emits characters takes it.
 #[derive(Clone, Debug)]
 pub struct GrowRelay {
-    visited: bool,
-    /// Parent in-port; `None` while unvisited *or* when this processor is
-    /// the initiator (the initiator has no parent).
-    parent: Option<Port>,
-    initiator: bool,
+    /// The visited mark and the parent in-port in one byte: [`FRESH`],
+    /// [`INITIATOR`] or [`ADOPTED`] + parent.
+    link: u8,
     q: DwellQueue<GrowEmit>,
 }
 
@@ -62,9 +70,7 @@ impl GrowRelay {
     pub fn new(kind: SnakeKind) -> Self {
         assert!(kind.is_growing(), "GrowRelay only handles growing kinds");
         GrowRelay {
-            visited: false,
-            parent: None,
-            initiator: false,
+            link: FRESH,
             q: DwellQueue::new(kind),
         }
     }
@@ -78,9 +84,8 @@ impl GrowRelay {
     /// Become the initiator: mark self visited (no parent) and schedule the
     /// baby snake — heads this tick, tail next tick (§2.3.2, first rule).
     pub fn start(&mut self, spill: &mut DwellSpill, now: u64) {
-        assert!(!self.visited, "initiator must start on a clean relay");
-        self.visited = true;
-        self.initiator = true;
+        assert!(self.link == FRESH, "initiator must start on a clean relay");
+        self.link = INITIATOR;
         self.q.push(spill, now, GrowEmit::Heads);
         self.q.push(spill, now + 1, GrowEmit::Tail);
     }
@@ -92,9 +97,8 @@ impl GrowRelay {
     /// its emissions replay the converted stream rather than fresh heads
     /// (feed those through [`GrowRelay::relay`]).
     pub fn mark_initiator(&mut self) {
-        assert!(!self.visited, "initiator must start on a clean relay");
-        self.visited = true;
-        self.initiator = true;
+        assert!(self.link == FRESH, "initiator must start on a clean relay");
+        self.link = INITIATOR;
     }
 
     /// Reception rule. Returns the accepted, ∗-filled character if this
@@ -112,15 +116,14 @@ impl GrowRelay {
     /// from re-marking erased processors and flooding forever (DESIGN.md §5).
     #[inline]
     pub fn accept(&mut self, port: Port, c: SnakeChar) -> Option<SnakeChar> {
-        if !self.visited {
+        if self.link == FRESH {
             if !c.is_head() {
                 return None;
             }
-            self.visited = true;
-            self.parent = Some(port);
+            self.link = ADOPTED + port.0;
             return Some(c.filled(port));
         }
-        if self.parent == Some(port) {
+        if self.link == ADOPTED + port.0 {
             return Some(c.filled(port));
         }
         None
@@ -171,19 +174,19 @@ impl GrowRelay {
     /// Has this processor been visited by (or initiated) this snake kind?
     #[inline]
     pub fn is_marked(&self) -> bool {
-        self.visited
+        self.link != FRESH
     }
 
     /// The parent in-port mark, if any (breadth-first tokens follow these).
     #[inline]
     pub fn parent(&self) -> Option<Port> {
-        self.parent
+        self.link.checked_sub(ADOPTED).map(Port)
     }
 
     /// Did this relay initiate the current snake?
     #[inline]
     pub fn is_initiator(&self) -> bool {
-        self.initiator
+        self.link == INITIATOR
     }
 
     /// Any scheduled emissions pending?
@@ -201,9 +204,7 @@ impl GrowRelay {
     /// KILL-token erasure: "completely eradicate all traces of growing
     /// snake characters … both characters and markings" (§4.2.1 step 4).
     pub fn erase(&mut self) {
-        self.visited = false;
-        self.parent = None;
-        self.initiator = false;
+        self.link = FRESH;
         self.q.clear();
     }
 
@@ -211,7 +212,7 @@ impl GrowRelay {
     /// Lemma 4.2 promises after every RCA/BCA.
     #[inline]
     pub fn is_pristine(&self) -> bool {
-        !self.visited && self.parent.is_none() && !self.initiator && self.q.is_empty()
+        self.link == FRESH && self.q.is_empty()
     }
 }
 

@@ -26,10 +26,10 @@ pub mod path;
 pub mod signal;
 pub mod speed;
 
-pub use chars::{Hop, SnakeChar, SnakeKind};
+pub use chars::{Hop, OptPort, SnakeChar, SnakeKind};
 pub use dying::{DyingEmit, DyingPassage};
 pub use grow::{GrowEmit, GrowRelay};
 pub use marks::{LoopMarks, MarkPair, Route};
 pub use path::PortPath;
 pub use signal::{BcaMsg, DfsToken, LoopToken, Presence, Signal};
-pub use speed::{DwellItem, DwellQueue, DwellSpill, SPEED1_DWELL, SPEED3_DWELL};
+pub use speed::{DwellItem, DwellQueue, DwellSpill, TickStamp, SPEED1_DWELL, SPEED3_DWELL};

@@ -9,6 +9,7 @@
 //! 2). [`LoopMarks`] implements acceptance, routing, alternation, and
 //! UNMARK-erasure for all these cases.
 
+use crate::chars::OptPort;
 use gtd_netsim::Port;
 
 /// Which predecessor/successor pair a dying snake sets (ID/BD → #1, OD → #2).
@@ -32,10 +33,10 @@ pub struct Route {
 /// Predecessor/successor loop marks of one processor.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LoopMarks {
-    pred1: Option<Port>,
-    succ1: Option<Port>,
-    pred2: Option<Port>,
-    succ2: Option<Port>,
+    pred1: OptPort,
+    succ1: OptPort,
+    pred2: OptPort,
+    succ2: OptPort,
     /// Dual-marked processors alternate: false ⇒ next traversal uses pair
     /// #1, true ⇒ pair #2 (§2.4).
     expect_second: bool,
@@ -56,7 +57,7 @@ impl LoopMarks {
             MarkPair::Second => &mut self.pred2,
         };
         assert!(slot.is_none(), "predecessor {pair:?} set twice");
-        *slot = Some(p);
+        *slot = OptPort::some(p);
     }
 
     /// Set the successor out-port of a pair. Panics if already set.
@@ -66,15 +67,15 @@ impl LoopMarks {
             MarkPair::Second => &mut self.succ2,
         };
         assert!(slot.is_none(), "successor {pair:?} set twice");
-        *slot = Some(p);
+        *slot = OptPort::some(p);
     }
 
     /// Predecessor of a pair.
     #[inline]
     pub fn pred(&self, pair: MarkPair) -> Option<Port> {
         match pair {
-            MarkPair::First => self.pred1,
-            MarkPair::Second => self.pred2,
+            MarkPair::First => self.pred1.get(),
+            MarkPair::Second => self.pred2.get(),
         }
     }
 
@@ -82,8 +83,8 @@ impl LoopMarks {
     #[inline]
     pub fn succ(&self, pair: MarkPair) -> Option<Port> {
         match pair {
-            MarkPair::First => self.succ1,
-            MarkPair::Second => self.succ2,
+            MarkPair::First => self.succ1.get(),
+            MarkPair::Second => self.succ2.get(),
         }
     }
 
@@ -98,8 +99,8 @@ impl LoopMarks {
     /// * the root pattern (pred #1 + succ #2 only) → #1 in, #2 out.
     #[inline]
     pub fn route(&self, arrival: Port) -> Option<Route> {
-        let full1 = self.pred1.zip(self.succ1);
-        let full2 = self.pred2.zip(self.succ2);
+        let full1 = self.pred1.get().zip(self.succ1.get());
+        let full2 = self.pred2.get().zip(self.succ2.get());
         match (full1, full2) {
             (Some((p1, s1)), Some((p2, s2))) => {
                 let (p, s, pair) = if self.expect_second {
@@ -119,7 +120,12 @@ impl LoopMarks {
             }),
             (None, None) => {
                 // Root pattern: predecessor #1 paired with successor #2.
-                match (self.pred1, self.succ2, self.succ1, self.pred2) {
+                match (
+                    self.pred1.get(),
+                    self.succ2.get(),
+                    self.succ1.get(),
+                    self.pred2.get(),
+                ) {
                     (Some(p1), Some(s2), None, None) if arrival == p1 => Some(Route {
                         succ: s2,
                         pair: MarkPair::First,
@@ -132,7 +138,8 @@ impl LoopMarks {
 
     /// Advance the alternation after forwarding a loop token along `route`.
     pub fn advance(&mut self, _route: Route) {
-        if self.pred1.zip(self.succ1).is_some() && self.pred2.zip(self.succ2).is_some() {
+        let [p1, s1, p2, s2] = [self.pred1, self.succ1, self.pred2, self.succ2];
+        if p1.is_some() && s1.is_some() && p2.is_some() && s2.is_some() {
             self.expect_second = !self.expect_second;
         }
     }
@@ -147,17 +154,17 @@ impl LoopMarks {
             && self.pred1.is_some()
             && self.succ2.is_some();
         if root_pattern {
-            self.pred1 = None;
-            self.succ2 = None;
+            self.pred1 = OptPort::NONE;
+            self.succ2 = OptPort::NONE;
         } else {
             match route.pair {
                 MarkPair::First => {
-                    self.pred1 = None;
-                    self.succ1 = None;
+                    self.pred1 = OptPort::NONE;
+                    self.succ1 = OptPort::NONE;
                 }
                 MarkPair::Second => {
-                    self.pred2 = None;
-                    self.succ2 = None;
+                    self.pred2 = OptPort::NONE;
+                    self.succ2 = OptPort::NONE;
                 }
             }
         }

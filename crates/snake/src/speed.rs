@@ -36,6 +36,12 @@
 //! items moves them inline again. The slab also keeps the lane's lifetime
 //! drop counter, because a drop needs a full ring.
 //!
+//! The same block is the processor's one cold pointer, so it also keeps
+//! the end of a power-cycle downtime: a full tick, set only by a restart.
+//! A deadline that a processor keeps outside its lanes, such as a
+//! dwelling loop token's, is a [`TickStamp`]: the same 16 bits, read the
+//! same way.
+//!
 //! Stamps are read against the current tick: a stamp stands for the tick
 //! nearest `now` with those low 16 bits. That is exact while every queued
 //! deadline lies within 32,767 ticks of `now`. The protocol keeps it within
@@ -85,6 +91,26 @@ fn tick_of(stamp: u16, now: u64) -> u64 {
     now.wrapping_add_signed(i64::from(stamp.wrapping_sub(now as u16) as i16))
 }
 
+/// A tick kept in 16 bits, the way a lane keeps its deadlines: its low
+/// half, read back as the tick nearest `now` with those bits. Exact while
+/// the tick lies within 32,767 ticks of `now`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TickStamp(u16);
+
+impl TickStamp {
+    /// The stamp of `tick`.
+    #[inline]
+    pub fn new(tick: u64) -> Self {
+        TickStamp(tick as u16)
+    }
+
+    /// The stamped tick, read against `now`.
+    #[inline]
+    pub fn tick(self, now: u64) -> u64 {
+        tick_of(self.0, now)
+    }
+}
+
 /// One spilled lane: a bounded ring of `CAP` slots.
 #[derive(Clone, Debug)]
 struct Slab {
@@ -117,6 +143,9 @@ struct Spilled {
     /// Drops counted outside the live lanes: those of retired lanes and
     /// characters lost before reaching any lane.
     lost: u64,
+    /// The tick the processor's power-cycle downtime ends; 0 if it never
+    /// restarted.
+    dark_until: u64,
 }
 
 impl Spilled {
@@ -125,10 +154,13 @@ impl Spilled {
     }
 }
 
-/// A processor's cold dwell storage: the slabs of the lanes that outgrew
-/// their inline slots, and the drop count of lanes that no longer exist.
+/// A processor's cold storage: the slabs of the lanes that outgrew their
+/// inline slots, the drop count of lanes that no longer exist, and the
+/// end of the processor's power-cycle downtime.
 ///
-/// One pointer per processor; it stays null on clean runs.
+/// One pointer per processor. It stays null until a lane spills or
+/// counts a drop, or the processor restarts, so on clean runs it stays
+/// null.
 #[derive(Clone, Debug, Default)]
 pub struct DwellSpill(Option<Box<Spilled>>);
 
@@ -161,6 +193,18 @@ impl DwellSpill {
             s.lost += s.lane_drops();
             s.slabs = Default::default();
         }
+    }
+
+    /// The tick a power cycle's downtime ends: the processor is dark
+    /// while `now` is below it. 0 if it never restarted.
+    #[inline]
+    pub fn dark_until(&self) -> u64 {
+        self.0.as_deref().map_or(0, |s| s.dark_until)
+    }
+
+    /// Keep the processor dark until `tick`.
+    pub fn go_dark(&mut self, tick: u64) {
+        self.0.get_or_insert_default().dark_until = tick;
     }
 
     fn slab(&self, lane: SnakeKind) -> Option<&Slab> {
@@ -586,6 +630,31 @@ mod tests {
     }
 
     #[test]
+    fn tick_stamps_read_back_exactly_within_half_their_range() {
+        // Clocks on both sides of a 16-bit wrap, above `u32::MAX` too:
+        // every tick within 32,767 of `now` reads back as itself.
+        let wrap = 1u64 << 16;
+        for now in [0, 5, wrap - 3, wrap + 2, 1 << 32, (1 << 32) + 7 * wrap - 1] {
+            let lo = now.saturating_sub(i16::MAX as u64);
+            for t in lo..=now + i16::MAX as u64 {
+                assert_eq!(TickStamp::new(t).tick(now), t, "tick {t} at {now}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_downtime_boxes_on_first_write_and_survives_retirement() {
+        let mut spill = DwellSpill::default();
+        assert_eq!(spill.dark_until(), 0);
+        assert!(spill.0.is_none(), "reads do not box");
+        let dark = (1u64 << 32) + 3;
+        spill.go_dark(dark);
+        spill.retire_lanes();
+        assert_eq!(spill.dark_until(), dark);
+        assert_eq!((spill.spilled_lanes(), spill.dropped()), (0, 0));
+    }
+
+    #[test]
     fn a_lane_of_four_never_spills() {
         let mut spill = DwellSpill::default();
         let mut q = DwellQueue::new(LANE);
@@ -605,11 +674,13 @@ mod tests {
         // every processor's state once: at n = 1M a byte here is a
         // megabyte per tick. Four inline slots of 2 + 2 bytes, the length
         // and the lane fill the queue exactly; the relay and the passage
-        // keep their lane bookkeeping beside it.
+        // keep their lane bookkeeping beside it: the relay one byte
+        // (rounded up to two), the passage four with its ports as
+        // one-byte `OptPort`s.
         use std::mem::size_of;
         assert_eq!(size_of::<DwellQueue<crate::GrowEmit>>(), 18);
-        assert_eq!(size_of::<crate::GrowRelay>(), 22);
-        assert_eq!(size_of::<crate::DyingPassage>(), 24);
+        assert_eq!(size_of::<crate::GrowRelay>(), 20);
+        assert_eq!(size_of::<crate::DyingPassage>(), 22);
         assert_eq!(size_of::<DwellSpill>(), 8);
     }
 

@@ -97,8 +97,8 @@ fn single_bca_leaves_no_trace_anywhere() {
 fn finite_state_bound_holds() {
     // The per-processor character high-water mark must stay a small
     // constant — independent of N — or the automaton is not finite-state.
-    let mut max_small = 0usize;
-    let mut max_large = 0usize;
+    let mut max_small = 0u64;
+    let mut max_large = 0u64;
     for (n, slot) in [(16usize, 0usize), (64, 1)] {
         let topo = generators::random_sc(n, 3, 3);
         let mut engine = build_gtd_engine(&topo, EngineMode::Sparse);
@@ -116,7 +116,7 @@ fn finite_state_bound_holds() {
         let m = engine
             .nodes()
             .iter()
-            .map(|x| x.stat_max_chars)
+            .map(|x| x.stat_max_chars())
             .max()
             .unwrap();
         if slot == 0 {
@@ -157,11 +157,11 @@ fn kill_floods_are_bounded_per_protocol() {
             break;
         }
     }
-    let kills: u64 = engine.nodes().iter().map(|n| n.stat_kills_accepted).sum();
+    let kills: u64 = engine.nodes().iter().map(|n| n.stat_kills_accepted()).sum();
     let protocols: u64 = engine
         .nodes()
         .iter()
-        .map(|n| n.stat_rcas_started + n.stat_bcas_started)
+        .map(|n| n.stat_rcas_started() + n.stat_bcas_started())
         .sum();
     let n = topo.num_nodes() as u64;
     assert!(

@@ -158,10 +158,10 @@ fn drive(
     let nodes = engine.nodes();
     NodePin {
         events: h.0,
-        kills_accepted: nodes.iter().map(|n| n.stat_kills_accepted).sum(),
-        rcas_started: nodes.iter().map(|n| n.stat_rcas_started).sum(),
-        bcas_started: nodes.iter().map(|n| n.stat_bcas_started).sum(),
-        max_chars: nodes.iter().map(|n| n.stat_max_chars as u64).sum(),
+        kills_accepted: nodes.iter().map(|n| n.stat_kills_accepted()).sum(),
+        rcas_started: nodes.iter().map(|n| n.stat_rcas_started()).sum(),
+        bcas_started: nodes.iter().map(|n| n.stat_bcas_started()).sum(),
+        max_chars: nodes.iter().map(|n| n.stat_max_chars()).sum(),
         dropped: nodes.iter().map(|n| n.stat_dropped()).sum(),
     }
 }
@@ -241,8 +241,8 @@ fn node_pin(name: &str) -> NodePin {
 }
 
 /// `NodePin` in table form: events digest, then the summed
-/// `stat_kills_accepted`, `stat_rcas_started`, `stat_bcas_started`,
-/// `stat_max_chars` and `stat_dropped`.
+/// `stat_kills_accepted()`, `stat_rcas_started()`, `stat_bcas_started()`,
+/// `stat_max_chars()` and `stat_dropped()`.
 const fn pin(events: u64, sums: [u64; 5]) -> NodePin {
     NodePin {
         events,
