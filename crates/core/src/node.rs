@@ -26,8 +26,8 @@
 use crate::events::{RcaReport, TranscriptEvent};
 use gtd_netsim::{Automaton, NodeMeta, Port, PortMask, StepCtx};
 use gtd_snake::{
-    BcaMsg, DfsToken, DwellSpill, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks, LoopToken,
-    MarkPair, OptPort, Presence, Signal, SnakeChar, SnakeKind, TickStamp, SPEED1_DWELL,
+    BcaMsg, DfsToken, DwellItem, DwellPool, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks,
+    LoopToken, MarkPair, OptPort, Presence, Signal, SnakeChar, SnakeKind, TickStamp, SPEED1_DWELL,
 };
 
 type Ctx<'a> = StepCtx<'a, Signal, TranscriptEvent>;
@@ -167,27 +167,28 @@ impl DfsState {
 ///
 /// A saturated tick streams every processor's state once, so the struct
 /// holds only what `step` reads and writes as the protocol runs, at most
-/// 192 bytes (a const assert; 1M processors are 183 MiB). The hot budget,
+/// 128 bytes (a const assert; 1M processors are 122 MiB). The hot budget,
 /// in bytes:
 ///
 /// | fields | bytes |
 /// |--------|-------|
-/// | six dwell lanes: three `GrowRelay` (20), three `DyingPassage` (22) | 126 |
-/// | `out_ports` mask, `spill` pointer | 16 |
+/// | dwell `pool`: eight entries (`u16` stamp, `u16` item, 4-bit lane), length, spilled-lane bits, spill pointer | 48 |
+/// | lane markings: three `GrowRelay` (2), three `DyingPassage` (4) | 18 |
+/// | `out_ports` mask | 8 |
 /// | drivers: `rca` (6), `bca` (2), `root_rca`, `bca_probe`, `dfs` (5), two re-map flags | 17 |
 /// | `pending_loop` (`u16` deadline stamp, token, port) | 6 |
 /// | loop `marks` (four one-byte `OptPort`s, alternation) | 5 |
 /// | power-on facts: `is_root`, δ, `start` (2), `started` | 5 |
 /// | `pending_bca` | 1 |
 /// | diagnostics: KILLs accepted, RCAs and BCAs started (`u32` each), `max_chars` (`u8`) | 13 |
-/// | padding to the 8-byte alignment | 3 |
+/// | padding to the 8-byte alignment | 7 |
 ///
-/// Everything else is cold and sits behind the one `spill` pointer, boxed
-/// on first use: lanes past four characters, drop counts and the end of a
-/// `node-restart` downtime. The diagnostic counters stay hot, narrowed
-/// and saturating: a KILL flood reaches every processor and every
-/// processor a GTD map visits starts an RCA, so counting them in the box
-/// would box it on every processor of every run.
+/// Everything else is cold and sits behind the pool's one spill pointer,
+/// boxed on first use: lanes that outgrow the pool's eight entries, drop
+/// counts and the end of a `node-restart` downtime. The diagnostic
+/// counters stay hot, narrowed and saturating: a KILL flood reaches every
+/// processor and every processor a GTD map visits starts an RCA, so
+/// counting them in the box would box it on every processor of every run.
 #[derive(Clone, Debug)]
 pub struct ProtocolNode {
     // -- static configuration (power-on facts) --
@@ -198,6 +199,15 @@ pub struct ProtocolNode {
     started: bool,
 
     // -- snake & token components --
+    /// Every character dwelling here, one lane per snake kind: the relays
+    /// and passages below keep only their markings. Its cold spill holds
+    /// lanes that outgrow the pool (never on a clean run); the count of
+    /// characters lost to power cycles, i.e. lane drop counts retired at
+    /// [`ProtocolNode::restart`] (amnesia would otherwise zero them) plus
+    /// everything consumed while dark, which keeps
+    /// [`ProtocolNode::stat_dropped`] monotonic across restarts; and the
+    /// end of the current power-cycle downtime.
+    pool: DwellPool,
     ig: GrowRelay,
     og: GrowRelay,
     bg: GrowRelay,
@@ -209,14 +219,6 @@ pub struct ProtocolNode {
     dying_od: DyingPassage,
     /// BD lane: BCA loop marking; at B, the BG→BD conversion.
     dying_bd: DyingPassage,
-    /// Cold state: where the six lanes above keep characters past their
-    /// four inline slots (never on a clean run); the count of characters
-    /// lost to power cycles, i.e. relay drop counts retired at
-    /// [`ProtocolNode::restart`] (amnesia would otherwise zero them) plus
-    /// everything consumed while dark, which keeps
-    /// [`ProtocolNode::stat_dropped`] monotonic across restarts; and the
-    /// end of the current power-cycle downtime.
-    spill: DwellSpill,
     marks: LoopMarks,
     /// A loop token dwelling here (speed-1), with the stamp of its
     /// emission deadline (at most [`SPEED1_DWELL`] ahead) and its
@@ -253,7 +255,7 @@ pub struct ProtocolNode {
 
 // A saturated tick streams every processor's state once: at n = 1M a byte
 // here is a megabyte of traffic per tick. See the budget above.
-const _: () = assert!(std::mem::size_of::<ProtocolNode>() <= 192);
+const _: () = assert!(std::mem::size_of::<ProtocolNode>() <= 128);
 
 impl ProtocolNode {
     /// KILL tokens this processor accepted (erasures performed).
@@ -272,7 +274,8 @@ impl ProtocolNode {
     }
 
     /// High-water mark of characters dwelling here at once (at most
-    /// 6 × 16 lane slots plus a loop token, 8 on clean runs).
+    /// 6 × 16 lane slots plus a loop token; pinned per family on clean
+    /// runs, and never past the pool's eight entries there).
     pub fn stat_max_chars(&self) -> u64 {
         u64::from(self.max_chars)
     }
@@ -287,14 +290,14 @@ impl ProtocolNode {
     /// bounded dwell lanes, plus everything a `node-restart`
     /// power cycle destroyed (lifetime total; 0 on clean runs).
     pub fn stat_dropped(&self) -> u64 {
-        self.spill.dropped()
+        self.pool.spill().dropped()
     }
 
-    /// Dwell lanes that ever held more than four characters at once (or
-    /// refused one at capacity) since power-on. 0 on clean runs: the
-    /// automaton's lanes stay in their inline slots.
+    /// Dwell lanes that ever spilled out of the pool (or refused a
+    /// character at capacity) since power-on. 0 on clean runs: the
+    /// automaton's characters stay in its pool's eight entries.
     pub fn spilled_lanes(&self) -> usize {
-        self.spill.spilled_lanes()
+        self.pool.spill().spilled_lanes()
     }
 }
 
@@ -316,13 +319,13 @@ impl ProtocolNode {
             out_ports,
             start,
             started: false,
+            pool: DwellPool::default(),
             ig: GrowRelay::new(SnakeKind::Ig),
             og: GrowRelay::new(SnakeKind::Og),
             bg: GrowRelay::new(SnakeKind::Bg),
             dying_id: DyingPassage::new(SnakeKind::Id),
             dying_od: DyingPassage::new(SnakeKind::Od),
             dying_bd: DyingPassage::new(SnakeKind::Bd),
-            spill: DwellSpill::default(),
             marks: LoopMarks::new(),
             pending_loop: None,
             pending_bca: None,
@@ -348,12 +351,13 @@ impl ProtocolNode {
     /// created is gone. DFS bookkeeping is excluded — the paper never
     /// erases it.
     pub fn snake_state_pristine(&self) -> bool {
-        self.ig.is_pristine()
-            && self.og.is_pristine()
-            && self.bg.is_pristine()
-            && self.dying_id.is_pristine()
-            && self.dying_od.is_pristine()
-            && self.dying_bd.is_pristine()
+        let pool = &self.pool;
+        self.ig.is_pristine(pool)
+            && self.og.is_pristine(pool)
+            && self.bg.is_pristine(pool)
+            && self.dying_id.is_pristine(pool)
+            && self.dying_od.is_pristine(pool)
+            && self.dying_bd.is_pristine(pool)
             && self.marks.is_pristine()
             && self.pending_loop.is_none()
             && self.pending_bca.is_none()
@@ -367,7 +371,7 @@ impl ProtocolNode {
     pub fn growing_residue(&self) -> usize {
         let marks = [&self.ig, &self.og, &self.bg]
             .iter()
-            .map(|r| usize::from(r.is_marked()) + r.pending_len())
+            .map(|r| usize::from(r.is_marked()) + r.pending_len(&self.pool))
             .sum::<usize>();
         marks
     }
@@ -375,13 +379,7 @@ impl ProtocolNode {
     /// Characters of any kind dwelling in this processor (type-size /
     /// finite-state census).
     pub fn chars_in_flight(&self) -> usize {
-        self.ig.pending_len()
-            + self.og.pending_len()
-            + self.bg.pending_len()
-            + self.dying_id.pending_len()
-            + self.dying_od.pending_len()
-            + self.dying_bd.pending_len()
-            + usize::from(self.pending_loop.is_some())
+        self.pool.len() + usize::from(self.pending_loop.is_some())
     }
 
     /// Is any protocol machinery (RCA/BCA/root conversion/pending
@@ -398,13 +396,14 @@ impl ProtocolNode {
     /// Debug description of any non-pristine snake state (empty if clean).
     pub fn residue_description(&self) -> String {
         let mut out = String::new();
+        let pool = &self.pool;
         for (name, ok) in [
-            ("ig", self.ig.is_pristine()),
-            ("og", self.og.is_pristine()),
-            ("bg", self.bg.is_pristine()),
-            ("dying_id", self.dying_id.is_pristine()),
-            ("dying_od", self.dying_od.is_pristine()),
-            ("dying_bd", self.dying_bd.is_pristine()),
+            ("ig", self.ig.is_pristine(pool)),
+            ("og", self.og.is_pristine(pool)),
+            ("bg", self.bg.is_pristine(pool)),
+            ("dying_id", self.dying_id.is_pristine(pool)),
+            ("dying_od", self.dying_od.is_pristine(pool)),
+            ("dying_bd", self.dying_bd.is_pristine(pool)),
             ("marks", self.marks.is_pristine()),
             ("pending_loop", self.pending_loop.is_none()),
             ("pending_bca", self.pending_bca.is_none()),
@@ -455,7 +454,7 @@ impl ProtocolNode {
 
     /// Is this processor dark from a `node-restart` power cycle at `now`?
     pub fn is_offline(&self, now: u64) -> bool {
-        now < self.spill.dark_until()
+        now < self.pool.spill().dark_until()
     }
 
     /// `node-restart` fault: power-cycle this processor at tick `now`.
@@ -469,7 +468,7 @@ impl ProtocolNode {
     /// backwards. The root hosts the master computer and cannot restart.
     pub fn restart(&mut self, now: u64) {
         assert!(!self.is_root, "the master computer's host never restarts");
-        self.spill.retire_lanes();
+        self.pool.retire();
         self.ig = GrowRelay::new(SnakeKind::Ig);
         self.og = GrowRelay::new(SnakeKind::Og);
         self.bg = GrowRelay::new(SnakeKind::Bg);
@@ -487,7 +486,7 @@ impl ProtocolNode {
         self.reset_parity = false;
         self.started = false;
         self.dfs = DfsState::fresh(false);
-        self.spill.go_dark(now + RESTART_DOWNTIME);
+        self.pool.spill_mut().go_dark(now + RESTART_DOWNTIME);
     }
 
     // ------------------------------------------------------------------
@@ -518,7 +517,7 @@ impl ProtocolNode {
         if self.rca != RcaState::Idle || self.ig.is_marked() {
             return;
         }
-        self.ig.start(&mut self.spill, now);
+        self.ig.start(&mut self.pool, now);
         self.rcas_started = self.rcas_started.saturating_add(1);
         self.rca = RcaState::AwaitOg { report, after };
     }
@@ -528,7 +527,7 @@ impl ProtocolNode {
         if self.bca != BcaState::Idle || self.bg.is_marked() {
             return;
         }
-        self.bg.start(&mut self.spill, now);
+        self.bg.start(&mut self.pool, now);
         self.bcas_started = self.bcas_started.saturating_add(1);
         self.bca = BcaState::AwaitBgHead { via };
     }
@@ -541,9 +540,9 @@ impl ProtocolNode {
     /// real race where a stale KILL of a short-loop BCA could erase the
     /// next RCA's fresh flood (DESIGN.md §5).
     fn release_kill(&mut self, ctx: &mut Ctx) {
-        self.ig.erase();
-        self.og.erase();
-        self.bg.erase();
+        self.ig.erase(&mut self.pool);
+        self.og.erase(&mut self.pool);
+        self.bg.erase(&mut self.pool);
         self.broadcast_kill(ctx.outputs);
     }
 
@@ -648,7 +647,7 @@ impl ProtocolNode {
                         };
                         ctx.events.push(TranscriptEvent::IgHop(hop));
                         self.og.mark_initiator();
-                        self.og.relay(&mut self.spill, c, now);
+                        self.og.relay(&mut self.pool, c, now);
                         self.root_rca = RootRca::ConvertingIg;
                     }
                 }
@@ -661,7 +660,7 @@ impl ProtocolNode {
                                 // the tail — "the root holds onto the tail
                                 // character while it sends OG(i, ∗) out of
                                 // each of its out-ports" (step 2).
-                                self.og.relay(&mut self.spill, SnakeChar::Tail, now);
+                                self.og.relay(&mut self.pool, SnakeChar::Tail, now);
                                 self.root_rca = RootRca::AwaitId;
                             }
                             other => {
@@ -672,7 +671,7 @@ impl ProtocolNode {
                                     return;
                                 };
                                 ctx.events.push(TranscriptEvent::IgHop(hop));
-                                self.og.relay(&mut self.spill, other, now);
+                                self.og.relay(&mut self.pool, other, now);
                             }
                         }
                     }
@@ -688,7 +687,7 @@ impl ProtocolNode {
             return;
         }
         if let Some(c) = self.ig.accept(p, c) {
-            self.ig.relay(&mut self.spill, c, now);
+            self.ig.relay(&mut self.pool, c, now);
         }
     }
 
@@ -730,7 +729,7 @@ impl ProtocolNode {
                     let c = c.filled(p);
                     // Convert the rest of the OG stream into the ID snake.
                     let is_tail = c.is_tail();
-                    self.dying_id.feed(&mut self.spill, p, c, now);
+                    self.dying_id.feed(&mut self.pool, p, c, now);
                     if is_tail {
                         // The whole OG stream is consumed: the growing
                         // snakes are pure garbage now — kill them early.
@@ -739,7 +738,7 @@ impl ProtocolNode {
                 }
             RcaState::Idle => {
                 if let Some(c) = self.og.accept(p, c) {
-                    self.og.relay(&mut self.spill, c, now);
+                    self.og.relay(&mut self.pool, c, now);
                 }
             }
             // Step 4/5 phases: closed to OG (stragglers die here).
@@ -772,7 +771,7 @@ impl ProtocolNode {
             {
                 let c = c.filled(p);
                 let is_tail = c.is_tail();
-                self.dying_bd.feed(&mut self.spill, via, c, now);
+                self.dying_bd.feed(&mut self.pool, via, c, now);
                 if is_tail {
                     self.bca = BcaState::AwaitBdTail { via };
                     // BG stream fully consumed: kill the flood early (the
@@ -782,7 +781,7 @@ impl ProtocolNode {
             }
             BcaState::Idle => {
                 if let Some(c) = self.bg.accept(p, c) {
-                    self.bg.relay(&mut self.spill, c, now);
+                    self.bg.relay(&mut self.pool, c, now);
                 }
             }
             // B ignores BG characters on other ports / later phases.
@@ -820,7 +819,7 @@ impl ProtocolNode {
                         SnakeChar::Tail => ctx.events.push(TranscriptEvent::IdTail),
                         SnakeChar::Head(_) => return, // cannot happen in a clean run
                     }
-                    self.dying_od.feed(&mut self.spill, p, c, now);
+                    self.dying_od.feed(&mut self.pool, p, c, now);
                     if c.is_tail() {
                         self.root_rca = RootRca::LoopPhase;
                     }
@@ -842,7 +841,7 @@ impl ProtocolNode {
                 self.dying_id.begin(p, hop.out_port);
             }
             _ if !self.dying_id.is_done() && self.dying_id.pred() == Some(p) => {
-                self.dying_id.feed(&mut self.spill, p, c, now);
+                self.dying_id.feed(&mut self.pool, p, c, now);
             }
             _ => {} // off-path character (only possible after a mutation)
         }
@@ -877,7 +876,7 @@ impl ProtocolNode {
                 self.dying_od.begin(p, hop.out_port);
             }
             _ if !self.dying_od.is_done() && self.dying_od.pred() == Some(p) => {
-                self.dying_od.feed(&mut self.spill, p, c, now);
+                self.dying_od.feed(&mut self.pool, p, c, now);
             }
             _ => {} // off-path character (only possible after a mutation)
         }
@@ -915,7 +914,7 @@ impl ProtocolNode {
                 self.dying_bd.begin(p, hop.out_port);
             }
             _ if !self.dying_bd.is_done() && self.dying_bd.pred() == Some(p) => {
-                self.dying_bd.feed(&mut self.spill, p, c, now);
+                self.dying_bd.feed(&mut self.pool, p, c, now);
             }
             _ => {} // off-path character (only possible after a mutation)
         }
@@ -941,7 +940,7 @@ impl ProtocolNode {
             };
             ctx.outputs[succ.idx()].set_unmark();
             self.marks.clear();
-            self.dying_bd.reset();
+            self.dying_bd.reset(&mut self.pool);
             self.bca = BcaState::Idle;
             if self.bca_probe {
                 ctx.events.push(TranscriptEvent::BcaComplete);
@@ -984,8 +983,8 @@ impl ProtocolNode {
         if let RcaState::AwaitUnmarkReturn { after } = self.rca {
             if self.marks.pred(MarkPair::First) == Some(p) {
                 self.marks.clear();
-                self.dying_id.reset();
-                self.dying_od.reset();
+                self.dying_id.reset(&mut self.pool);
+                self.dying_od.reset(&mut self.pool);
                 self.rca = RcaState::Idle;
                 self.on_rca_done(after, now, ctx);
                 return;
@@ -995,7 +994,7 @@ impl ProtocolNode {
         // erased and all KILLs are dead — act on the payload.
         if self.dying_bd.is_endpoint() && self.dying_bd.pred() == Some(p) {
             self.marks.clear();
-            self.dying_bd.reset();
+            self.dying_bd.reset(&mut self.pool);
             // The endpoint always holds the payload in an undisturbed run;
             // a mutation can deliver the UNMARK without it.
             let Some(msg) = self.pending_bca.take() else {
@@ -1009,18 +1008,18 @@ impl ProtocolNode {
             ctx.outputs[route.succ.idx()].set_unmark();
             match route.pair {
                 MarkPair::First => {
-                    self.dying_id.reset();
-                    self.dying_bd.reset();
+                    self.dying_id.reset(&mut self.pool);
+                    self.dying_bd.reset(&mut self.pool);
                 }
                 MarkPair::Second => {
-                    self.dying_od.reset();
+                    self.dying_od.reset(&mut self.pool);
                 }
             }
             if self.is_root {
                 // "Upon reception of this UNMARK token, the root reopens
                 // itself to IG-snakes" (step 5).
-                self.dying_od.reset();
-                self.dying_id.reset();
+                self.dying_od.reset(&mut self.pool);
+                self.dying_id.reset(&mut self.pool);
                 self.root_rca = RootRca::Open;
             }
         }
@@ -1057,44 +1056,52 @@ impl ProtocolNode {
     // Scheduled emissions
     // ------------------------------------------------------------------
 
-    fn flush_due(&mut self, now: u64, outputs: &mut [Signal]) {
+    /// Emit what is due at `now`, and return the earliest tick at which
+    /// anything still dwelling emerges: the wake deadline this processor
+    /// hands the engine's frontier. `None` when nothing is left dwelling
+    /// (the processor is purely input-driven).
+    fn flush_due(&mut self, now: u64, outputs: &mut [Signal]) -> Option<u64> {
         // At most one emission per snake kind per tick. In an undisturbed
-        // run deadlines within one relay are spaced ≥ 1 tick apart (one
+        // run deadlines within one lane are spaced ≥ 1 tick apart (one
         // character per wire per tick) and the processor steps on every
         // tick it holds pending characters, so this drains exactly as the
         // unbounded loop would. After a live mutation a straggler stream
         // can land a second character whose deadline collides with a
         // queued one (e.g. a re-routed head arriving behind a tail);
         // serializing the emissions preserves the one-character-per-kind
-        // wire invariant instead of tripping its collision guard.
-        for kind in [SnakeKind::Ig, SnakeKind::Og, SnakeKind::Bg] {
-            let relay = match kind {
-                SnakeKind::Ig => &mut self.ig,
-                SnakeKind::Og => &mut self.og,
-                _ => &mut self.bg,
-            };
-            if let Some(e) = relay.due(&mut self.spill, now) {
-                match e {
-                    GrowEmit::Heads => {
-                        for o in self.out_ports.iter() {
-                            outputs[o.idx()].put_snake(kind, SnakeChar::Head(Hop::star(o)));
-                        }
+        // wire invariant instead of tripping its collision guard. Every
+        // lane's front is popped in one pass over the pool, which also
+        // finds the earliest deadline left. The popped items land in a
+        // local array: an array returned by value was written with 4-byte
+        // stores and copied with 16-byte loads, a store-forwarding stall
+        // on every step.
+        let mut due = [None; SnakeKind::ALL.len()];
+        let next = self
+            .pool
+            .pop_due_each(now, |kind, w| due[kind.idx()] = Some(w));
+        for kind in SnakeKind::GROWING {
+            let Some(w) = due[kind.idx()] else { continue };
+            match GrowEmit::unpack(w) {
+                GrowEmit::Heads => {
+                    for o in self.out_ports.iter() {
+                        outputs[o.idx()].put_snake(kind, SnakeChar::Head(Hop::star(o)));
                     }
-                    GrowEmit::Relay(c) => self.broadcast_snake(outputs, kind, c),
-                    GrowEmit::Extend => {
-                        for o in self.out_ports.iter() {
-                            outputs[o.idx()].put_snake(kind, SnakeChar::Body(Hop::star(o)));
-                        }
-                    }
-                    GrowEmit::Tail => self.broadcast_snake(outputs, kind, SnakeChar::Tail),
                 }
+                GrowEmit::Relay(c) => self.broadcast_snake(outputs, kind, c),
+                GrowEmit::Extend => {
+                    for o in self.out_ports.iter() {
+                        outputs[o.idx()].put_snake(kind, SnakeChar::Body(Hop::star(o)));
+                    }
+                }
+                GrowEmit::Tail => self.broadcast_snake(outputs, kind, SnakeChar::Tail),
             }
         }
-        // Dying lanes route each character to one specific port, but the
-        // same collision argument applies per lane: one emission per tick.
-        for lane in [&mut self.dying_id, &mut self.dying_od, &mut self.dying_bd] {
-            if let Some(e) = lane.due(&mut self.spill, now) {
-                outputs[e.port.idx()].put_snake(lane.out_kind(), e.c);
+        // Dying lanes route each character to their passage's successor
+        // out-port, which is set whenever the lane holds characters.
+        for lane in [&self.dying_id, &self.dying_od, &self.dying_bd] {
+            let kind = lane.out_kind();
+            if let (Some(w), Some(port)) = (due[kind.idx()], lane.succ()) {
+                outputs[port.idx()].put_snake(kind, SnakeChar::unpack(w));
             }
         }
         if let Some((deadline, tok, port)) = self.pending_loop {
@@ -1103,35 +1110,12 @@ impl ProtocolNode {
                 self.pending_loop = None;
             }
         }
+        let token = self.pending_loop.map(|(at, _, _)| at.tick(now));
+        next.into_iter().chain(token).min()
     }
 
     fn has_pending(&self) -> bool {
-        self.ig.has_pending()
-            || self.og.has_pending()
-            || self.bg.has_pending()
-            || self.dying_id.has_pending()
-            || self.dying_od.has_pending()
-            || self.dying_bd.has_pending()
-            || self.pending_loop.is_some()
-    }
-
-    /// Earliest tick at which any dwelling character emerges — the wake
-    /// deadline this processor hands the engine's frontier. `None` when
-    /// nothing is dwelling (the processor is purely input-driven).
-    fn next_emission_deadline(&self, now: u64) -> Option<u64> {
-        let never = u64::MAX;
-        let spill = &self.spill;
-        let next = self
-            .ig
-            .next_deadline(spill, now)
-            .unwrap_or(never)
-            .min(self.og.next_deadline(spill, now).unwrap_or(never))
-            .min(self.bg.next_deadline(spill, now).unwrap_or(never))
-            .min(self.dying_id.next_deadline(spill, now).unwrap_or(never))
-            .min(self.dying_od.next_deadline(spill, now).unwrap_or(never))
-            .min(self.dying_bd.next_deadline(spill, now).unwrap_or(never))
-            .min(self.pending_loop.map_or(never, |(at, _, _)| at.tick(now)));
-        (next != never).then_some(next)
+        !self.pool.is_empty() || self.pending_loop.is_some()
     }
 }
 
@@ -1146,14 +1130,14 @@ impl Automaton for ProtocolNode {
         // consumed and lost, nothing is emitted, and the engine is asked
         // to wake us exactly when the downtime expires (so the amnesiac
         // power-on lands on the same tick in every engine mode).
-        let dark_until = self.spill.dark_until();
+        let dark_until = self.pool.spill().dark_until();
         if now < dark_until {
             let blank = Signal::default();
             let lost = ctx.inputs[..self.delta as usize]
                 .iter()
                 .filter(|s| **s != blank)
                 .count();
-            self.spill.record_lost(lost as u64);
+            self.pool.spill_mut().record_lost(lost as u64);
             ctx.request_restep_at(dark_until);
             return;
         }
@@ -1221,10 +1205,7 @@ impl Automaton for ProtocolNode {
         }
         if killed {
             self.kills_accepted = self.kills_accepted.saturating_add(1);
-            self.ig.erase();
-            self.og.erase();
-            self.bg.erase();
-            self.broadcast_kill(ctx.outputs);
+            self.release_kill(ctx);
         }
 
         // Phase 2: growing-snake characters (ascending port order ⇒ the
@@ -1297,7 +1278,7 @@ impl Automaton for ProtocolNode {
         if !self.has_pending() {
             return;
         }
-        self.flush_due(now, ctx.outputs);
+        let next = self.flush_due(now, ctx.outputs);
 
         // Phase 8: sleep until the earliest scheduled emission. The engine
         // frontier skips this processor entirely until that deadline (or
@@ -1306,7 +1287,7 @@ impl Automaton for ProtocolNode {
         // one emission per lane per tick, so a drained lane whose next
         // item is already due simply re-arms for the coming tick.
         self.note_chars(self.chars_in_flight());
-        if let Some(deadline) = self.next_emission_deadline(now) {
+        if let Some(deadline) = next {
             ctx.request_restep_at(deadline);
         }
     }
@@ -1409,12 +1390,32 @@ mod tests {
         // E5's finite-state census as a check. On one small network of
         // every family, a full map and a standalone RCA keep every
         // growing lane at most three characters deep after each step and
-        // every dying lane at most two, and no lane ever needs more than
-        // its four inline slots.
+        // every dying lane at most two, and no processor ever holds more
+        // characters than its pool's eight entries, so no lane spills.
+        // Each family's character high-water mark (`stat_max_chars`, a
+        // dwelling loop token included) is pinned exactly, for the map
+        // and for the RCA: a protocol change that deepens dwell fails
+        // here before it starts spilling.
         use crate::runner::build_gtd_engine;
         use gtd_netsim::{spec::registry_examples, Engine, EngineMode, NodeId};
 
-        for spec in registry_examples() {
+        // Per family: the high-water mark of the map, then of the RCA.
+        const MAX_CHARS: &[(&str, [u64; 2])] = &[
+            ("ring", [3, 3]),
+            ("line-bidi", [5, 3]),
+            ("torus", [6, 6]),
+            ("debruijn", [5, 3]),
+            ("kautz", [5, 3]),
+            ("hypercube", [6, 6]),
+            ("complete", [3, 3]),
+            ("random-sc", [6, 6]),
+            ("bidi-grid-faulty", [6, 3]),
+            ("tree-loop", [6, 3]),
+        ];
+        let specs = registry_examples();
+        assert_eq!(specs.len(), MAX_CHARS.len(), "one pin per family");
+        for (spec, &(family, pinned)) in specs.iter().zip(MAX_CHARS) {
+            assert_eq!(spec.family_name(), family);
             let topo = spec.build();
             let map = build_gtd_engine(&topo, EngineMode::Sparse);
             let rca = Engine::new(&topo, EngineMode::Sparse, |meta| {
@@ -1425,29 +1426,39 @@ mod tests {
                 };
                 ProtocolNode::new(&meta, start)
             });
-            for (mut engine, done) in [
+            for ((mut engine, done), pinned) in [
                 (map, TranscriptEvent::Terminated),
                 (rca, TranscriptEvent::RcaComplete),
-            ] {
-                let (mut growing, mut dying) = (0, 0);
+            ]
+            .into_iter()
+            .zip(pinned)
+            {
+                let (mut growing, mut dying, mut pooled) = (0, 0, 0);
                 drive(&mut engine, done, 1_000_000, |e| {
                     for n in e.nodes() {
                         for r in [&n.ig, &n.og, &n.bg] {
-                            growing = growing.max(r.pending_len());
+                            growing = growing.max(r.pending_len(&n.pool));
                         }
                         for p in [&n.dying_id, &n.dying_od, &n.dying_bd] {
-                            dying = dying.max(p.pending_len());
+                            dying = dying.max(p.pending_len(&n.pool));
                         }
+                        pooled = pooled.max(n.pool.len());
                     }
                 });
                 let at = format!("{spec} until {done:?}");
                 assert!(engine.is_quiet(), "{at}: never settled");
                 assert!(growing <= 3 && dying <= 2, "{at}: {growing} / {dying}");
+                assert!(
+                    pooled <= DwellPool::INLINE,
+                    "{at}: the pool overflowed ({pooled})"
+                );
                 for n in engine.nodes() {
                     assert_eq!(n.spilled_lanes(), 0, "{at}");
                     assert!(n.stat_max_chars() <= 8, "{at}: {}", n.stat_max_chars());
                     assert_eq!(n.stat_dropped(), 0, "{at}");
                 }
+                let max_chars = engine.nodes().iter().map(|n| n.stat_max_chars()).max();
+                assert_eq!(max_chars, Some(pinned), "{at}: the high-water mark moved");
             }
         }
     }

@@ -152,9 +152,9 @@ pub struct RunStats {
     pub local_forwards: usize,
     /// Root-local backs (BCA returned the token to the root).
     pub local_backs: usize,
-    /// Snake characters the processors' bounded dwell queues refused at
+    /// Snake characters the processors' bounded dwell lanes refused at
     /// capacity during this run (summed over all processors at round end;
-    /// see `DwellQueue::push_bounded`). Always 0 on clean runs — non-zero
+    /// see `DwellPool::push_bounded`). Always 0 on clean runs — non-zero
     /// only when a live topology mutation orphaned a growing stream.
     pub dropped: u64,
     /// Characters the wire-level [`FaultPlane`] destroyed during this run

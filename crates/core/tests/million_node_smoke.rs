@@ -1,7 +1,8 @@
 //! Million-node smoke at debug-feasible scale: `random-sc:n=100000`
 //! must build under the CSR/SoA layout, sparse and parallel must agree
 //! byte-for-byte on a bounded flood window, and steady-state ticks must
-//! not allocate at all: every dwell lane stays in its inline slots.
+//! not allocate at all: every dwelling character stays in its
+//! processor's inline dwell pool.
 //!
 //! The counting allocator is process-global, so this file holds exactly
 //! one test: any neighbour would race the counter.
@@ -105,8 +106,8 @@ fn hundred_k_nodes_build_agree_and_stay_alloc_free() {
         "sparse and parallel transcripts must be byte-identical"
     );
     // Steady-state ticks allocate zero, first touches included: a
-    // clean run's lanes never leave their inline slots, so no node ever
-    // boxes a slab.
+    // clean run's characters never leave their processor's inline pool,
+    // so no node ever boxes a slab.
     assert!(
         per_tick.iter().all(|&a| a == 0),
         "steady-state ticks must not allocate: {per_tick:?}"

@@ -18,7 +18,7 @@
 //! reconstruction uses to let the target recognize itself (DESIGN.md §5).
 
 use crate::chars::{OptPort, SnakeChar, SnakeKind};
-use crate::speed::{DwellQueue, DwellSpill, SPEED1_DWELL};
+use crate::speed::{DwellPool, SPEED1_DWELL};
 use gtd_netsim::Port;
 
 /// A scheduled dying-snake emission: one character through the successor
@@ -42,22 +42,27 @@ enum DState {
     /// Tail has been scheduled; the passage is over (marks remain until
     /// UNMARK).
     Done,
+    /// [`DState::Done`], and this processor is the path endpoint: its
+    /// head was immediately followed by the tail.
+    Endpoint,
 }
 
 /// One dying snake's transit through one processor.
 ///
-/// The passage's dwell queue spills into the processor's [`DwellSpill`],
-/// so every call that schedules or emits characters takes it.
+/// The passage keeps only its marking; the characters it schedules dwell
+/// on its lane of the processor's [`DwellPool`], so every call that
+/// schedules, emits or resets characters takes the pool. A lane holds
+/// characters only between [`DyingPassage::begin`] and
+/// [`DyingPassage::reset`], while the successor out-port is set.
 #[derive(Clone, Debug)]
 pub struct DyingPassage {
     state: DState,
     pred: OptPort,
     succ: OptPort,
-    endpoint: bool,
-    /// Dwell queue on the lane of the emitted kind, which differs from
-    /// the incoming kind at converting processors (root ID→OD, processor
-    /// A OG→ID).
-    q: DwellQueue<SnakeChar>,
+    /// The emitted kind, which is also the passage's lane in the pool.
+    /// It differs from the incoming kind at converting processors (root
+    /// ID→OD, processor A OG→ID).
+    out_kind: SnakeKind,
 }
 
 impl DyingPassage {
@@ -68,15 +73,14 @@ impl DyingPassage {
             state: DState::Idle,
             pred: OptPort::NONE,
             succ: OptPort::NONE,
-            endpoint: false,
-            q: DwellQueue::new(out_kind),
+            out_kind,
         }
     }
 
     /// Kind of the characters this passage emits.
     #[inline]
     pub fn out_kind(&self) -> SnakeKind {
-        self.q.lane()
+        self.out_kind
     }
 
     /// The caller has consumed a head that arrived through in-port `pred`
@@ -97,19 +101,16 @@ impl DyingPassage {
     /// keeps a dying lane at most two characters deep, but a stream
     /// disturbed by a live topology mutation can outrun the lane. The
     /// character is then refused and counted (see
-    /// [`DwellQueue::push_bounded`]) instead of breaking the finite-state
+    /// [`DwellPool::push_bounded`]) instead of breaking the finite-state
     /// guard.
-    pub fn feed(&mut self, spill: &mut DwellSpill, port: Port, c: SnakeChar, now: u64) -> bool {
+    pub fn feed(&mut self, pool: &mut DwellPool, port: Port, c: SnakeChar, now: u64) -> bool {
         assert!(self.pred.is(port), "dying character arrived off-path");
         let (state, out) = match (self.state, c) {
             // Head immediately followed by tail: we are the last processor
             // of the marked path. The tail is forwarded as-is (§2.3.3: "if
             // the next character happens to be a tail, then it gets sent
             // through the successor out-port as is").
-            (DState::AwaitFirst, SnakeChar::Tail) => {
-                self.endpoint = true;
-                (DState::Done, SnakeChar::Tail)
-            }
+            (DState::AwaitFirst, SnakeChar::Tail) => (DState::Endpoint, SnakeChar::Tail),
             // First body character → promoted to the new head.
             (DState::AwaitFirst, c) => (DState::Passing, c.as_head()),
             (DState::Passing, SnakeChar::Tail) => (DState::Done, SnakeChar::Tail),
@@ -117,23 +118,17 @@ impl DyingPassage {
             (DState::Passing, c) => (DState::Passing, c.as_body()),
             (s, c) => panic!("dying passage fed {c:?} in state {s:?}"),
         };
-        let endpoint = self.state == DState::AwaitFirst && state == DState::Done;
         self.state = state;
-        self.q.push_bounded(spill, now + SPEED1_DWELL, out);
-        endpoint
+        pool.push_bounded(self.out_kind, now + SPEED1_DWELL, out);
+        state == DState::Endpoint
     }
 
     /// Pop the next emission due at `now`.
     #[inline]
-    pub fn due(&mut self, spill: &mut DwellSpill, now: u64) -> Option<DyingEmit> {
+    pub fn due(&self, pool: &mut DwellPool, now: u64) -> Option<DyingEmit> {
         let port = self.succ.get()?;
-        self.q.pop_due(spill, now).map(|c| DyingEmit { c, port })
-    }
-
-    /// Earliest pending emission deadline.
-    #[inline]
-    pub fn next_deadline(&self, spill: &DwellSpill, now: u64) -> Option<u64> {
-        self.q.next_deadline(spill, now)
+        pool.pop_due(self.out_kind, now)
+            .map(|c| DyingEmit { c, port })
     }
 
     /// Has the snake arrived (head consumed) on this lane?
@@ -145,13 +140,13 @@ impl DyingPassage {
     /// Has the whole snake passed (tail scheduled/sent)?
     #[inline]
     pub fn is_done(&self) -> bool {
-        self.state == DState::Done
+        matches!(self.state, DState::Done | DState::Endpoint)
     }
 
     /// Was this processor the endpoint of the marked path?
     #[inline]
     pub fn is_endpoint(&self) -> bool {
-        self.endpoint
+        self.state == DState::Endpoint
     }
 
     /// The predecessor in-port recorded at head consumption.
@@ -168,33 +163,31 @@ impl DyingPassage {
 
     /// Any scheduled emissions pending?
     #[inline]
-    pub fn has_pending(&self) -> bool {
-        !self.q.is_empty()
+    pub fn has_pending(&self, pool: &DwellPool) -> bool {
+        self.pending_len(pool) > 0
     }
 
     /// Number of characters dwelling here (E5 census).
     #[inline]
-    pub fn pending_len(&self) -> usize {
-        self.q.len()
+    pub fn pending_len(&self, pool: &DwellPool) -> usize {
+        pool.lane_len(self.out_kind)
     }
 
     /// Reset for the next RCA/BCA (performed alongside UNMARK).
-    pub fn reset(&mut self) {
+    pub fn reset(&mut self, pool: &mut DwellPool) {
         self.state = DState::Idle;
         self.pred = OptPort::NONE;
         self.succ = OptPort::NONE;
-        self.endpoint = false;
-        self.q.clear();
+        pool.clear(self.out_kind);
     }
 
     /// True when indistinguishable from a factory-fresh passage.
     #[inline]
-    pub fn is_pristine(&self) -> bool {
+    pub fn is_pristine(&self, pool: &DwellPool) -> bool {
         self.state == DState::Idle
             && self.pred.is_none()
             && self.succ.is_none()
-            && !self.endpoint
-            && self.q.is_empty()
+            && !self.has_pending(pool)
     }
 }
 
@@ -209,11 +202,11 @@ mod tests {
 
     #[test]
     fn first_body_promoted_to_head() {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut p = DyingPassage::new(SnakeKind::Id);
         p.begin(Port(1), Port(2));
-        assert!(!p.feed(&mut spill, Port(1), body(3, 0), 10));
-        let e = p.due(&mut spill, 12).unwrap();
+        assert!(!p.feed(&mut pool, Port(1), body(3, 0), 10));
+        let e = p.due(&mut pool, 12).unwrap();
         assert_eq!(e.port, Port(2));
         assert_eq!(e.c, SnakeChar::Head(Hop::new(Port(3), Port(0))));
         assert!(!p.is_done());
@@ -221,69 +214,69 @@ mod tests {
 
     #[test]
     fn later_chars_pass_unchanged_then_tail_finishes() {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut p = DyingPassage::new(SnakeKind::Od);
         p.begin(Port(0), Port(0));
-        p.feed(&mut spill, Port(0), body(1, 1), 10);
-        p.feed(&mut spill, Port(0), body(2, 2), 11);
-        p.feed(&mut spill, Port(0), SnakeChar::Tail, 12);
+        p.feed(&mut pool, Port(0), body(1, 1), 10);
+        p.feed(&mut pool, Port(0), body(2, 2), 11);
+        p.feed(&mut pool, Port(0), SnakeChar::Tail, 12);
         assert!(p.is_done());
         assert!(!p.is_endpoint());
         assert_eq!(
-            p.due(&mut spill, 12).unwrap().c,
+            p.due(&mut pool, 12).unwrap().c,
             SnakeChar::Head(Hop::new(Port(1), Port(1)))
         );
-        assert_eq!(p.due(&mut spill, 13).unwrap().c, body(2, 2));
-        assert_eq!(p.due(&mut spill, 14).unwrap().c, SnakeChar::Tail);
-        assert!(!p.has_pending());
+        assert_eq!(p.due(&mut pool, 13).unwrap().c, body(2, 2));
+        assert_eq!(p.due(&mut pool, 14).unwrap().c, SnakeChar::Tail);
+        assert!(!p.has_pending(&pool));
     }
 
     #[test]
     fn head_then_tail_is_endpoint() {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut p = DyingPassage::new(SnakeKind::Bd);
         p.begin(Port(3), Port(1));
-        assert!(p.feed(&mut spill, Port(3), SnakeChar::Tail, 20));
+        assert!(p.feed(&mut pool, Port(3), SnakeChar::Tail, 20));
         assert!(p.is_endpoint());
         assert!(p.is_done());
-        let e = p.due(&mut spill, 22).unwrap();
+        let e = p.due(&mut pool, 22).unwrap();
         assert_eq!(e.c, SnakeChar::Tail);
         assert_eq!(e.port, Port(1));
     }
 
     #[test]
     fn speed_one_dwell_on_every_char() {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut p = DyingPassage::new(SnakeKind::Id);
         p.begin(Port(0), Port(0));
-        p.feed(&mut spill, Port(0), body(0, 0), 7);
-        assert_eq!(p.due(&mut spill, 8), None);
-        assert!(p.due(&mut spill, 9).is_some());
+        p.feed(&mut pool, Port(0), body(0, 0), 7);
+        assert_eq!(p.due(&mut pool, 8), None);
+        assert!(p.due(&mut pool, 9).is_some());
     }
 
     #[test]
     fn a_lane_past_capacity_drops_and_counts() {
         // A mutation-era stream can outrun a dying lane; the refused
         // characters are counted, not a panic.
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut p = DyingPassage::new(SnakeKind::Id);
         p.begin(Port(0), Port(1));
-        let cap = DwellQueue::<SnakeChar>::HARD_CAP;
+        let cap = DwellPool::HARD_CAP;
         for _ in 0..cap + 3 {
-            assert!(!p.feed(&mut spill, Port(0), body(1, 1), 5));
+            assert!(!p.feed(&mut pool, Port(0), body(1, 1), 5));
         }
-        p.feed(&mut spill, Port(0), SnakeChar::Tail, 6);
+        p.feed(&mut pool, Port(0), SnakeChar::Tail, 6);
         assert!(p.is_done());
-        assert_eq!((p.pending_len(), spill.dropped()), (cap, 4));
+        assert_eq!((p.pending_len(&pool), pool.spill().dropped()), (cap, 4));
     }
 
     #[test]
     #[should_panic(expected = "off-path")]
     fn wrong_port_panics() {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut p = DyingPassage::new(SnakeKind::Id);
         p.begin(Port(0), Port(0));
-        p.feed(&mut spill, Port(1), body(0, 0), 0);
+        p.feed(&mut pool, Port(1), body(0, 0), 0);
     }
 
     #[test]
@@ -296,13 +289,13 @@ mod tests {
 
     #[test]
     fn reset_restores_pristine() {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut p = DyingPassage::new(SnakeKind::Od);
         p.begin(Port(0), Port(1));
-        p.feed(&mut spill, Port(0), SnakeChar::Tail, 5);
-        assert!(!p.is_pristine());
-        p.reset();
-        assert!(p.is_pristine());
+        p.feed(&mut pool, Port(0), SnakeChar::Tail, 5);
+        assert!(!p.is_pristine(&pool));
+        p.reset(&mut pool);
+        assert!(p.is_pristine(&pool));
         // reusable afterwards
         p.begin(Port(2), Port(2));
         assert!(p.is_active());

@@ -26,7 +26,7 @@
 //! own conversion pipelines (`gtd-core`).
 
 use crate::chars::{SnakeChar, SnakeKind};
-use crate::speed::{DwellQueue, DwellSpill, SPEED1_DWELL};
+use crate::speed::{DwellPool, SPEED1_DWELL};
 use gtd_netsim::Port;
 
 /// A scheduled growing-snake emission.
@@ -55,39 +55,38 @@ const ADOPTED: u8 = 2;
 
 /// Per-processor, per-kind growing-snake state.
 ///
-/// The relay's dwell queue spills into the processor's [`DwellSpill`], so
-/// every call that schedules or emits characters takes it.
+/// The relay keeps only its marking; the characters it schedules dwell
+/// on its kind's lane of the processor's [`DwellPool`], so every call
+/// that schedules, emits or erases characters takes the pool.
 #[derive(Clone, Debug)]
 pub struct GrowRelay {
     /// The visited mark and the parent in-port in one byte: [`FRESH`],
     /// [`INITIATOR`] or [`ADOPTED`] + parent.
     link: u8,
-    q: DwellQueue<GrowEmit>,
+    /// The snake kind, which is also the relay's lane in the pool.
+    kind: SnakeKind,
 }
 
 impl GrowRelay {
     /// Fresh, quiescent relay for one snake kind.
     pub fn new(kind: SnakeKind) -> Self {
         assert!(kind.is_growing(), "GrowRelay only handles growing kinds");
-        GrowRelay {
-            link: FRESH,
-            q: DwellQueue::new(kind),
-        }
+        GrowRelay { link: FRESH, kind }
     }
 
     /// The snake kind this relay handles.
     #[inline]
     pub fn kind(&self) -> SnakeKind {
-        self.q.lane()
+        self.kind
     }
 
     /// Become the initiator: mark self visited (no parent) and schedule the
     /// baby snake — heads this tick, tail next tick (§2.3.2, first rule).
-    pub fn start(&mut self, spill: &mut DwellSpill, now: u64) {
+    pub fn start(&mut self, pool: &mut DwellPool, now: u64) {
         assert!(self.link == FRESH, "initiator must start on a clean relay");
         self.link = INITIATOR;
-        self.q.push(spill, now, GrowEmit::Heads);
-        self.q.push(spill, now + 1, GrowEmit::Tail);
+        pool.push(self.kind, now, GrowEmit::Heads);
+        pool.push(self.kind, now + 1, GrowEmit::Tail);
     }
 
     /// Become the initiator **without** emitting a baby snake: used by the
@@ -133,42 +132,36 @@ impl GrowRelay {
     /// broadcast after the speed-1 dwell; tails trigger the extend-then-tail
     /// sequence.
     ///
-    /// Lossy at capacity: a clean run keeps the queue a few characters
+    /// Lossy at capacity: a clean run keeps the lane a few characters
     /// deep, but a live topology mutation can orphan a growing stream
     /// into a cycle where it circulates — and grows — forever. The finite
     /// buffer drops such characters instead of growing without bound (see
-    /// [`DwellQueue::push_bounded`]); the dropped stream is mutation-era
+    /// [`DwellPool::push_bounded`]); the dropped stream is mutation-era
     /// junk by construction, and the session-level remap driver recovers
     /// the disturbed run.
-    pub fn relay(&mut self, spill: &mut DwellSpill, c: SnakeChar, now: u64) {
+    pub fn relay(&self, pool: &mut DwellPool, c: SnakeChar, now: u64) {
+        let lane = self.kind;
         match c {
             SnakeChar::Tail => {
                 // all-or-nothing: an extension without its tail (or vice
                 // versa) would corrupt even streams we could still carry
-                if self.q.len() + 2 <= DwellQueue::<GrowEmit>::HARD_CAP {
-                    self.q.push(spill, now + SPEED1_DWELL, GrowEmit::Extend);
-                    self.q.push(spill, now + SPEED1_DWELL + 1, GrowEmit::Tail);
+                if pool.lane_len(lane) + 2 <= DwellPool::HARD_CAP {
+                    pool.push(lane, now + SPEED1_DWELL, GrowEmit::Extend);
+                    pool.push(lane, now + SPEED1_DWELL + 1, GrowEmit::Tail);
                 } else {
-                    self.q.record_drops(spill, 2);
+                    pool.record_drops(lane, 2);
                 }
             }
             other => {
-                self.q
-                    .push_bounded(spill, now + SPEED1_DWELL, GrowEmit::Relay(other));
+                pool.push_bounded(lane, now + SPEED1_DWELL, GrowEmit::Relay(other));
             }
         }
     }
 
     /// Pop the next emission due at `now`, if any.
     #[inline]
-    pub fn due(&mut self, spill: &mut DwellSpill, now: u64) -> Option<GrowEmit> {
-        self.q.pop_due(spill, now)
-    }
-
-    /// Earliest pending emission deadline (restep scheduling).
-    #[inline]
-    pub fn next_deadline(&self, spill: &DwellSpill, now: u64) -> Option<u64> {
-        self.q.next_deadline(spill, now)
+    pub fn due(&self, pool: &mut DwellPool, now: u64) -> Option<GrowEmit> {
+        pool.pop_due(self.kind, now)
     }
 
     /// Has this processor been visited by (or initiated) this snake kind?
@@ -191,28 +184,28 @@ impl GrowRelay {
 
     /// Any scheduled emissions pending?
     #[inline]
-    pub fn has_pending(&self) -> bool {
-        !self.q.is_empty()
+    pub fn has_pending(&self, pool: &DwellPool) -> bool {
+        self.pending_len(pool) > 0
     }
 
     /// Number of characters currently dwelling here (E5 census).
     #[inline]
-    pub fn pending_len(&self) -> usize {
-        self.q.len()
+    pub fn pending_len(&self, pool: &DwellPool) -> usize {
+        pool.lane_len(self.kind)
     }
 
     /// KILL-token erasure: "completely eradicate all traces of growing
     /// snake characters … both characters and markings" (§4.2.1 step 4).
-    pub fn erase(&mut self) {
+    pub fn erase(&mut self, pool: &mut DwellPool) {
         self.link = FRESH;
-        self.q.clear();
+        pool.clear(self.kind);
     }
 
     /// True when indistinguishable from a factory-fresh relay — the state
     /// Lemma 4.2 promises after every RCA/BCA.
     #[inline]
-    pub fn is_pristine(&self) -> bool {
-        self.link == FRESH && self.q.is_empty()
+    pub fn is_pristine(&self, pool: &DwellPool) -> bool {
+        self.link == FRESH && !self.has_pending(pool)
     }
 }
 
@@ -261,9 +254,9 @@ mod tests {
 
     #[test]
     fn initiator_ignores_returning_snakes() {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut r = GrowRelay::new(SnakeKind::Ig);
-        r.start(&mut spill, 10);
+        r.start(&mut pool, 10);
         assert!(r.is_initiator());
         assert!(r.parent().is_none());
         // A snake of our own kind looping back must be ignored.
@@ -274,74 +267,74 @@ mod tests {
 
     #[test]
     fn birth_schedule_heads_then_tail() {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut r = GrowRelay::new(SnakeKind::Bg);
-        r.start(&mut spill, 10);
-        assert_eq!(r.due(&mut spill, 9), None);
-        assert_eq!(r.due(&mut spill, 10), Some(GrowEmit::Heads));
-        assert_eq!(r.due(&mut spill, 10), None);
-        assert_eq!(r.due(&mut spill, 11), Some(GrowEmit::Tail));
-        assert!(!r.has_pending());
+        r.start(&mut pool, 10);
+        assert_eq!(r.due(&mut pool, 9), None);
+        assert_eq!(r.due(&mut pool, 10), Some(GrowEmit::Heads));
+        assert_eq!(r.due(&mut pool, 10), None);
+        assert_eq!(r.due(&mut pool, 11), Some(GrowEmit::Tail));
+        assert!(!r.has_pending(&pool));
     }
 
     #[test]
     fn relay_dwells_speed_one() {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut r = GrowRelay::new(SnakeKind::Ig);
         // adopt via the stream's head, then relay a body character
         r.accept(Port(0), SnakeChar::Head(Hop::star(Port(1))))
             .unwrap();
         let c = r.accept(Port(0), body(1, 0)).unwrap();
-        r.relay(&mut spill, c, 100);
-        assert_eq!(r.due(&mut spill, 101), None);
-        assert_eq!(r.due(&mut spill, 102), Some(GrowEmit::Relay(body(1, 0))));
+        r.relay(&mut pool, c, 100);
+        assert_eq!(r.due(&mut pool, 101), None);
+        assert_eq!(r.due(&mut pool, 102), Some(GrowEmit::Relay(body(1, 0))));
     }
 
     #[test]
     fn tail_triggers_extend_then_tail() {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut r = GrowRelay::new(SnakeKind::Ig);
         r.accept(Port(0), SnakeChar::Head(Hop::star(Port(1))))
             .unwrap();
         let c = r.accept(Port(0), SnakeChar::Tail).unwrap();
-        r.relay(&mut spill, c, 50);
-        assert_eq!(r.due(&mut spill, 52), Some(GrowEmit::Extend));
-        assert_eq!(r.due(&mut spill, 52), None);
-        assert_eq!(r.due(&mut spill, 53), Some(GrowEmit::Tail));
+        r.relay(&mut pool, c, 50);
+        assert_eq!(r.due(&mut pool, 52), Some(GrowEmit::Extend));
+        assert_eq!(r.due(&mut pool, 52), None);
+        assert_eq!(r.due(&mut pool, 53), Some(GrowEmit::Tail));
     }
 
     #[test]
     fn stream_spacing_preserved_through_relay() {
         // chars arriving 1 tick apart leave 1 tick apart
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut r = GrowRelay::new(SnakeKind::Ig);
         let h = r
             .accept(Port(0), SnakeChar::Head(Hop::star(Port(0))))
             .unwrap();
-        r.relay(&mut spill, h, 10);
+        r.relay(&mut pool, h, 10);
         let b = r.accept(Port(0), body(0, 0)).unwrap();
-        r.relay(&mut spill, b, 11);
+        r.relay(&mut pool, b, 11);
         assert!(matches!(
-            r.due(&mut spill, 12),
+            r.due(&mut pool, 12),
             Some(GrowEmit::Relay(SnakeChar::Head(_)))
         ));
         assert!(matches!(
-            r.due(&mut spill, 13),
+            r.due(&mut pool, 13),
             Some(GrowEmit::Relay(SnakeChar::Body(_)))
         ));
     }
 
     #[test]
     fn erase_restores_pristine() {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut r = GrowRelay::new(SnakeKind::Og);
         let c = r
             .accept(Port(1), SnakeChar::Head(Hop::star(Port(0))))
             .unwrap();
-        r.relay(&mut spill, c, 5);
-        assert!(!r.is_pristine());
-        r.erase();
-        assert!(r.is_pristine());
+        r.relay(&mut pool, c, 5);
+        assert!(!r.is_pristine(&pool));
+        r.erase(&mut pool);
+        assert!(r.is_pristine(&pool));
         // and the relay can be re-visited afresh (head-first, as always)
         assert!(r
             .accept(Port(3), SnakeChar::Head(Hop::star(Port(0))))

@@ -4,8 +4,8 @@
 
 use gtd_netsim::Port;
 use gtd_snake::{
-    DwellQueue, DwellSpill, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks, MarkPair, SnakeChar,
-    SnakeKind, SPEED1_DWELL,
+    DwellPool, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks, MarkPair, SnakeChar, SnakeKind,
+    SPEED1_DWELL,
 };
 use proptest::prelude::*;
 
@@ -32,14 +32,14 @@ proptest! {
     /// with the extend-then-tail rule at the end.
     #[test]
     fn relay_preserves_stream_order_and_timing(stream in arb_stream(), port in 0u8..6) {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut r = GrowRelay::new(SnakeKind::Ig);
         let mut t = 100u64;
         let mut accepted = Vec::new();
         for &c in &stream {
             if let Some(c) = r.accept(Port(port), c) {
                 accepted.push((t, c));
-                r.relay(&mut spill, c, t);
+                r.relay(&mut pool, c, t);
             }
             t += 1;
         }
@@ -48,11 +48,11 @@ proptest! {
         // drain emissions
         let mut emitted = Vec::new();
         for tick in 100..t + SPEED1_DWELL + 2 {
-            while let Some(e) = r.due(&mut spill, tick) {
+            while let Some(e) = r.due(&mut pool, tick) {
                 emitted.push((tick, e));
             }
         }
-        prop_assert!(!r.has_pending());
+        prop_assert!(!r.has_pending(&pool));
         // non-tail chars come out as Relay(c) exactly dwell later;
         // the tail becomes Extend then Tail one tick apart.
         let n = stream.len();
@@ -88,18 +88,18 @@ proptest! {
     fn dying_passage_shrinks_stream_by_one(stream in arb_stream(), pred in 0u8..6) {
         // feed everything after the consumed head
         let body = &stream[1..];
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut p = DyingPassage::new(SnakeKind::Id);
         p.begin(Port(pred), Port(0));
         let mut t = 50u64;
         for &c in body {
-            p.feed(&mut spill, Port(pred), c, t);
+            p.feed(&mut pool, Port(pred), c, t);
             t += 1;
         }
         prop_assert!(p.is_done());
         let mut outs = Vec::new();
         for tick in 50..t + SPEED1_DWELL + 1 {
-            while let Some(e) = p.due(&mut spill, tick) {
+            while let Some(e) = p.due(&mut pool, tick) {
                 outs.push(e.c);
             }
         }
@@ -116,7 +116,7 @@ proptest! {
         prop_assert_eq!(p.is_endpoint(), body.len() == 1);
     }
 
-    /// DwellQueue is FIFO regardless of how late the consumer polls.
+    /// A dwell lane is FIFO regardless of how late the consumer polls.
     #[test]
     fn dwell_queue_fifo(
         deadlines in proptest::collection::vec(0u64..20, 1..12),
@@ -124,15 +124,14 @@ proptest! {
     ) {
         let mut sorted = deadlines.clone();
         sorted.sort_unstable();
-        let mut spill = DwellSpill::default();
-        let mut q = DwellQueue::new(SnakeKind::Ig);
+        let mut pool = DwellPool::default();
         for (i, &d) in sorted.iter().enumerate() {
-            q.push(&mut spill, d, i as u16);
+            pool.push(SnakeKind::Ig, d, i as u16);
         }
         let mut got = Vec::new();
         let mut t = 0;
-        while !q.is_empty() {
-            while let Some(x) = q.pop_due(&mut spill, t) {
+        while !pool.is_empty() {
+            while let Some(x) = pool.pop_due::<u16>(SnakeKind::Ig, t) {
                 got.push(x);
             }
             t += poll_gap;
@@ -172,15 +171,15 @@ proptest! {
     /// pristine relay (KILL semantics are total).
     #[test]
     fn erase_is_total(stream in arb_stream(), port in 0u8..6, cut in 0usize..14) {
-        let mut spill = DwellSpill::default();
+        let mut pool = DwellPool::default();
         let mut r = GrowRelay::new(SnakeKind::Og);
         for (t, &c) in (10u64..).zip(stream.iter().take(cut.min(stream.len()))) {
             if let Some(c) = r.accept(Port(port), c) {
-                r.relay(&mut spill, c, t);
+                r.relay(&mut pool, c, t);
             }
         }
-        r.erase();
-        prop_assert!(r.is_pristine());
+        r.erase(&mut pool);
+        prop_assert!(r.is_pristine(&pool));
     }
 }
 
