@@ -534,8 +534,7 @@ impl Campaign {
 /// A per-cell failure, captured instead of aborting the grid.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellError {
-    /// Stable machine-readable kind: `budget-exhausted`, `precondition`,
-    /// `decode` or `unresolvable`.
+    /// Stable machine-readable kind, one of [`CellError::KINDS`].
     pub kind: &'static str,
     /// Human-readable detail.
     pub message: String,
@@ -547,18 +546,19 @@ impl CellError {
     /// this set) and the export parser ([`RunRecord::from_json`], which
     /// accepts exactly this set). Extend here first when adding a kind.
     ///
-    /// The first five are *logical* failures — pure functions of the
+    /// The first seven are *logical* failures — pure functions of the
     /// cell's inputs, reproducible and therefore cacheable. The last two
     /// are *operational*: `cell-timeout` (the cell exceeded a wall-clock
     /// limit; [`Campaign::cell_timeout`] or a service worker's bound) and
     /// `worker-lost` (the campaign service gave up on a cell after its
     /// retry budget). Operational records are never admitted to the
     /// incremental cache (see [`RunRecord::is_cacheable`]).
-    pub const KINDS: [&'static str; 8] = [
+    pub const KINDS: [&'static str; 9] = [
         "budget-exhausted",
         "precondition",
         "decode",
         "remap-diverged",
+        "invariant",
         "unresolvable",
         "fault-degraded",
         "cell-timeout",
@@ -585,6 +585,7 @@ impl From<MapperError> for CellError {
             MapperError::Gtd(GtdError::Precondition(_)) => "precondition",
             MapperError::Gtd(GtdError::Decode(_)) => "decode",
             MapperError::Gtd(GtdError::RemapDiverged { .. }) => "remap-diverged",
+            MapperError::Gtd(GtdError::Invariant { .. }) => "invariant",
             MapperError::Unresolvable(_) => "unresolvable",
             // Deterministic (DetRng-seeded plane), so degraded cells are
             // cacheable like any other logical outcome.
@@ -1277,6 +1278,16 @@ mod tests {
         assert_eq!(err.kind, "precondition");
         assert!(report.records[1].result.is_ok());
         assert_eq!(report.error_count(), 1);
+    }
+
+    #[test]
+    fn invariant_errors_round_trip_as_their_own_kind() {
+        let what = "network failed to settle after termination";
+        let err = CellError::from(MapperError::Gtd(GtdError::Invariant { what, tick: 7 }));
+        assert_eq!(err.kind, "invariant");
+        assert!(err.message.contains(what), "{}", err.message);
+        assert_eq!(CellError::kind_from_str("invariant"), Some("invariant"));
+        assert!(CellError::kind_is_deterministic("invariant"));
     }
 
     #[test]

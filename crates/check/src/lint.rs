@@ -60,7 +60,7 @@ pub const LINT_RULES: &[LintRule] = &[
     },
     LintRule {
         name: "debug-assert-policy",
-        summary: "no debug_assert! in core or snake production code",
+        summary: "no debug_assert!, debug_assert_eq! or debug_assert_ne! in core or snake production code",
         rationale: "mutation-era inputs (mid-run joins, stale signals) must be \
                     recoverably dropped; a debug_assert papers over a path release \
                     builds will take",
@@ -420,7 +420,7 @@ fn debug_assert_policy(ws: &Workspace, out: &mut Vec<Violation>) {
             file,
             0..file.raw.len(),
             &tests,
-            &["debug_assert"],
+            &["debug_assert", "debug_assert_eq", "debug_assert_ne"],
             RULE,
             "debug_assert on a mutation-era input path (drop recoverably instead: \
              release builds skip this check)",

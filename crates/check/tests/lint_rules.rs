@@ -202,6 +202,17 @@ fn debug_assert_in_core_is_flagged() {
 }
 
 #[test]
+fn debug_assert_eq_and_ne_in_core_are_flagged() {
+    let node = "pub fn on_signal(a: u8, b: u8) { debug_assert_eq!(a, b); debug_assert_ne!(a, 0); }";
+    let hits = findings(
+        "debug-assert-policy",
+        vec![("crates/core/src/session.rs", node)],
+        &full_readme(),
+    );
+    assert_eq!(hits.len(), 2, "{hits:?}");
+}
+
+#[test]
 fn registry_drift_is_flagged() {
     // Two variants vs the real seven-entry registry: the counts disagree.
     let mutation = "pub enum MutationKind { DropEdge, AddEdge }";

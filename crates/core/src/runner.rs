@@ -139,8 +139,8 @@ pub fn run_single_bca(
                 TranscriptEvent::BcaComplete if nid == b => {
                     ticks_initiator = Some(engine.tick_count());
                 }
-                TranscriptEvent::BcaDelivered => {
-                    debug_assert_eq!(nid, target, "payload must surface at the in-neighbour");
+                // The payload surfaces at the in-neighbour only.
+                TranscriptEvent::BcaDelivered if nid == target => {
                     ticks_delivered = Some(engine.tick_count());
                 }
                 _ => {}

@@ -1,10 +1,12 @@
 //! Builder-configured GTD runs — the crate's primary entry point.
 //!
-//! [`GtdSession`] replaces the old fixed-shape free functions (`run_gtd`,
-//! `run_gtd_repeated`): one builder configures the root processor, the
-//! engine strategy, the tick budget, transcript capture and a streaming
-//! observer, then [`GtdSession::run`] (or [`GtdSession::run_repeated`])
-//! produces a unified [`RunOutcome`].
+//! One [`GtdSession`] builder configures the root processor, the engine
+//! strategy, the tick budget, transcript capture and a streaming
+//! observer. Its four entry points — [`GtdSession::run`],
+//! [`GtdSession::run_repeated`], [`GtdSession::run_resilient`] and
+//! [`GtdSession::run_dynamic`] — are policies over one epoch stepper
+//! that ticks the engine, feeds the root's transcript to the master
+//! computer, settles the network and decodes the map.
 //!
 //! ```
 //! use gtd_core::GtdSession;
@@ -91,8 +93,10 @@ pub enum GtdError {
     BudgetExhausted {
         /// The budget that was exhausted.
         budget: u64,
-        /// Ticks actually simulated (equals `budget` for a fresh run;
-        /// for [`GtdSession::run_repeated`] it is the round-local count).
+        /// Ticks spent when the budget ran out: always `budget` (a run
+        /// that goes quiet early would idle out the rest). A
+        /// [`GtdSession::run_repeated`] round counts them from its own
+        /// start, one or more ticks after the previous round terminated.
         ticks: u64,
     },
     /// A model precondition was violated; nothing was simulated.
@@ -106,6 +110,16 @@ pub enum GtdError {
     RemapDiverged {
         /// Mapping epochs executed before giving up.
         epochs: usize,
+    },
+    /// An unfaulted static run broke a protocol invariant: a processor
+    /// other than the root emitted a transcript event, a processor
+    /// emitted after termination, the network failed to settle after
+    /// termination, or a re-map produced a different map. Always a bug.
+    Invariant {
+        /// Which invariant broke.
+        what: &'static str,
+        /// Global tick at which it was detected.
+        tick: u64,
     },
 }
 
@@ -122,6 +136,9 @@ impl std::fmt::Display for GtdError {
                     f,
                     "dynamic run did not converge after {epochs} mapping epochs"
                 )
+            }
+            GtdError::Invariant { what, tick } => {
+                write!(f, "protocol invariant broken at tick {tick}: {what}")
             }
         }
     }
@@ -651,10 +668,6 @@ impl<'a> GtdSession<'a> {
         Ok(())
     }
 
-    fn build_engine(&self) -> Engine<ProtocolNode> {
-        self.build_engine_on(self.topo, self.root, 0)
-    }
-
     /// Build a fresh engine on `topo` with the master on `root` (the
     /// session's base topology and root, or a mutated successor during a
     /// dynamic run's power-cycle — membership mutations can have shifted
@@ -678,23 +691,25 @@ impl<'a> GtdSession<'a> {
         engine
     }
 
+    /// `base` ticks stretched for wire delay: each speed-1 hop costs 3
+    /// ticks unfaulted and up to `delay_max` more under the plane, so a
+    /// delayed-but-lossless run still fits.
+    fn stretched(&self, base: u64) -> u64 {
+        base.saturating_add(base / 3 * self.fault.delay_max)
+    }
+
     /// The effective per-run tick budget: the user's explicit budget, or
-    /// [`default_tick_budget`] stretched for wire delay (each speed-1 hop
-    /// costs 3 ticks unfaulted and up to `delay_max` more under the
-    /// plane, so a delayed-but-lossless run still fits).
+    /// [`default_tick_budget`] stretched for wire delay.
     fn effective_budget(&self, topo: &Topology) -> u64 {
-        match self.tick_budget {
-            Some(b) => b,
-            None => {
-                let base = default_tick_budget(topo);
-                base.saturating_add(base / 3 * self.fault.delay_max)
-            }
-        }
+        self.tick_budget
+            .unwrap_or_else(|| self.stretched(default_tick_budget(topo)))
     }
 
     /// Run the protocol once and return the unified outcome.
-    pub fn run(self) -> Result<RunOutcome, GtdError> {
-        Ok(self.run_repeated(1)?.pop().expect("one round requested"))
+    pub fn run(mut self) -> Result<RunOutcome, GtdError> {
+        self.check_preconditions()?;
+        let mut engine = self.build_engine_on(self.topo, self.root, 0);
+        self.round(&mut engine)
     }
 
     /// Run the protocol `rounds` times on the same live network: after
@@ -703,125 +718,64 @@ impl<'a> GtdSession<'a> {
     /// bookkeeping, and the network is mapped again — the
     /// dynamic-remapping extension motivated by the paper's §1 ("the
     /// network topology or size might change…"). Determinism implies all
-    /// rounds produce identical maps, which is asserted.
+    /// rounds of an unfaulted run produce identical maps; a round that
+    /// does not is a [`GtdError::Invariant`]. Zero rounds simulate
+    /// nothing and return an empty list.
     pub fn run_repeated(mut self, rounds: usize) -> Result<Vec<RunOutcome>, GtdError> {
-        assert!(rounds >= 1);
         self.check_preconditions()?;
-        let budget = self.effective_budget(self.topo);
-        let mut engine = self.build_engine();
-        let root = self.root;
-        let capture = self.capture;
-        let faulted = self.fault.is_active();
+        let mut engine = self.build_engine_on(self.topo, self.root, 0);
         let mut outcomes: Vec<RunOutcome> = Vec::with_capacity(rounds);
-        let mut scratch = Vec::new();
-        // Drop counters are lifetime totals on the automata (and on the
-        // engine's fault plane); report each round's delta so per-round
-        // stats stay independent.
-        let mut dropped_before = 0u64;
-        let mut fault_dropped_before = 0u64;
-        let mut fault_delayed_before = 0u64;
         for round in 0..rounds {
-            let mut master = MasterComputer::new();
-            let mut events: Vec<(u64, TranscriptEvent)> = Vec::new();
-            let mut stats = RunStats::default();
-            let start_tick = engine.tick_count();
-            let mut end_tick = None;
-            while end_tick.is_none() {
-                // Fast-forward deadline-driven lulls (speed-1 dwells leave
-                // whole ticks with nothing to step), capped at the budget
-                // boundary so exhaustion fires at exactly the tick a
-                // one-by-one loop would report.
-                engine.skip_lull(start_tick.saturating_add(budget));
-                let spent = engine.tick_count() - start_tick;
-                if spent >= budget {
-                    return Err(GtdError::BudgetExhausted {
-                        budget,
-                        ticks: spent,
-                    });
-                }
-                scratch.clear();
-                engine.tick(&mut scratch);
-                let now = engine.tick_count();
-                for (nid, ev) in scratch.drain(..) {
-                    debug_assert_eq!(nid, root, "only the root emits transcript events");
-                    match ev {
-                        TranscriptEvent::LoopForward { .. } => stats.forwards += 1,
-                        TranscriptEvent::LoopBack => stats.backs += 1,
-                        TranscriptEvent::LocalForward { .. } => stats.local_forwards += 1,
-                        TranscriptEvent::LocalBack => stats.local_backs += 1,
-                        TranscriptEvent::Terminated => end_tick = Some(now),
-                        _ => {}
-                    }
-                    if let Some(obs) = self.observer.as_mut() {
-                        obs(now, ev);
-                    }
-                    if capture {
-                        events.push((now, ev));
-                    }
-                    master.feed(ev)?;
-                }
+            if round > 0 {
+                engine.node_mut(self.root).master_restart();
             }
-            // Drain the terminal tick's emissions, then wait for total
-            // quiescence (the master knows the map, hence a safe settling
-            // bound; in practice 1–2 ticks). A faulted network may never
-            // settle — a dropped UNMARK can leave a stray token
-            // circulating — so under an active plane the wait is a
-            // bounded best effort, not an invariant.
-            let mut settle = 0;
-            loop {
-                scratch.clear();
-                engine.tick(&mut scratch);
-                debug_assert!(scratch.is_empty() || faulted);
-                if engine.is_quiet() {
-                    break;
-                }
-                settle += 1;
-                if settle >= 1000 {
-                    assert!(faulted, "network failed to settle after termination");
-                    break;
-                }
-            }
-            stats.dropped =
-                engine.nodes().iter().map(|n| n.stat_dropped()).sum::<u64>() - dropped_before;
-            dropped_before += stats.dropped;
-            stats.fault_dropped = engine.fault_dropped() - fault_dropped_before;
-            fault_dropped_before += stats.fault_dropped;
-            stats.fault_delayed = engine.fault_delayed() - fault_delayed_before;
-            fault_delayed_before += stats.fault_delayed;
-            let clean_at_end = engine.signals_in_flight() == 0
-                && engine.nodes().iter().all(|n| n.snake_state_pristine());
-            let all_visited = engine.nodes().iter().all(|n| n.dfs_visited());
-            let phases = if capture {
-                phase_breakdown(&events)
-            } else {
-                PhaseBreakdown::default()
-            };
-            outcomes.push(RunOutcome {
-                root,
-                map: master.into_map()?,
-                ticks: end_tick.expect("loop exits only on termination") - start_tick,
-                stats,
-                phases,
-                events,
-                clean_at_end,
-                all_visited,
-            });
-            if round + 1 < rounds {
-                engine.node_mut(root).master_restart();
-            }
-        }
-        if !faulted {
+            let outcome = self.round(&mut engine)?;
             // Faulted rounds see different per-tick drop patterns (the
             // hash keys on the emit tick), so identical maps are only an
             // unfaulted invariant.
-            for o in &outcomes[1..] {
-                assert_eq!(
-                    o.map, outcomes[0].map,
-                    "re-mapping must reproduce the identical map"
-                );
+            if !self.fault.is_active() && outcomes.first().is_some_and(|o| o.map != outcome.map) {
+                return Err(GtdError::Invariant {
+                    what: "re-mapping produced a different map",
+                    tick: engine.tick_count(),
+                });
             }
+            outcomes.push(outcome);
         }
         Ok(outcomes)
+    }
+
+    /// One mapping round on `engine`, from the root's (re)start to its
+    /// decoded map: the whole of [`Self::run`], one round of
+    /// [`Self::run_repeated`].
+    fn round(&mut self, engine: &mut Engine<ProtocolNode>) -> Result<RunOutcome, GtdError> {
+        let budget = self.effective_budget(self.topo);
+        let mut ep = Epoch::new(engine, 0, self.root, self.capture, !self.fault.is_active());
+        let limits = Limits::budget(engine.tick_count().saturating_add(budget));
+        let end = ep.advance(engine, limits, &mut self.observer)?;
+        // A round settles for at least one tick, so the next round of a
+        // repeated run restarts one tick after a quiet termination.
+        let (_, tick, map) = ep.finish(end, engine, self.topo, self.root, 1)?;
+        let Some(map) = map else {
+            // With no window and no schedule only the budget is left: a
+            // quiet network would idle out the rest of it.
+            let exhausted = GtdError::BudgetExhausted {
+                budget,
+                ticks: budget,
+            };
+            return Err(ep.error.map_or(exhausted, GtdError::Decode));
+        };
+        let nodes = engine.nodes();
+        Ok(RunOutcome {
+            root: self.root,
+            map,
+            ticks: tick - ep.start,
+            stats: ep.stats(engine),
+            phases: phase_breakdown(&ep.events),
+            events: ep.events,
+            clean_at_end: engine.signals_in_flight() == 0
+                && nodes.iter().all(|n| n.snake_state_pristine()),
+            all_visited: nodes.iter().all(|n| n.dfs_visited()),
+        })
     }
 
     /// Run the protocol with **graceful degradation** under an active
@@ -841,200 +795,68 @@ impl<'a> GtdSession<'a> {
     /// * **`Exhausted`** — the fault schedule destroyed every attempt
     ///   before a single edge decoded.
     ///
-    /// Only [`GtdError::Precondition`] can make this return `Err`.
+    /// Only [`GtdError::Precondition`] can make this return `Err`, plus
+    /// [`GtdError::Invariant`] for a protocol bug in an unfaulted run.
     /// Without an active plane it runs exactly one attempt (retries
     /// could only replay the identical deterministic run).
     pub fn run_resilient(mut self) -> Result<ResilientOutcome, GtdError> {
         self.check_preconditions()?;
         let budget = self.effective_budget(self.topo);
-        let window0 = self.progress_window.unwrap_or_else(|| {
-            let base = default_progress_window(self.topo);
-            base.saturating_add(base / 3 * self.fault.delay_max)
-        });
-        let attempts_allowed = if self.fault.is_active() {
-            self.max_retries.saturating_add(1)
-        } else {
-            1
+        let window0 = self
+            .progress_window
+            .unwrap_or_else(|| self.stretched(default_progress_window(self.topo)));
+        let strict = !self.fault.is_active();
+        let retries = if strict { 0 } else { self.max_retries };
+        // Holds the winning attempt, else the best partial one by edge
+        // count, else an exhausted verdict with the last attempt's stats.
+        let mut out = ResilientOutcome {
+            root: self.root,
+            status: EpochStatus::Exhausted,
+            map: None,
+            attempts: Vec::new(),
+            stats: RunStats::default(),
+            ticks: 0,
+            total_ticks: 0,
+            events: Vec::new(),
         };
-        let root = self.root;
-        let capture = self.capture;
-        let mut attempts: Vec<AttemptOutcome> = Vec::new();
-        let mut total_ticks = 0u64;
-        // Best failed attempt so far, by decoded-edge count.
-        struct BestAttempt {
-            edges: usize,
-            map: NetworkMap,
-            stats: RunStats,
-            ticks: u64,
-            events: Vec<(u64, TranscriptEvent)>,
-        }
-        let mut best: Option<BestAttempt> = None;
-        let mut last_stats = RunStats::default();
-        let mut scratch = Vec::new();
-        for attempt in 0..attempts_allowed {
-            let mut engine = self.build_engine_on(self.topo, root, attempt);
-            let mut master = MasterComputer::new();
-            let mut master_dead = false;
-            let mut events: Vec<(u64, TranscriptEvent)> = Vec::new();
-            let mut stats = RunStats::default();
+        for attempt in 0..=retries {
+            let mut engine = self.build_engine_on(self.topo, self.root, attempt);
+            let mut ep = Epoch::new(&engine, 0, self.root, self.capture, strict);
             // Each retry doubles the wedge window: a pattern that stalls
             // slowly should not be preempted at the same impatience that
             // already failed.
-            let window = window0.saturating_mul(1u64 << attempt.min(16));
-            let mut last_progress = 0u64;
-            let mut end_tick = None;
-            let provisional = loop {
-                let now = engine.tick_count();
-                if now >= budget {
-                    break EpochStatus::Wedged;
-                }
-                if engine.is_quiet() && !engine.node(root).terminated() {
-                    // The plane destroyed the protocol's only token: a
-                    // quiet network can never terminate on its own.
-                    break EpochStatus::Wedged;
-                }
-                if now.saturating_sub(last_progress) >= window {
-                    break EpochStatus::Wedged;
-                }
-                // Fast-forward lulls, capped so both the budget boundary
-                // and the wedge deadline fire at their exact tick.
-                let cap = budget.min(last_progress.saturating_add(window));
-                if engine.skip_lull(cap) > 0 {
-                    continue;
-                }
-                scratch.clear();
-                engine.tick(&mut scratch);
-                let t = engine.tick_count();
-                let mut terminated = false;
-                for (nid, ev) in scratch.drain(..) {
-                    debug_assert_eq!(nid, root, "only the root emits transcript events");
-                    last_progress = t;
-                    match ev {
-                        TranscriptEvent::LoopForward { .. } => stats.forwards += 1,
-                        TranscriptEvent::LoopBack => stats.backs += 1,
-                        TranscriptEvent::LocalForward { .. } => stats.local_forwards += 1,
-                        TranscriptEvent::LocalBack => stats.local_backs += 1,
-                        TranscriptEvent::Terminated => terminated = true,
-                        _ => {}
-                    }
-                    if let Some(obs) = self.observer.as_mut() {
-                        obs(t, ev);
-                    }
-                    if capture {
-                        events.push((t, ev));
-                    }
-                    if !master_dead && master.feed(ev).is_err() {
-                        // A faulted stream can stop decoding; keep
-                        // simulating only if termination may still come.
-                        master_dead = true;
-                    }
-                }
-                if terminated {
-                    end_tick = Some(t);
-                    // Bounded settle: delayed stragglers may still be in
-                    // flight, and a faulted network may never go quiet.
-                    let mut settle = 0;
-                    while !engine.is_quiet() && settle < 1_000 {
-                        scratch.clear();
-                        engine.tick(&mut scratch);
-                        settle += 1;
-                    }
-                    break EpochStatus::Verified; // provisional — verified below
-                }
-                if master_dead {
-                    break EpochStatus::Wedged;
-                }
+            let limits = Limits {
+                window: window0.saturating_mul(1u64 << attempt.min(16)),
+                ..Limits::budget(budget)
             };
-            let spent = end_tick.unwrap_or_else(|| engine.tick_count());
-            total_ticks += engine.tick_count();
-            stats.dropped = engine.nodes().iter().map(|n| n.stat_dropped()).sum::<u64>();
-            stats.fault_dropped = engine.fault_dropped();
-            stats.fault_delayed = engine.fault_delayed();
-            stats.retries = attempt;
-            last_stats = stats;
-            let (status, map) = match provisional {
-                EpochStatus::Verified if !master_dead => {
-                    match std::mem::take(&mut master).into_map() {
-                        Ok(m) if m.verify_against(self.topo, root).is_ok() => {
-                            (EpochStatus::Verified, Some(m))
-                        }
-                        // Terminated but wrong (or undecodable): the
-                        // fault schedule corrupted the stream.
-                        Ok(m) => (EpochStatus::Stale, Some(m)),
-                        Err(_) => (EpochStatus::Stale, None),
-                    }
-                }
-                EpochStatus::Verified => (EpochStatus::Stale, None),
-                s => {
-                    let m = if master_dead {
-                        None
-                    } else {
-                        Some(std::mem::take(&mut master).into_partial_map())
-                    };
-                    (s, m)
-                }
+            let end = ep.advance(&mut engine, limits, &mut self.observer)?;
+            let (status, ticks, map) = ep.finish(end, &mut engine, self.topo, self.root, 0)?;
+            out.total_ticks += engine.tick_count();
+            let (grade, map) = match status {
+                EpochStatus::Verified => (status, map),
+                _ => ep.salvage(map),
             };
-            let edges = map.as_ref().map_or(0, NetworkMap::num_edges);
-            attempts.push(AttemptOutcome {
+            let edges_reported = map.as_ref().map_or(0, NetworkMap::num_edges);
+            out.attempts.push(AttemptOutcome {
                 attempt,
-                ticks: spent,
+                ticks,
                 status,
-                edges_reported: edges,
+                edges_reported,
             });
-            if status == EpochStatus::Verified {
-                let map = map.expect("verified attempts carry their map");
-                return Ok(ResilientOutcome {
-                    root,
-                    status: EpochStatus::Verified,
-                    map: Some(map),
-                    attempts,
-                    stats,
-                    ticks: spent,
-                    total_ticks,
-                    events,
-                });
+            let best = out.map.as_ref().map_or(0, NetworkMap::num_edges);
+            let better = grade == EpochStatus::Verified || edges_reported > best;
+            if better || out.status == EpochStatus::Exhausted {
+                out.stats = ep.stats(&engine);
             }
-            if let Some(m) = map {
-                if edges > 0 && best.as_ref().is_none_or(|b| edges > b.edges) {
-                    best = Some(BestAttempt {
-                        edges,
-                        map: m,
-                        stats,
-                        ticks: spent,
-                        events,
-                    });
-                }
+            if better {
+                (out.status, out.map, out.ticks, out.events) = (grade, map, ticks, ep.events);
+            }
+            if grade == EpochStatus::Verified {
+                break;
             }
         }
-        let retries = (attempts.len().saturating_sub(1)) as u32;
-        Ok(match best {
-            Some(mut b) => {
-                b.stats.retries = retries;
-                ResilientOutcome {
-                    root,
-                    status: EpochStatus::Partial,
-                    map: Some(b.map),
-                    attempts,
-                    stats: b.stats,
-                    ticks: b.ticks,
-                    total_ticks,
-                    events: b.events,
-                }
-            }
-            None => ResilientOutcome {
-                root,
-                status: EpochStatus::Exhausted,
-                map: None,
-                attempts,
-                stats: RunStats {
-                    retries,
-                    ..last_stats
-                },
-                ticks: 0,
-                total_ticks,
-                events: Vec::new(),
-            },
-        })
+        out.stats.retries = out.retries();
+        Ok(out)
     }
 
     /// Run the protocol over a *changing* network — the paper's §1
@@ -1053,8 +875,9 @@ impl<'a> GtdSession<'a> {
     ///   flood when the network settled cleanly, via a full power-cycle
     ///   (fresh automata, same clock) when protocol state was lost;
     /// * **wedged** — the run lost its DFS token to a mutation (network
-    ///   quiet without termination) or exhausted the epoch tick budget:
-    ///   the master power-cycles and re-maps.
+    ///   quiet without termination), exhausted the epoch tick budget, or
+    ///   its transcript stopped decoding mid-run: the master power-cycles
+    ///   and re-maps.
     ///
     /// The timeline ends when every scheduled mutation has been applied
     /// and re-mapped: each mutation's **remap latency** — global ticks
@@ -1077,270 +900,126 @@ impl<'a> GtdSession<'a> {
     /// ([`EpochStatus::Preempted`]), bounding remap latency by one fresh
     /// run.
     ///
+    /// Under an active [`FaultPlane`], more than [`Self::max_retries`]
+    /// consecutive epochs failing with no mutation to blame end the
+    /// timeline in graceful degradation ([`EpochStatus::Partial`] or
+    /// [`EpochStatus::Exhausted`]), as in [`Self::run_resilient`].
+    ///
     /// Deterministic across [`EngineMode`]s: all three produce identical
     /// epochs, transcripts and latencies.
     pub fn run_dynamic(mut self, schedule: &MutationSchedule) -> Result<RemapOutcome, GtdError> {
         self.check_preconditions()?;
-        let capture = self.capture;
-        let policy = self.policy;
-        // The master's host: `node-leave` below the root shifts its id.
-        let mut root = self.root;
-        let mut topo = self.topo.clone();
-        let mut engine = self.build_engine_on(&topo, root, 0);
-        // Global timeline tick = `base` + the current engine's own count
-        // (a power-cycle swaps the engine but not the clock).
-        let mut base: u64 = 0;
+        let faulted = self.fault.is_active();
+        let strict = !faulted && schedule.is_empty();
+        let mut tl = Timeline {
+            engine: self.build_engine_on(self.topo, self.root, 0),
+            topo: self.topo.clone(),
+            root: self.root,
+            base: 0,
+            muts: schedule
+                .iter()
+                .map(|&scheduled| MutationOutcome {
+                    scheduled,
+                    applied_at: None,
+                    applied_as: None,
+                    remap_latency: None,
+                })
+                .collect(),
+            fired: 0,
+            membership_dirty: false,
+        };
         // Power-cycles re-seed an active fault plane (the fresh engine's
         // clock restarts, so the same seed would replay the same faults).
         let mut power_cycles: u32 = 0;
         // Fault counters are per-engine lifetimes; fold them into the
         // timeline totals whenever an engine is retired.
-        let mut fault_dropped_total = 0u64;
-        let mut fault_delayed_total = 0u64;
+        let mut retired_faults = (0u64, 0u64);
         // Consecutive epochs that failed with *no mutation landing
         // mid-epoch* — failures attributable to the fault plane alone.
         // Mutation-disturbed epochs are expected to fail and don't count.
         let mut fault_failures: u32 = 0;
         let mut epochs: Vec<EpochOutcome> = Vec::new();
-        let mut muts: Vec<MutationOutcome> = schedule
-            .iter()
-            .map(|&sm| MutationOutcome {
-                scheduled: sm,
-                applied_at: None,
-                applied_as: None,
-                remap_latency: None,
-            })
-            .collect();
-        let mut fired = 0usize;
-        // Did membership change since this engine's automata were built?
-        // If so, the next remap must power-cycle (lost members invalidate
-        // the RESET-flood shortcut).
-        let mut membership_dirty = false;
-        let mut scratch = Vec::new();
-        // Apply every mutation whose tick has arrived (between ticks).
-        // Single-sourced: called at the timeline loop top and before each
-        // epoch tick, so mutation bookkeeping cannot desynchronize.
-        fn fire_due(
-            muts: &mut [MutationOutcome],
-            fired: &mut usize,
-            topo: &mut Topology,
-            engine: &mut Engine<ProtocolNode>,
-            base: u64,
-            root: &mut NodeId,
-            membership_dirty: &mut bool,
-        ) {
-            while *fired < muts.len() && muts[*fired].scheduled.tick <= base + engine.tick_count() {
-                if muts[*fired].scheduled.mutation.kind == MutationKind::NodeRestart {
-                    // A node-restart is structurally the identity — no
-                    // rewiring, no membership change — so it bypasses the
-                    // topology plumbing entirely and power-cycles one live
-                    // automaton in place: the victim goes dark for
-                    // `RESTART_DOWNTIME` ticks, consumes (and drops)
-                    // whatever arrives meanwhile, then rejoins with
-                    // factory-state amnesia (no DFS mark, no RESET
-                    // parity). The running epoch usually wedges and
-                    // re-maps, exercising exactly the paper's §1.2.2
-                    // transient-fault recovery story.
-                    let victim =
-                        restart_victim(topo, muts[*fired].scheduled.mutation.selector, *root);
-                    let now = engine.tick_count();
-                    engine.node_mut(victim).restart(now);
-                    muts[*fired].applied_at = Some(base + engine.tick_count());
-                    muts[*fired].applied_as = Some(MutationKind::NodeRestart);
-                    *fired += 1;
-                    continue;
-                }
-                let applied =
-                    topo.apply_or_fallback_rooted(&muts[*fired].scheduled.mutation, *root);
-                *topo = applied.topology;
-                engine.apply_topology_with(topo, applied.membership, &mut |meta| {
-                    ProtocolNode::new(&meta, StartBehavior::Passive)
-                });
-                *root = applied.membership.relabel(*root);
-                if applied.membership != MembershipChange::None {
-                    *membership_dirty = true;
-                }
-                muts[*fired].applied_at = Some(base + engine.tick_count());
-                muts[*fired].applied_as = Some(applied.kind);
-                *fired += 1;
-            }
-        }
         // Each mutation can spoil at most the epoch it lands in plus the
         // remap that follows; anything past this cap is a protocol bug.
-        let max_epochs = 2 * muts.len() + 3;
-        let mut first = true;
+        let max_epochs = 2 * tl.muts.len() + 3;
         loop {
-            fire_due(
-                &mut muts,
-                &mut fired,
-                &mut topo,
-                &mut engine,
-                base,
-                &mut root,
-                &mut membership_dirty,
-            );
-            if !first {
-                let last_verified = matches!(
-                    epochs.last(),
-                    Some(e) if e.status == EpochStatus::Verified
-                );
-                let all_remapped = muts.iter().all(|m| m.remap_latency.is_some());
-                if last_verified && fired == muts.len() && all_remapped {
+            tl.fire_due();
+            if let Some(last) = epochs.last() {
+                // (Every remapped mutation has fired.)
+                let last_verified = last.status == EpochStatus::Verified;
+                if last_verified && tl.muts.iter().all(|m| m.remap_latency.is_some()) {
                     break;
                 }
-                if last_verified && fired < muts.len() && engine.is_quiet() {
+                if last_verified && tl.fired < tl.muts.len() && tl.engine.is_quiet() {
                     // Nothing to re-map yet: idle the quiet network to the
                     // next mutation tick (O(1) — quiet networks stay quiet).
-                    let next_tick = muts[fired].scheduled.tick;
-                    engine.skip_quiet_ticks(next_tick - (base + engine.tick_count()));
+                    let next_tick = tl.muts[tl.fired].scheduled.tick;
+                    tl.engine.skip_quiet_ticks(next_tick - tl.now());
                     continue;
                 }
                 // (A verified epoch can leave mutation-era junk circulating
                 // past the settle cap; the non-quiet case falls through so
                 // the pristine check below power-cycles before idling.)
                 if epochs.len() >= max_epochs {
-                    if self.fault.is_active() {
-                        // Graceful degradation instead of an error: the
-                        // fault plane (not a protocol bug) kept spoiling
-                        // epochs. Re-grade the last epoch by what its
-                        // master salvaged and end the timeline.
-                        if let Some(last) = epochs.last_mut() {
-                            last.status = if last.map.as_ref().is_some_and(|m| m.num_edges() > 0) {
-                                EpochStatus::Partial
-                            } else {
-                                EpochStatus::Exhausted
-                            };
-                        }
-                        break;
+                    if !faulted {
+                        let epochs = epochs.len();
+                        return Err(GtdError::RemapDiverged { epochs });
                     }
-                    return Err(GtdError::RemapDiverged {
-                        epochs: epochs.len(),
-                    });
+                    // Graceful degradation instead of an error: the fault
+                    // plane (not a protocol bug) kept spoiling epochs.
+                    // Re-grade the last epoch by what its master salvaged
+                    // and end the timeline.
+                    if let Some(last) = epochs.last_mut() {
+                        (last.status, last.map) = degrade(last.map.take());
+                    }
+                    break;
                 }
                 // Begin a remap: the gentle RESET flood when the network
                 // settled cleanly and its membership is intact, a
                 // power-cycle otherwise.
-                let can_restart = !membership_dirty
-                    && engine.node(root).terminated()
+                let engine = &tl.engine;
+                let can_restart = !tl.membership_dirty
+                    && engine.node(tl.root).terminated()
                     && engine.signals_in_flight() == 0
                     && engine.nodes().iter().all(|n| n.snake_state_pristine());
                 if can_restart {
-                    engine.node_mut(root).master_restart();
+                    tl.engine.node_mut(tl.root).master_restart();
                 } else {
-                    base += engine.tick_count();
-                    fault_dropped_total += engine.fault_dropped();
-                    fault_delayed_total += engine.fault_delayed();
+                    tl.base += engine.tick_count();
+                    retired_faults.0 += engine.fault_dropped();
+                    retired_faults.1 += engine.fault_delayed();
                     power_cycles += 1;
-                    engine = self.build_engine_on(&topo, root, power_cycles);
-                    membership_dirty = false;
+                    tl.engine = self.build_engine_on(&tl.topo, tl.root, power_cycles);
+                    tl.membership_dirty = false;
                 }
             }
-            first = false;
 
             // ---- one mapping epoch ----
-            let epoch_start = base + engine.tick_count();
-            let epoch_fired = fired;
-            let budget = self.effective_budget(&topo);
-            let mut master = MasterComputer::new();
-            let mut master_dead = false;
-            let mut events: Vec<(u64, TranscriptEvent)> = Vec::new();
+            let mut ep = Epoch::new(&tl.engine, tl.base, tl.root, self.capture, strict);
+            let epoch_fired = tl.fired;
+            let budget = self.effective_budget(&tl.topo);
+            let budget_at = tl.engine.tick_count().saturating_add(budget);
             let (status, end_tick, map) = loop {
-                fire_due(
-                    &mut muts,
-                    &mut fired,
-                    &mut topo,
-                    &mut engine,
-                    base,
-                    &mut root,
-                    &mut membership_dirty,
-                );
-                let now = base + engine.tick_count();
-                if policy == RemapPolicy::Eager && fired > epoch_fired {
+                let limits = Limits {
+                    mutation_at: tl.next_mutation_at(),
+                    ..Limits::budget(budget_at)
+                };
+                let end = ep.advance(&mut tl.engine, limits, &mut self.observer)?;
+                if !matches!(end, EpochEnd::MutationDue) {
+                    break ep.finish(end, &mut tl.engine, &tl.topo, tl.root, 0)?;
+                }
+                tl.fire_due();
+                ep.root = tl.root;
+                if self.policy == RemapPolicy::Eager {
                     // Monitoring saw a mutation land mid-epoch: cut the
-                    // epoch short and re-map from scratch right away.
-                    break (EpochStatus::Preempted, now, None);
-                }
-                if now - epoch_start >= budget {
-                    break (EpochStatus::Wedged, now, None);
-                }
-                if engine.is_quiet() && !engine.node(root).terminated() {
-                    // The DFS token died with a mutated wire: a quiet
-                    // network can never terminate on its own.
-                    break (EpochStatus::Wedged, now, None);
-                }
-                // Fast-forward deadline-driven lulls, capped at the next
-                // scheduled mutation and the epoch budget boundary; after
-                // a jump, loop back so due mutations fire (and eager
-                // preemption triggers) before the next tick executes.
-                let cap = muts
-                    .get(fired)
-                    .map_or(u64::MAX, |m| m.scheduled.tick)
-                    .min(epoch_start.saturating_add(budget));
-                if engine.skip_lull(cap.saturating_sub(base)) > 0 {
-                    continue;
-                }
-                scratch.clear();
-                engine.tick(&mut scratch);
-                let t = base + engine.tick_count();
-                let mut terminated = false;
-                for (nid, ev) in scratch.drain(..) {
-                    if nid != root {
-                        // Mutation-era stray (e.g. a BCA probe event from a
-                        // disturbed endpoint) — not part of the transcript.
-                        continue;
-                    }
-                    if capture {
-                        events.push((t, ev));
-                    }
-                    if let Some(obs) = self.observer.as_mut() {
-                        obs(t, ev);
-                    }
-                    if ev == TranscriptEvent::Terminated {
-                        terminated = true;
-                    }
-                    if !master_dead && master.feed(ev).is_err() {
-                        master_dead = true;
-                    }
-                }
-                if terminated {
-                    // Drain to quiescence (bounded: a mutation-disturbed
-                    // network may circulate junk forever — that forces a
-                    // power-cycle before the next epoch anyway).
-                    let mut settle = 0;
-                    while !engine.is_quiet() && settle < 1_000 {
-                        scratch.clear();
-                        engine.tick(&mut scratch);
-                        settle += 1;
-                    }
-                    if master_dead {
-                        break (EpochStatus::Stale, t, None);
-                    }
-                    match std::mem::take(&mut master).into_map() {
-                        Ok(m) => {
-                            let status = if m.verify_against(&topo, root).is_ok() {
-                                EpochStatus::Verified
-                            } else {
-                                EpochStatus::Stale
-                            };
-                            break (status, t, Some(m));
-                        }
-                        Err(_) => break (EpochStatus::Stale, t, None),
-                    }
-                }
-                if master_dead {
-                    // The transcript stopped decoding mid-run: the epoch
-                    // can never yield a map — cut it short. The root never
-                    // terminated, so this is a wedge (lost protocol
-                    // state), not a stale termination.
-                    break (EpochStatus::Wedged, t, None);
+                    // epoch short and re-map right away.
+                    break (EpochStatus::Preempted, tl.now(), None);
                 }
             };
             if status == EpochStatus::Verified {
-                for m in muts.iter_mut() {
-                    if m.remap_latency.is_none() {
-                        if let Some(at) = m.applied_at {
-                            m.remap_latency = Some(end_tick.saturating_sub(at));
-                        }
+                for m in &mut tl.muts {
+                    if let (None, Some(at)) = (m.remap_latency, m.applied_at) {
+                        m.remap_latency = Some(end_tick.saturating_sub(at));
                     }
                 }
             }
@@ -1348,56 +1027,369 @@ impl<'a> GtdSession<'a> {
             // epochs that failed with no mutation landing mid-run count
             // against the retry budget (a mutation-disturbed epoch is
             // *supposed* to fail; the remap that follows is the fix).
-            let epoch_had_mutation = fired > epoch_fired;
             match status {
                 EpochStatus::Verified => fault_failures = 0,
                 EpochStatus::Preempted => {}
-                _ if epoch_had_mutation => fault_failures = 0,
+                _ if tl.fired > epoch_fired => fault_failures = 0,
                 _ => fault_failures += 1,
             }
-            if self.fault.is_active() && fault_failures > self.max_retries {
-                // Retries exhausted: end the timeline with whatever the
-                // last master salvaged instead of power-cycling forever.
-                let salvage = map.or_else(|| {
-                    if master_dead {
-                        None
-                    } else {
-                        Some(std::mem::take(&mut master).into_partial_map())
-                    }
-                });
-                let (status, map) = match salvage {
-                    Some(m) if m.num_edges() > 0 => (EpochStatus::Partial, Some(m)),
-                    _ => (EpochStatus::Exhausted, None),
-                };
-                epochs.push(EpochOutcome {
-                    start_tick: epoch_start,
-                    end_tick,
-                    status,
-                    nodes: topo.num_nodes(),
-                    map,
-                    events,
-                });
-                break;
-            }
+            // Retries exhausted: end the timeline with whatever the last
+            // master salvaged instead of power-cycling forever.
+            let give_up = faulted && fault_failures > self.max_retries;
+            let (status, map) = if give_up {
+                ep.salvage(map)
+            } else {
+                (status, map)
+            };
             epochs.push(EpochOutcome {
-                start_tick: epoch_start,
+                start_tick: ep.start,
                 end_tick,
                 status,
-                nodes: topo.num_nodes(),
+                nodes: tl.topo.num_nodes(),
                 map,
-                events,
+                events: ep.events,
             });
+            if give_up {
+                break;
+            }
         }
         Ok(RemapOutcome {
             root: self.root,
-            final_root: root,
+            final_root: tl.root,
             epochs,
-            mutations: muts,
-            total_ticks: base + engine.tick_count(),
-            final_topology: topo,
-            fault_dropped: fault_dropped_total + engine.fault_dropped(),
-            fault_delayed: fault_delayed_total + engine.fault_delayed(),
+            total_ticks: tl.now(),
+            mutations: tl.muts,
+            final_topology: tl.topo,
+            fault_dropped: retired_faults.0 + tl.engine.fault_dropped(),
+            fault_delayed: retired_faults.1 + tl.engine.fault_delayed(),
         })
+    }
+}
+
+/// The graceful-degradation verdict of a faulted run that gave up: a
+/// salvaged map with at least one edge is [`EpochStatus::Partial`],
+/// anything else [`EpochStatus::Exhausted`] (and carries no map).
+fn degrade(map: Option<NetworkMap>) -> (EpochStatus, Option<NetworkMap>) {
+    match map {
+        Some(m) if m.num_edges() > 0 => (EpochStatus::Partial, Some(m)),
+        _ => (EpochStatus::Exhausted, None),
+    }
+}
+
+/// Why [`Epoch::advance`] returned.
+enum EpochEnd {
+    /// The root emitted `Terminated` at this (global) tick.
+    Terminated { tick: u64 },
+    /// The network went quiet with the root still running: nothing can
+    /// ever terminate it.
+    Quiet,
+    /// The epoch's tick budget ran out.
+    Budget,
+    /// The progress window passed without a root event.
+    Window,
+    /// A scheduled mutation is due before the next tick.
+    MutationDue,
+    /// The transcript stopped decoding (see [`Epoch::error`]) and the
+    /// root did not terminate in the same tick.
+    MasterDead,
+}
+
+/// Where [`Epoch::advance`] stops, in the engine's own ticks
+/// (`u64::MAX`: never).
+#[derive(Clone, Copy)]
+struct Limits {
+    /// End of the epoch's tick budget.
+    budget_at: u64,
+    /// Tick of the next scheduled mutation.
+    mutation_at: u64,
+    /// Ticks without a root event after which the epoch is wedged.
+    window: u64,
+}
+
+impl Limits {
+    /// A budget and nothing else.
+    fn budget(budget_at: u64) -> Self {
+        let never = u64::MAX;
+        Limits {
+            budget_at,
+            mutation_at: never,
+            window: never,
+        }
+    }
+}
+
+/// Most ticks a terminated epoch may take to go quiet. The master knows
+/// the map by then, hence a safe bound; in practice 1–2 ticks.
+const SETTLE_CAP: u32 = 1_000;
+
+/// One mapping epoch: the master computer reading the root's transcript
+/// while the engine ticks — the paper's §3–4 loop, which every entry
+/// point runs as a policy over [`Epoch::advance`] and [`Epoch::finish`].
+///
+/// A **strict** epoch (no active fault plane, no mutation schedule) treats
+/// a transcript event from any processor but the root, an emission after
+/// termination and a network that fails to settle as protocol bugs:
+/// [`GtdError::Invariant`]. Otherwise strays are dropped and the settle is
+/// a bounded best effort (a dropped UNMARK can leave a stray token
+/// circulating forever).
+struct Epoch {
+    /// The master's host (a dynamic run relabels it on `node-leave`).
+    root: NodeId,
+    /// Global tick of the engine's tick 0 (a dynamic run's power-cycles
+    /// swap the engine but not the clock).
+    base: u64,
+    /// Global tick at which the epoch began.
+    start: u64,
+    capture: bool,
+    strict: bool,
+    master: MasterComputer,
+    /// The transcript's first decode failure; the master is dead from
+    /// then on.
+    error: Option<DecodeError>,
+    events: Vec<(u64, TranscriptEvent)>,
+    stats: RunStats,
+    /// Engine tick of the last root event (or of the epoch's start).
+    last_progress: u64,
+    /// Lifetime drop counters at the epoch's start (see
+    /// [`drop_counters`]).
+    drops_before: [u64; 3],
+    scratch: Vec<(NodeId, TranscriptEvent)>,
+}
+
+/// Lifetime drop counters of `engine`: automata, fault-plane drops,
+/// fault-plane delays.
+fn drop_counters(engine: &Engine<ProtocolNode>) -> [u64; 3] {
+    let dropped = engine.nodes().iter().map(|n| n.stat_dropped()).sum();
+    [dropped, engine.fault_dropped(), engine.fault_delayed()]
+}
+
+impl Epoch {
+    fn new(
+        engine: &Engine<ProtocolNode>,
+        base: u64,
+        root: NodeId,
+        capture: bool,
+        strict: bool,
+    ) -> Self {
+        Epoch {
+            root,
+            base,
+            start: base + engine.tick_count(),
+            capture,
+            strict,
+            master: MasterComputer::new(),
+            error: None,
+            events: Vec::new(),
+            stats: RunStats::default(),
+            last_progress: engine.tick_count(),
+            drops_before: drop_counters(engine),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Tick until the root terminates or a limit, a quiet network or a
+    /// dead master ends the epoch. Each root event is classified into
+    /// [`RunStats`], handed to the observer, captured and fed to the
+    /// master, in that order.
+    fn advance(
+        &mut self,
+        engine: &mut Engine<ProtocolNode>,
+        limits: Limits,
+        observer: &mut Option<Observer<'_>>,
+    ) -> Result<EpochEnd, GtdError> {
+        loop {
+            let now = engine.tick_count();
+            let wedge_at = self.last_progress.saturating_add(limits.window);
+            if now >= limits.mutation_at {
+                return Ok(EpochEnd::MutationDue);
+            } else if now >= limits.budget_at {
+                return Ok(EpochEnd::Budget);
+            } else if engine.is_quiet() && !engine.node(self.root).terminated() {
+                return Ok(EpochEnd::Quiet);
+            } else if now >= wedge_at {
+                return Ok(EpochEnd::Window);
+            }
+            // Fast-forward deadline-driven lulls (speed-1 dwells leave
+            // whole ticks with nothing to step), capped so every limit
+            // fires at exactly the tick a one-by-one loop would reach.
+            if engine.skip_lull(limits.budget_at.min(limits.mutation_at).min(wedge_at)) > 0 {
+                continue;
+            }
+            self.scratch.clear();
+            engine.tick(&mut self.scratch);
+            let t = self.base + engine.tick_count();
+            let mut terminated = false;
+            for &(nid, ev) in &self.scratch {
+                // A mutation-era stray (e.g. a BCA probe event from a
+                // disturbed endpoint) is not part of the transcript.
+                if nid != self.root && self.strict {
+                    return Err(self.invariant(engine, "a non-root processor emitted an event"));
+                } else if nid != self.root {
+                    continue;
+                }
+                self.last_progress = engine.tick_count();
+                match ev {
+                    TranscriptEvent::LoopForward { .. } => self.stats.forwards += 1,
+                    TranscriptEvent::LoopBack => self.stats.backs += 1,
+                    TranscriptEvent::LocalForward { .. } => self.stats.local_forwards += 1,
+                    TranscriptEvent::LocalBack => self.stats.local_backs += 1,
+                    TranscriptEvent::Terminated => terminated = true,
+                    _ => {}
+                }
+                if let Some(obs) = observer.as_mut() {
+                    obs(t, ev);
+                }
+                if self.capture {
+                    self.events.push((t, ev));
+                }
+                if self.error.is_none() {
+                    self.error = self.master.feed(ev).err();
+                }
+            }
+            if terminated {
+                return Ok(EpochEnd::Terminated { tick: t });
+            } else if self.error.is_some() {
+                return Ok(EpochEnd::MasterDead);
+            }
+        }
+    }
+
+    /// Turn a non-mutation `end` into `(status, global tick, map)`. A
+    /// termination settles — at least `min_settle` ticks, then (boundedly)
+    /// until the network is quiet — and decodes: the map is
+    /// [`EpochStatus::Verified`] against `topo` as seen from `root`, else
+    /// [`EpochStatus::Stale`], and missing when the transcript did not
+    /// decode ([`Epoch::error`]). Any other end is
+    /// [`EpochStatus::Wedged`] at the current tick: the root never
+    /// terminated, so its token died, the budget or window ran out, or the
+    /// transcript stopped decoding. Only a strict epoch errors.
+    fn finish(
+        &mut self,
+        end: EpochEnd,
+        engine: &mut Engine<ProtocolNode>,
+        topo: &Topology,
+        root: NodeId,
+        min_settle: u32,
+    ) -> Result<(EpochStatus, u64, Option<NetworkMap>), GtdError> {
+        let EpochEnd::Terminated { tick } = end else {
+            return Ok((EpochStatus::Wedged, self.base + engine.tick_count(), None));
+        };
+        for i in 0..SETTLE_CAP {
+            if i >= min_settle && engine.is_quiet() {
+                break;
+            }
+            self.scratch.clear();
+            engine.tick(&mut self.scratch);
+            if self.strict && !self.scratch.is_empty() {
+                return Err(self.invariant(engine, "a processor emitted after termination"));
+            }
+        }
+        if self.strict && !engine.is_quiet() {
+            return Err(self.invariant(engine, "network failed to settle after termination"));
+        }
+        let map = self.take_map();
+        Ok(match map.as_ref().map(|m| m.verify_against(topo, root)) {
+            Some(Ok(())) => (EpochStatus::Verified, tick, map),
+            _ => (EpochStatus::Stale, tick, map),
+        })
+    }
+
+    fn invariant(&self, engine: &Engine<ProtocolNode>, what: &'static str) -> GtdError {
+        let tick = self.base + engine.tick_count();
+        GtdError::Invariant { what, tick }
+    }
+
+    /// The master's map so far — complete once it has accepted
+    /// `Terminated` — or none once the transcript stopped decoding.
+    fn take_map(&mut self) -> Option<NetworkMap> {
+        let master = &mut self.master;
+        self.error
+            .is_none()
+            .then(|| std::mem::take(master).into_partial_map())
+    }
+
+    /// The graceful-degradation verdict on a failed epoch: its decoded
+    /// map, else whatever partial map its master holds (see [`degrade`]).
+    fn salvage(&mut self, decoded: Option<NetworkMap>) -> (EpochStatus, Option<NetworkMap>) {
+        degrade(decoded.or_else(|| self.take_map()))
+    }
+
+    /// The transcript counters plus the drops of this epoch alone.
+    fn stats(&self, engine: &Engine<ProtocolNode>) -> RunStats {
+        let [dropped, fault_dropped, fault_delayed] = drop_counters(engine);
+        let [d0, f0, l0] = self.drops_before;
+        RunStats {
+            dropped: dropped.saturating_sub(d0),
+            fault_dropped: fault_dropped.saturating_sub(f0),
+            fault_delayed: fault_delayed.saturating_sub(l0),
+            ..self.stats
+        }
+    }
+}
+
+/// A dynamic run's live network: the mutated topology, the engine on it
+/// and how far the schedule has fired.
+struct Timeline {
+    engine: Engine<ProtocolNode>,
+    topo: Topology,
+    /// The master's host: `node-leave` below the root shifts its id.
+    root: NodeId,
+    /// Global timeline tick of the current engine's tick 0.
+    base: u64,
+    muts: Vec<MutationOutcome>,
+    fired: usize,
+    /// Did membership change since this engine's automata were built? If
+    /// so, the next remap must power-cycle (lost members invalidate the
+    /// RESET-flood shortcut).
+    membership_dirty: bool,
+}
+
+impl Timeline {
+    fn now(&self) -> u64 {
+        self.base + self.engine.tick_count()
+    }
+
+    /// Engine tick of the next unfired mutation (`u64::MAX`: none).
+    fn next_mutation_at(&self) -> u64 {
+        let next = self.muts.get(self.fired);
+        next.map_or(u64::MAX, |m| m.scheduled.tick.saturating_sub(self.base))
+    }
+
+    /// Apply every mutation whose tick has arrived (between ticks).
+    fn fire_due(&mut self) {
+        while let Some(m) = self.muts.get_mut(self.fired) {
+            if m.scheduled.tick > self.base + self.engine.tick_count() {
+                break;
+            }
+            let mutation = m.scheduled.mutation;
+            let kind = if mutation.kind == MutationKind::NodeRestart {
+                // A node-restart is structurally the identity — no
+                // rewiring, no membership change — so it bypasses the
+                // topology plumbing entirely and power-cycles one live
+                // automaton in place: the victim goes dark for
+                // `RESTART_DOWNTIME` ticks, consumes (and drops) whatever
+                // arrives meanwhile, then rejoins with factory-state
+                // amnesia (no DFS mark, no RESET parity). The running
+                // epoch usually wedges and re-maps, exercising exactly the
+                // paper's §1.2.2 transient-fault recovery story.
+                let victim = restart_victim(&self.topo, mutation.selector, self.root);
+                let now = self.engine.tick_count();
+                self.engine.node_mut(victim).restart(now);
+                MutationKind::NodeRestart
+            } else {
+                let applied = self.topo.apply_or_fallback_rooted(&mutation, self.root);
+                self.topo = applied.topology;
+                let passive = &mut |meta| ProtocolNode::new(&meta, StartBehavior::Passive);
+                self.engine
+                    .apply_topology_with(&self.topo, applied.membership, passive);
+                self.root = applied.membership.relabel(self.root);
+                self.membership_dirty |= applied.membership != MembershipChange::None;
+                applied.kind
+            };
+            m.applied_at = Some(self.base + self.engine.tick_count());
+            m.applied_as = Some(kind);
+            self.fired += 1;
+        }
     }
 }
 
@@ -1502,15 +1494,115 @@ mod tests {
         );
     }
 
+    /// The `(tick, event)` pairs `run` hands the session's observer.
+    fn observed<T>(
+        session: GtdSession,
+        run: impl FnOnce(GtdSession) -> T,
+    ) -> (Vec<(u64, TranscriptEvent)>, T) {
+        let mut streamed = Vec::new();
+        let out = run(session.observer(|t, e| streamed.push((t, e))));
+        (streamed, out)
+    }
+
     #[test]
     fn observer_streams_the_whole_transcript() {
-        let topo = generators::ring(4);
-        let mut streamed = Vec::new();
-        let out = GtdSession::on(&topo)
-            .observer(|t, e| streamed.push((t, e)))
-            .run()
-            .unwrap();
+        use gtd_netsim::{MutationKind, MutationSchedule, TopologyMutation};
+        let topo = generators::ring(16);
+        let (streamed, out) = observed(GtdSession::on(&topo), |s| s.run().unwrap());
         assert_eq!(streamed, out.events);
+        let (streamed, rounds) = observed(GtdSession::on(&topo), |s| s.run_repeated(2).unwrap());
+        assert_eq!(
+            streamed,
+            [&rounds[0].events[..], &rounds[1].events].concat()
+        );
+        // A preempted epoch streams its events too, in timeline order.
+        let leave = TopologyMutation {
+            kind: MutationKind::NodeLeave,
+            selector: 3,
+        };
+        let eager = GtdSession::on(&topo).policy(RemapPolicy::Eager);
+        let (streamed, out) = observed(eager, |s| {
+            s.run_dynamic(&MutationSchedule::new().with(100, leave))
+                .unwrap()
+        });
+        assert_eq!(out.epochs[0].status, EpochStatus::Preempted);
+        let epochs: Vec<_> = out.epochs.iter().map(|e| &e.events[..]).collect();
+        assert_eq!(streamed, epochs.concat());
+        // So do failed attempts; the outcome keeps the winner's.
+        let lossy = GtdSession::on(&topo).faults(FaultPlane {
+            loss: 0.05,
+            delay_min: 0,
+            delay_max: 0,
+            seed: 7,
+        });
+        let (streamed, res) = observed(lossy, |s| s.run_resilient().unwrap());
+        assert!(res.attempts.len() > 1 && streamed.len() > res.events.len());
+        assert!(streamed.ends_with(&res.events));
+    }
+
+    #[test]
+    fn zero_rounds_simulate_nothing() {
+        let topo = generators::ring(4);
+        assert!(GtdSession::on(&topo).run_repeated(0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn every_epoch_end_is_reachable() {
+        let topo = generators::ring(6);
+        let never = Limits::budget(u64::MAX);
+        // One epoch on a fresh engine (master on n0), watching `root`, its
+        // master optionally fed one event first.
+        let end = |s: GtdSession, root, strict, limits, prime| {
+            let mut engine = s.build_engine_on(&topo, NodeId(0), 0);
+            let mut ep = Epoch::new(&engine, 0, root, true, strict);
+            if let Some(ev) = prime {
+                ep.master.feed(ev).unwrap();
+            }
+            ep.advance(&mut engine, limits, &mut None)
+        };
+        let on = || GtdSession::on(&topo);
+        let at = |t| Limits::budget(t);
+        let (n0, n1) = (NodeId(0), NodeId(1));
+        assert!(matches!(
+            end(on(), n0, true, never, None),
+            Ok(EpochEnd::Terminated { .. })
+        ));
+        assert!(matches!(
+            end(on(), n0, true, at(20), None),
+            Ok(EpochEnd::Budget)
+        ));
+        let window = Limits { window: 1, ..never };
+        assert!(matches!(
+            end(on(), n0, true, window, None),
+            Ok(EpochEnd::Window)
+        ));
+        let mutation = Limits {
+            mutation_at: 30,
+            ..never
+        };
+        assert!(matches!(
+            end(on(), n0, true, mutation, None),
+            Ok(EpochEnd::MutationDue)
+        ));
+        // A passive root never starts the DFS: the network is quiet at once.
+        let passive = on().start(StartBehavior::Passive);
+        assert!(matches!(
+            end(passive, n0, true, never, None),
+            Ok(EpochEnd::Quiet)
+        ));
+        // A master that already saw `Start` rejects the root's own.
+        let primed = end(on(), n0, true, never, Some(TranscriptEvent::Start));
+        assert!(matches!(primed, Ok(EpochEnd::MasterDead)));
+        // Watching n1 makes n0's events strays: a bug when strict, else
+        // dropped.
+        assert!(matches!(
+            end(on(), n1, true, never, None),
+            Err(GtdError::Invariant { .. })
+        ));
+        assert!(matches!(
+            end(on(), n1, false, never, None),
+            Ok(EpochEnd::Quiet)
+        ));
     }
 
     #[test]
