@@ -27,8 +27,8 @@ pub struct LintRule {
 pub const LINT_RULES: &[LintRule] = &[
     LintRule {
         name: "no-alloc-in-tick-path",
-        summary: "no allocating calls inside Engine::tick and its mode bodies \
-                  (tick_dense/tick_event/tick_saturated), the shard phases, the \
+        summary: "no allocating calls inside Engine::tick and its two tick paths \
+                  (tick_event/tick_saturated), the shard phases, the \
                   worker-pool dispatch path, Node::flush_due, or the per-epoch \
                   topology queries (CSR views, masks, rewire hooks)",
         rationale: "the per-tick path is the O(N*D) inner loop the paper's cost model \
@@ -261,7 +261,7 @@ fn scan_scoped_fns(
     }
 }
 
-/// The per-tick hot path: `Engine::tick`, the three mode bodies, the
+/// The per-tick hot path: `Engine::tick`, its two tick paths, the
 /// shard phase functions the pool fans out, the frontier rebuild, and
 /// the pool's own dispatch/claim/worker loop — plus the per-epoch paths:
 /// the topology's CSR connectivity views (iterator/mask forms, queried
@@ -271,7 +271,6 @@ const TICK_PATH_SCOPES: &[(&str, &[&str])] = &[
         "crates/netsim/src/engine.rs",
         &[
             "tick",
-            "tick_dense",
             "tick_event",
             "tick_saturated",
             "shard_step",

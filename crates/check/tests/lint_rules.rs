@@ -39,7 +39,6 @@ fn engine_with_tick(tick_body: &str) -> String {
         impl Engine {{
             pub fn new() -> Self {{ Engine {{ buf: Vec::new() }} }}
             pub fn tick(&mut self) {{ {tick_body} }}
-            fn tick_dense(&mut self) {{}}
             fn tick_event(&mut self) {{}}
             fn tick_saturated(&mut self) {{}}
             fn rebuild_frontier(&mut self) {{}}
@@ -88,7 +87,7 @@ fn moved_hot_path_is_itself_a_violation() {
         vec![("crates/netsim/src/engine.rs", engine)],
         &full_readme(),
     );
-    assert_eq!(hits.len(), 11, "one per scoped engine fn: {hits:?}");
+    assert_eq!(hits.len(), 10, "one per scoped engine fn: {hits:?}");
     assert!(hits.iter().all(|v| v.message.contains("not found")));
 }
 

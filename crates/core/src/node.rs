@@ -1540,7 +1540,7 @@ mod tests {
             let mut engine: Engine<ProtocolNode> = build_gtd_engine(&topo, EngineMode::Sparse);
             drive(&mut engine, TranscriptEvent::Terminated, 1_000_000, |_| {});
             if let Some(at) = jump_to {
-                engine.skip_quiet_ticks(at - engine.tick_count());
+                engine.skip_lull(at);
             }
             let base = engine.tick_count();
             engine.node_mut(NodeId(0)).master_restart();

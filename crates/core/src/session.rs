@@ -553,7 +553,8 @@ impl<'a> GtdSession<'a> {
         self
     }
 
-    /// Engine execution strategy (observationally identical across modes).
+    /// Engine mode: it only picks the shard count (see [`EngineMode`]),
+    /// so results are identical across modes.
     pub fn mode(mut self, mode: EngineMode) -> Self {
         self.mode = mode;
         self
@@ -953,8 +954,8 @@ impl<'a> GtdSession<'a> {
                 if last_verified && tl.fired < tl.muts.len() && tl.engine.is_quiet() {
                     // Nothing to re-map yet: idle the quiet network to the
                     // next mutation tick (O(1) — quiet networks stay quiet).
-                    let next_tick = tl.muts[tl.fired].scheduled.tick;
-                    tl.engine.skip_quiet_ticks(next_tick - tl.now());
+                    let next = tl.next_mutation_at();
+                    tl.engine.skip_lull(next);
                     continue;
                 }
                 // (A verified epoch can leave mutation-era junk circulating

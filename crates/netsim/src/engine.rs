@@ -11,43 +11,35 @@
 //! Wires are double-buffered so all automata observe one consistent
 //! snapshot regardless of step order.
 //!
-//! Three observationally-equivalent execution strategies are provided
-//! (equivalence is enforced by tests and measured by experiment E8):
+//! There is one engine. Each tick steps the **active frontier**: the
+//! automata with a pending input or a due wake deadline. The frontier is
+//! intrusive. The scatter marks each receiving node, and a timer
+//! wheel/heap fed by [`StepCtx::request_restep_at`] holds the deadlines,
+//! so a quiet tick costs O(active) rather than O(N). Skipping the other
+//! automata is sound by the *deadline contract* on [`Automaton`].
 //!
-//! * [`EngineMode::Dense`] — step every automaton every tick. The obvious
-//!   reference implementation.
-//! * [`EngineMode::Sparse`] — event-driven: step only the **active
-//!   frontier** — automata with a pending input or a due wake deadline.
-//!   The frontier is intrusive: it is updated at signal-write time (the
-//!   scatter marks the receiving node) and via a timer wheel/heap fed by
-//!   [`StepCtx::request_restep_at`], so a quiet tick costs O(active)
-//!   rather than O(N). Protocol activity is usually localized, so this is
-//!   the workhorse for large runs. Correctness relies on the *deadline
-//!   contract* documented on [`Automaton`].
-//! * [`EngineMode::Parallel`] — the sharded event engine. The active
-//!   frontier is partitioned over contiguous node ranges, each shard
-//!   owning its own timing wheel, overflow heap, and input worklist;
-//!   shards are fanned over a persistent worker pool
-//!   ([`crate::pool::WorkerPool`]: pre-spawned at construction, parked
-//!   between ticks, shut down on drop) when the merged frontier is large
-//!   enough, and run inline otherwise — so Parallel never pays dispatch
-//!   overhead on quiet-heavy phases. When a flood saturates the network
-//!   (≥ half the nodes have pending input) the mode switches to a
-//!   *saturated tick*: a dense-scan step/gather over shard ranges that
-//!   skips worklist bookkeeping entirely (the frontier is lazily rebuilt
-//!   on the way back to event ticks). Shard count comes from
-//!   [`Engine::with_root_sharded`], the `GTD_PAR_SHARDS` environment
-//!   variable, or auto-sizing by core count.
+//! The frontier is split over one or more **shards**, contiguous node
+//! ranges that each own a timing wheel, an overflow heap and an input
+//! worklist. With k > 1 shards the phases fan out over a persistent
+//! worker pool ([`crate::pool::WorkerPool`]: pre-spawned at
+//! construction, parked between ticks, shut down on drop) when the
+//! active set is large enough, and run inline otherwise. [`EngineMode`]
+//! only picks the shard count.
 //!
-//! All three modes maintain the same frontier bookkeeping (`wake_at`
-//! deadlines, pending-input flags, armed counters), so [`Engine::is_quiet`]
-//! is O(1) and [`Engine::skip_lull`] fast-forwards deadline-driven lulls
-//! identically regardless of mode — which is what keeps the modes
-//! bit-identical even on timelines that skip ticks. Transcripts are
-//! byte-identical across modes **and across any shard count**: shard
-//! ranges partition the node space in ascending order, each shard's step
-//! list is sorted, and every heuristic (pool engagement, saturation)
-//! only chooses between observationally-equivalent paths.
+//! Once a flood gives half the nodes a pending input, the tick becomes a
+//! *saturated* range scan instead: every node of each shard is stepped
+//! and every wire gathered, with no worklist bookkeeping (the frontier is
+//! rebuilt lazily on the way back to event ticks). Extra steps are no-ops
+//! by the deadline contract, so the switch affects speed only.
+//!
+//! [`Engine::is_quiet`] is O(1) from the frontier counters, and
+//! [`Engine::skip_lull`] fast-forwards deadline-driven lulls. Transcripts
+//! are byte-identical at **any shard count**: shard ranges partition the
+//! node space in ascending order, each shard's step list is sorted, and
+//! every heuristic (pool engagement, saturation) only chooses between
+//! observationally-equivalent paths. The reference these paths are
+//! checked against is [`crate::oracle::Oracle`], a naive simulator that
+//! shares none of this routing or frontier code.
 
 use crate::ids::{NodeId, Port, PortMask};
 use crate::mutation::MembershipChange;
@@ -87,7 +79,7 @@ pub struct StepCtx<'a, S, E> {
     /// Transcript events (only the root uses this in the GTD protocol, but
     /// the engine supports any node emitting).
     pub events: &'a mut Vec<E>,
-    wake: &'a mut u64,
+    pub(crate) wake: &'a mut u64,
 }
 
 impl<S, E> StepCtx<'_, S, E> {
@@ -123,16 +115,16 @@ impl<S, E> StepCtx<'_, S, E> {
 
 /// A synchronous finite-state processor.
 ///
-/// **Deadline contract** (required by [`EngineMode::Sparse`] and by
+/// **Deadline contract** (required by the event frontier and by
 /// [`Engine::skip_lull`]): if all of an automaton's inputs are blank and
 /// its most recent step requested no wake ([`StepCtx::request_restep_at`])
 /// — or requested one that has not yet arrived — then stepping it must
 /// not change its observable state and must emit only blank outputs,
-/// except that it may re-request a wake no earlier than the original.
-/// The dense paths step every automaton every tick and rely on those
-/// extra steps being no-ops; the event paths skip them entirely; both
-/// must agree, and the dense/sparse equivalence tests in this crate and
-/// downstream enforce it.
+/// except that it must re-request the wake it is still waiting for. Event
+/// ticks skip such steps; saturated ticks and the naive
+/// [`crate::oracle::Oracle`] take them every tick and rely on them being
+/// no-ops. The oracle equivalence tests in this crate and downstream
+/// enforce that both agree.
 pub trait Automaton: Send {
     /// The wire alphabet — one constant-size character per wire per tick.
     /// `Default` is the blank character b of the paper. `Copy` keeps the
@@ -159,22 +151,28 @@ pub trait Automaton: Send {
     /// [`MembershipChange::Joined`]): called once on the freshly built
     /// automaton, between ticks, before its first step. `meta` is the
     /// same power-on view the factory received; the newcomer is also
-    /// scheduled for a step, so it powers on at the next tick in every
-    /// engine mode. The default ignores the event.
+    /// scheduled for a step, so it powers on at the next tick. The
+    /// default ignores the event.
     fn on_join(&mut self, meta: &NodeMeta) {
         let _ = meta;
     }
 }
 
-/// Execution strategy. See module docs.
+/// How many frontier shards the one engine uses (see module docs). Every
+/// label runs the same ticks and gives byte-identical results.
+///
+/// Three labels remain because they are data, not behaviour: results
+/// carry `"mode"` in the golden files, the wire protocol and the campaign
+/// cache key, and the benchmark harness pins `Parallel`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineMode {
-    /// Step every node every tick, sequentially.
+    /// One shard, sequential; ignores `GTD_PAR_SHARDS`. Same as `Sparse`.
     Dense,
-    /// Step only the active frontier (event-driven), sequentially.
+    /// One shard, sequential; ignores `GTD_PAR_SHARDS`.
     Sparse,
-    /// Sharded event-driven stepping over a persistent worker pool, with
-    /// a dense-scan fast path for saturated ticks.
+    /// The shard count from [`Engine::with_root_sharded`]'s knob,
+    /// `GTD_PAR_SHARDS`, or auto-sizing by core count; more than one
+    /// shard fans ticks over a worker pool.
     Parallel,
 }
 
@@ -228,10 +226,9 @@ const NODES_PER_SHARD: usize = 256;
 
 /// With auto-sized shards, the worker pool engages only when the coming
 /// tick's active set (pending inputs + armed wakes) is at least this many
-/// nodes per shard; smaller frontiers run the same phases inline. This is
-/// the active-fraction heuristic that replaced the old fixed
-/// `PAR_MIN_NODES` cliff: Parallel falls back to sequential event
-/// scheduling on quiet-heavy phases instead of losing to Sparse there.
+/// nodes per shard; smaller frontiers run the same phases inline, so k
+/// shards fall back to sequential event scheduling on quiet-heavy phases
+/// instead of losing to one shard there.
 const PAR_ACTIVE_PER_SHARD: usize = 32;
 
 /// One partition of the active frontier: a contiguous node range with its
@@ -278,11 +275,11 @@ struct Shard {
 /// dropped with probability `loss`, and otherwise delayed by a number
 /// of extra ticks drawn uniformly from `delay_min..=delay_max` (a draw
 /// of 0 delivers on schedule). Decisions are **stateless**: each is a
-/// pure hash of `(seed, out-slot, emit tick)`, never a sequential RNG
-/// stream, so they are independent of step order, shard count, engine
-/// mode, and the saturation heuristic — which is what keeps faulted
-/// transcripts byte-identical across dense/sparse/parallel and every
-/// shard count. An inactive plane (`loss == 0`, no delay) installs no
+/// pure hash of `(seed, out-slot, emit tick)` ([`FaultPlane::fate`]),
+/// never a sequential RNG stream, so they are independent of step order,
+/// shard count and the saturation heuristic — which is what keeps
+/// faulted transcripts byte-identical at every shard count and equal to
+/// the oracle's. An inactive plane (`loss == 0`, no delay) installs no
 /// state at all, so unfaulted runs stay bit-identical **and**
 /// allocation-free.
 #[derive(Clone, Copy, PartialEq, Default, Debug)]
@@ -325,6 +322,25 @@ impl FaultPlane {
             ..*self
         }
     }
+
+    /// The fate of the character written onto the wire from out-slot
+    /// `out_slot` (`node * δ + out-port`) at tick `emit`: `None` =
+    /// dropped, `Some(0)` = deliver on schedule, `Some(d)` = deliver `d`
+    /// ticks late. A pure function of the plane and its arguments.
+    #[inline]
+    pub fn fate(&self, out_slot: usize, emit: u64) -> Option<u64> {
+        if self.loss > 0.0 {
+            let threshold = (self.loss.clamp(0.0, 1.0) * (u64::MAX as f64)) as u64;
+            if fault_hash(self.seed, out_slot as u64, emit, 0) < threshold {
+                return None;
+            }
+        }
+        if self.delay_max == 0 {
+            return Some(0);
+        }
+        let span = self.delay_max - self.delay_min + 1;
+        Some(self.delay_min + fault_hash(self.seed, out_slot as u64, emit, 1) % span)
+    }
 }
 
 /// Stateless per-character fault hash: a splitmix64-style finalizer over
@@ -338,20 +354,6 @@ fn fault_hash(seed: u64, a: u64, b: u64, salt: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// One character's fate under the plane: `None` = dropped, `Some(0)` =
-/// deliver on schedule, `Some(d)` = deliver `d` ticks late.
-#[inline]
-fn fault_decide(plane: &FaultPlane, threshold: u64, out_slot: usize, emit: u64) -> Option<u64> {
-    if plane.loss > 0.0 && fault_hash(plane.seed, out_slot as u64, emit, 0) < threshold {
-        return None;
-    }
-    if plane.delay_max == 0 {
-        return Some(0);
-    }
-    let span = plane.delay_max - plane.delay_min + 1;
-    Some(plane.delay_min + fault_hash(plane.seed, out_slot as u64, emit, 1) % span)
 }
 
 /// A character taken off its wire by the fault plane, due for delivery at
@@ -378,11 +380,9 @@ struct FaultShard<S> {
 /// the reliable path pays one null check per delivery site.
 struct FaultState<S> {
     plane: FaultPlane,
-    /// `loss` scaled to the hash range (precomputed).
-    threshold: u64,
     /// Characters in flight past their on-schedule delivery tick.
     delayed: Vec<Delayed<S>>,
-    /// One accumulation cell per shard (empty for Dense).
+    /// One accumulation cell per shard.
     scratch: Vec<FaultShard<S>>,
     /// Reusable batch buffer for due deliveries.
     due_scratch: Vec<Delayed<S>>,
@@ -416,13 +416,12 @@ fn resolve_shards(n: usize, requested: Option<usize>) -> (usize, bool) {
 /// The lockstep simulator. Generic over the automaton type so the same
 /// engine runs the GTD protocol, unit-test probes, and ablation automata.
 ///
-/// Steady-state ticks are allocation-free in every mode: all per-tick
+/// Steady-state ticks are allocation-free at every shard count: all per-tick
 /// scratch (per-shard event buffers and step lists, frontier worklists,
 /// timer structures, cross-shard lanes) is reused across ticks, the
 /// worker pool is pre-spawned and coordinated by atomics, and topology
 /// mutations reuse the route-table rebuild buffers (`apply_scratch`).
 pub struct Engine<A: Automaton> {
-    mode: EngineMode,
     delta: usize,
     root: NodeId,
     tick: u64,
@@ -431,7 +430,7 @@ pub struct Engine<A: Automaton> {
     in_buf: Vec<A::Sig>,
     /// `out_buf[n*δ + o]` — signal written on out-port `o` of node `n`.
     out_buf: Vec<A::Sig>,
-    /// For each in-slot, the out-slot feeding it (dense/saturated gather).
+    /// For each in-slot, the out-slot feeding it (saturated gather).
     route_in: Vec<u32>,
     /// For each out-slot, the in-slot it feeds (event scatter). Bijective
     /// on wired slots — which is what makes cross-shard in-slot writes
@@ -447,8 +446,8 @@ pub struct Engine<A: Automaton> {
     pending_inputs: usize,
     /// Count of non-[`NO_WAKE`] entries in `wake_at`.
     armed: usize,
-    /// Frontier partitions: empty for Dense, one shard for Sparse, the
-    /// resolved shard count for Parallel.
+    /// Frontier partitions: one for Dense and Sparse, the resolved shard
+    /// count for Parallel.
     shards: Vec<Shard>,
     /// Nodes per shard (`shard_of(n) = min(n / chunk, shards - 1)`).
     chunk: usize,
@@ -459,10 +458,10 @@ pub struct Engine<A: Automaton> {
     /// The shard count was requested explicitly (knob or env var): fan
     /// event ticks over the pool unconditionally.
     forced_fanout: bool,
-    /// Persistent tick-phase workers (Parallel with > 1 shard only);
+    /// Persistent tick-phase workers (more than one shard only);
     /// spawned once here, parked between dispatches, joined on drop.
     pool: Option<WorkerPool>,
-    /// Per-shard event buffers (one for Dense), drained every tick.
+    /// Per-shard event buffers, drained every tick.
     event_bufs: Vec<EventBuf<A::Event>>,
     /// Route-table and invalidation rebuild buffers for
     /// [`Engine::apply_topology_with`], reused across mutations so
@@ -477,8 +476,8 @@ pub struct Engine<A: Automaton> {
 /// `scratch` ([`StepCtx::events`]); [`EventBuf::tag`] moves them into
 /// `tagged` with the stepping node's id right after the step. Step lists
 /// ascend within a shard and shard ranges ascend, so concatenating the
-/// shards' `tagged` lists in shard order yields ascending node order —
-/// the same order Dense emits, at any shard count.
+/// shards' `tagged` lists in shard order yields ascending node order at
+/// any shard count.
 struct EventBuf<E> {
     scratch: Vec<E>,
     tagged: Vec<(NodeId, E)>,
@@ -563,7 +562,6 @@ struct ParCtx<A: Automaton> {
     /// Each phase touches only `fault.add(s)` — its own shard's cell.
     fault: *mut FaultShard<A::Sig>,
     fplane: FaultPlane,
-    fthreshold: u64,
     num_shards: usize,
     chunk: usize,
     delta: usize,
@@ -679,7 +677,7 @@ unsafe fn shard_scatter<A: Automaton>(ctx: *const (), s: usize) {
             }
             let in_slot = r as usize;
             if !c.fault.is_null() {
-                match fault_decide(&c.fplane, c.fthreshold, out_slot, c.tick) {
+                match c.fplane.fate(out_slot, c.tick) {
                     None => {
                         (*c.fault.add(s)).dropped += 1;
                         continue;
@@ -736,13 +734,11 @@ unsafe fn shard_merge<A: Automaton>(ctx: *const (), d: usize) {
     }
 }
 
-/// Saturated phase A (per shard): dense-scan step every node in the
+/// Saturated phase A (per shard): range-scan step every node in the
 /// shard's range. When the network floods, stepping the stragglers (no-ops
-/// by the deadline contract) is cheaper than worklist bookkeeping — and
-/// the armed recount folds into the same pass, which is what lets a
-/// saturated Parallel tick beat both Sparse (no sort) and Dense (no
-/// separate recount scans). Leaves the shard worklists stale: the caller
-/// marks the frontier dirty.
+/// by the deadline contract) is cheaper than worklist bookkeeping (no
+/// sort), and the armed recount folds into the same pass. Leaves the
+/// shard worklists stale: the caller marks the frontier dirty.
 unsafe fn shard_step_all<A: Automaton>(ctx: *const (), s: usize) {
     let c = &*ctx.cast::<ParCtx<A>>();
     let sh = &mut *c.shards.add(s);
@@ -777,7 +773,7 @@ unsafe fn shard_step_all<A: Automaton>(ctx: *const (), s: usize) {
 /// (32 × the 16-byte GTD signal = 512 B of stack).
 const GATHER_BLOCK: usize = 32;
 
-/// Saturated phase B (per shard): dense gather — copy every wired
+/// Saturated phase B (per shard): range gather — copy every wired
 /// out-slot into the in-slot it feeds for the shard's nodes, recomputing
 /// `has_input` and the shard's pending count in the same pass.
 ///
@@ -803,9 +799,6 @@ const GATHER_BLOCK: usize = 32;
 ///   compares, where a compare against memory is a chain of
 ///   data-dependent branches. Copies still come from the local `blank`:
 ///   building `default()` in place at every copy measured twice as slow.
-///
-/// `tick_dense` keeps the naive per-slot loop on purpose: it is the
-/// independent reference the equivalence suites check this one against.
 unsafe fn shard_gather<A: Automaton>(ctx: *const (), s: usize) {
     let c = &*ctx.cast::<ParCtx<A>>();
     let sh = &mut *c.shards.add(s);
@@ -831,7 +824,7 @@ unsafe fn shard_gather<A: Automaton>(ctx: *const (), s: usize) {
             let mut sig = loaded;
             if !c.fault.is_null() && sig != A::Sig::default() {
                 let r = *c.route_in.add(in_slot) as usize;
-                match fault_decide(&c.fplane, c.fthreshold, r, c.tick) {
+                match c.fplane.fate(r, c.tick) {
                     None => {
                         (*c.fault.add(s)).dropped += 1;
                         sig = blank;
@@ -914,19 +907,13 @@ impl<A: Automaton> Engine<A> {
         let mut route_out = vec![NO_ROUTE; n * delta];
         fill_routes(topo, delta, &mut route_in, &mut route_out);
         let (s_count, forced_fanout) = match mode {
-            EngineMode::Dense => (0, false),
-            EngineMode::Sparse => (1, false),
+            EngineMode::Dense | EngineMode::Sparse => (1, false),
             EngineMode::Parallel => resolve_shards(n, par_shards),
         };
-        let chunk = if s_count > 0 {
-            n.div_ceil(s_count).max(1)
-        } else {
-            1
-        };
+        let chunk = n.div_ceil(s_count).max(1);
         // tick 0's wheel slot holds every owned node (the power-on step:
         // every node must be stepped at least once so initiators can
-        // start protocols without external input); Dense steps everyone
-        // unconditionally and keeps no shards at all.
+        // start protocols without external input).
         let shards: Vec<Shard> = (0..s_count)
             .map(|s| {
                 let lo = (s * chunk).min(n);
@@ -950,10 +937,8 @@ impl<A: Automaton> Engine<A> {
                 }
             })
             .collect();
-        let pool =
-            (mode == EngineMode::Parallel && s_count > 1).then(|| WorkerPool::new(s_count - 1));
+        let pool = (s_count > 1).then(|| WorkerPool::new(s_count - 1));
         Engine {
-            mode,
             delta,
             root,
             tick: 0,
@@ -972,7 +957,7 @@ impl<A: Automaton> Engine<A> {
             frontier_dirty: false,
             forced_fanout,
             pool,
-            event_bufs: (0..s_count.max(1)).map(|_| EventBuf::new()).collect(),
+            event_bufs: (0..s_count).map(|_| EventBuf::new()).collect(),
             apply_scratch: ApplyScratch::default(),
             fault: None,
         }
@@ -987,11 +972,9 @@ impl<A: Automaton> Engine<A> {
             self.fault = None;
             return;
         }
-        let threshold = (plane.loss.clamp(0.0, 1.0) * (u64::MAX as f64)) as u64;
         let shards = self.shards.len();
         self.fault = Some(Box::new(FaultState {
             plane,
-            threshold,
             delayed: Vec::new(),
             scratch: (0..shards)
                 .map(|_| FaultShard {
@@ -1032,15 +1015,15 @@ impl<A: Automaton> Engine<A> {
         self.tick
     }
 
-    /// Frontier partitions this engine schedules over (0 for Dense, 1 for
+    /// Frontier partitions this engine schedules over (1 for Dense and
     /// Sparse, the resolved shard count for Parallel).
     #[inline]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// Pre-spawned pool workers (shard count − 1 for Parallel with more
-    /// than one shard; 0 otherwise — the main thread is always a worker).
+    /// Pre-spawned pool workers (shard count − 1; the main thread is
+    /// always a worker).
     #[inline]
     pub fn pool_workers(&self) -> usize {
         self.pool.as_ref().map_or(0, WorkerPool::workers)
@@ -1061,18 +1044,18 @@ impl<A: Automaton> Engine<A> {
     /// The shard owning node `n`.
     #[inline]
     fn shard_of(&self, n: usize) -> usize {
-        (n / self.chunk).min(self.shards.len().saturating_sub(1))
+        (n / self.chunk).min(self.shards.len() - 1)
     }
 
     /// Index node `n`'s wake at tick `wake` into its shard's timer
     /// structures: near wakes go to the wheel slot that drains at exactly
     /// that tick, far ones to the overflow heap. Caller has already
     /// stored `wake` in `wake_at` (which is what validates entries when
-    /// they surface). Dense keeps no shards and consults `wake_at` by
-    /// scan; a dirty frontier skips indexing (the rebuild re-indexes).
+    /// they surface). A dirty frontier skips indexing (the rebuild
+    /// re-indexes).
     #[inline]
     fn schedule_wake(&mut self, n: u32, wake: u64) {
-        if self.shards.is_empty() || self.frontier_dirty {
+        if self.frontier_dirty {
             return;
         }
         let tick = self.tick;
@@ -1100,7 +1083,7 @@ impl<A: Automaton> Engine<A> {
     /// Mutable access to one automaton — the "outside source" of the paper
     /// nudging a processor (e.g. the master computer restarting the root
     /// for a re-map). The node is also scheduled for a step so the nudge
-    /// takes effect even in the event-driven modes.
+    /// takes effect on the next tick.
     pub fn node_mut(&mut self, n: NodeId) -> &mut A {
         self.arm(n.idx(), self.tick);
         &mut self.nodes[n.idx()]
@@ -1118,8 +1101,8 @@ impl<A: Automaton> Engine<A> {
     ///   in-slot) still exists.
     /// * Every automaton whose port connectivity changed receives
     ///   [`Automaton::on_rewire`] with its new [`NodeMeta`] and is
-    ///   scheduled for a step, so all three engine modes observe the
-    ///   mutation on the same tick and stay observationally identical.
+    ///   scheduled for a step, so it observes the mutation on the next
+    ///   tick even if no input reaches it.
     ///
     /// The processor count must be preserved (δ always is); for membership
     /// changes use [`Engine::apply_topology_with`].
@@ -1141,7 +1124,7 @@ impl<A: Automaton> Engine<A> {
     /// * [`MembershipChange::Joined`] — `factory` builds the newcomer's
     ///   automaton from its power-on [`NodeMeta`]; it then receives
     ///   [`Automaton::on_join`] and is scheduled, so it powers on at the
-    ///   next tick identically in all three engine modes.
+    ///   next tick at every shard count.
     /// * [`MembershipChange::Left`] — the departed automaton is removed
     ///   (its in-flight signals and pending inputs with it) and every
     ///   higher processor id shifts down by one, mirroring
@@ -1259,8 +1242,7 @@ impl<A: Automaton> Engine<A> {
             None => self.tick,
         }));
         // Notify surviving processors whose port awareness changed and
-        // schedule them so the event modes step them exactly when dense
-        // would.
+        // schedule them for the coming tick.
         for (new_id, &old) in inv.iter().enumerate() {
             let Some(old_id) = old else { continue };
             let changed = (0..delta).any(|p| {
@@ -1294,9 +1276,7 @@ impl<A: Automaton> Engine<A> {
         // re-mark pending inputs and re-index armed wakes.
         self.has_input.clear();
         self.has_input.resize(new_n, false);
-        if !self.shards.is_empty() {
-            self.chunk = new_n.div_ceil(self.shards.len()).max(1);
-        }
+        self.chunk = new_n.div_ceil(self.shards.len()).max(1);
         let chunk = self.chunk;
         for (s, sh) in self.shards.iter_mut().enumerate() {
             sh.lo = (s * chunk).min(new_n);
@@ -1320,10 +1300,8 @@ impl<A: Automaton> Engine<A> {
             if sigs.iter().any(|s| *s != blank) {
                 self.has_input[n] = true;
                 self.pending_inputs += 1;
-                if !self.shards.is_empty() {
-                    let s = self.shard_of(n);
-                    self.shards[s].frontier.push(n as u32);
-                }
+                let s = self.shard_of(n);
+                self.shards[s].frontier.push(n as u32);
             }
         }
         self.armed = 0;
@@ -1356,22 +1334,11 @@ impl<A: Automaton> Engine<A> {
             + self.fault.as_ref().map_or(0, |f| f.delayed.len())
     }
 
-    /// Fast-forward a quiet network by `ticks` clock pulses. A quiet
-    /// network stays quiet (the deadline contract makes every step a
-    /// no-op), so only the clock advances — this lets dynamic timelines
-    /// idle to a far-future mutation tick in O(1). Panics if the network
-    /// is not quiet.
-    pub fn skip_quiet_ticks(&mut self, ticks: u64) {
-        assert!(self.is_quiet(), "can only skip ticks on a quiet network");
-        self.tick += ticks;
-    }
-
     /// The earliest armed wake deadline, if any. Drops stale timer-heap
-    /// entries as they surface (amortized O(1) in the event modes; a
-    /// linear scan in Dense — which pays O(N) per tick anyway — and
-    /// while the frontier is dirty after saturated ticks).
+    /// entries as they surface (amortized O(1); a linear scan while the
+    /// frontier is dirty after saturated ticks).
     fn next_wake(&mut self) -> Option<u64> {
-        if self.shards.is_empty() || self.frontier_dirty {
+        if self.frontier_dirty {
             return self.wake_at.iter().copied().filter(|&w| w != NO_WAKE).min();
         }
         // Earliest genuine wake on any shard's wheel: scan the coming
@@ -1409,14 +1376,14 @@ impl<A: Automaton> Engine<A> {
     /// Fast-forward a **lull**: if the coming tick would step nothing (no
     /// signal in flight, no wake deadline due), jump the clock straight to
     /// the earliest armed deadline — or to `limit`, whichever is smaller —
-    /// in O(1). Generalizes [`Engine::skip_quiet_ticks`]: a fully quiet
-    /// network skips to `limit`; a network merely waiting out speed-timer
-    /// dwells skips to the next deadline. Skipped ticks are pure no-ops by
-    /// the deadline contract, and the decision depends only on
-    /// mode-uniform frontier state, so timelines that skip stay
-    /// bit-identical across all three engine modes. Returns the number of
-    /// ticks skipped (0 when the coming tick has work or `limit` is not
-    /// ahead of the clock).
+    /// in O(1). A fully quiet network skips to `limit` (this is how
+    /// dynamic timelines idle to a far-future mutation tick); a network
+    /// merely waiting out speed-timer dwells skips to the next deadline.
+    /// Skipped ticks are pure no-ops by the deadline contract, and the
+    /// decision depends only on `wake_at` and the pending counters, so
+    /// timelines that skip stay bit-identical at every shard count.
+    /// Returns the number of ticks skipped (0 when the coming tick has
+    /// work or `limit` is not ahead of the clock).
     pub fn skip_lull(&mut self, limit: u64) -> u64 {
         if self.pending_inputs > 0 || limit <= self.tick {
             return 0;
@@ -1427,7 +1394,7 @@ impl<A: Automaton> Engine<A> {
         };
         // A delayed character's due tick is a delivery deadline: jumping
         // past it would miss the delivery, so it caps the skip exactly
-        // like an armed wake (and identically in every mode).
+        // like an armed wake.
         if let Some(f) = self.fault.as_ref() {
             if let Some(min_due) = f.delayed.iter().map(|d| d.due).min() {
                 target = target.min(min_due);
@@ -1442,28 +1409,21 @@ impl<A: Automaton> Engine<A> {
     }
 
     /// Advance one global clock tick. Events emitted by nodes are appended
-    /// to `events` in ascending node order (deterministic across modes and
-    /// shard counts).
+    /// to `events` in ascending node order (deterministic at every shard
+    /// count).
     pub fn tick(&mut self, events: &mut Vec<(NodeId, A::Event)>) {
         self.deliver_due_faults();
-        match self.mode {
-            EngineMode::Dense => self.tick_dense(events),
-            EngineMode::Sparse => self.tick_event(events),
-            EngineMode::Parallel => {
-                // Saturation: once half the nodes hold a pending input,
-                // a dense-scan tick beats worklist bookkeeping. Either
-                // path is observationally identical (extra steps are
-                // no-ops by the deadline contract), so the threshold
-                // affects speed only, never transcripts.
-                if self.pending_inputs * 2 >= self.nodes.len() {
-                    self.tick_saturated(events);
-                } else {
-                    if self.frontier_dirty {
-                        self.rebuild_frontier();
-                    }
-                    self.tick_event(events);
-                }
+        // Saturation: once half the nodes hold a pending input, a range
+        // scan beats worklist bookkeeping. Either path is observationally
+        // identical (extra steps are no-ops by the deadline contract), so
+        // the threshold affects speed only, never transcripts.
+        if self.pending_inputs * 2 >= self.nodes.len() {
+            self.tick_saturated(events);
+        } else {
+            if self.frontier_dirty {
+                self.rebuild_frontier();
             }
+            self.tick_event(events);
         }
         self.tick += 1;
     }
@@ -1505,7 +1465,7 @@ impl<A: Automaton> Engine<A> {
     /// dropped). Sorting the batch by `(in_slot, emit)` — unique, since
     /// `route_out` is bijective — makes the outcome independent of the
     /// order shards appended to the delayed set, preserving byte-identity
-    /// across modes and shard counts.
+    /// across shard counts.
     fn deliver_due_faults(&mut self) {
         let Some(f) = self.fault.as_deref_mut() else {
             return;
@@ -1545,7 +1505,7 @@ impl<A: Automaton> Engine<A> {
                 self.pending_inputs += 1;
                 // Between ticks, so the engine-wide counter is adjusted
                 // directly; a dirty frontier re-derives from `has_input`.
-                if !self.shards.is_empty() && !self.frontier_dirty {
+                if !self.frontier_dirty {
                     let s = (n / self.chunk).min(self.shards.len() - 1);
                     self.shards[s].frontier.push(n as u32);
                 }
@@ -1571,14 +1531,13 @@ impl<A: Automaton> Engine<A> {
 
     /// The type-erased table view the tick phases work through.
     fn par_ctx(&mut self) -> ParCtx<A> {
-        let (fault, fplane, fthreshold) = match self.fault.as_deref_mut() {
-            Some(f) => (f.scratch.as_mut_ptr(), f.plane, f.threshold),
-            None => (std::ptr::null_mut(), FaultPlane::NONE, 0),
+        let (fault, fplane) = match self.fault.as_deref_mut() {
+            Some(f) => (f.scratch.as_mut_ptr(), f.plane),
+            None => (std::ptr::null_mut(), FaultPlane::NONE),
         };
         ParCtx {
             fault,
             fplane,
-            fthreshold,
             nodes: self.nodes.as_mut_ptr(),
             in_buf: self.in_buf.as_mut_ptr(),
             out_buf: self.out_buf.as_mut_ptr(),
@@ -1642,12 +1601,12 @@ impl<A: Automaton> Engine<A> {
         self.armed = armed as usize;
     }
 
-    /// One event-driven tick over the shards (Sparse always, Parallel
-    /// below saturation): step/scatter/merge phases with barriers, then
-    /// counter settlement and the event drain. The pool engages when the
-    /// active set justifies dispatch (or fan-out is forced); otherwise
-    /// the same phases run inline — the active-fraction fallback that
-    /// keeps Parallel from ever losing to Sparse on quiet phases.
+    /// One event-driven tick over the shards (below saturation):
+    /// step/scatter/merge phases with barriers, then counter settlement
+    /// and the event drain. The pool engages when the active set
+    /// justifies dispatch (or fan-out is forced); otherwise the same
+    /// phases run inline — the active-fraction fallback that keeps k
+    /// shards from losing to one on quiet phases.
     fn tick_event(&mut self, events: &mut Vec<(NodeId, A::Event)>) {
         let s_count = self.shards.len();
         let use_pool = self.pool.is_some()
@@ -1668,7 +1627,7 @@ impl<A: Automaton> Engine<A> {
         }
     }
 
-    /// One saturated tick (Parallel only): dense-scan step + gather over
+    /// One saturated tick: range-scan step + gather over
     /// shard ranges, skipping all worklist bookkeeping. Marks the
     /// frontier dirty — the wheel/heap/frontier no longer reflect
     /// `wake_at`/`has_input` and are rebuilt before the next event tick.
@@ -1710,99 +1669,6 @@ impl<A: Automaton> Engine<A> {
             }
         }
     }
-
-    /// One dense tick: step everyone, gather every wire, recount the
-    /// frontier counters wholesale. Sequential — the reference
-    /// implementation stays the simplest possible loop.
-    fn tick_dense(&mut self, events: &mut Vec<(NodeId, A::Event)>) {
-        let delta = self.delta;
-        let tick = self.tick;
-        // Phase 1: step everyone against the in_buf snapshot. Each node's
-        // wake slot is reset and re-requested within its step (the
-        // deadline contract keeps re-requests idempotent).
-        let in_buf = &self.in_buf;
-        let ev = &mut self.event_bufs[0];
-        for (idx, ((node, out_chunk), wake)) in self
-            .nodes
-            .iter_mut()
-            .zip(self.out_buf.chunks_mut(delta))
-            .zip(self.wake_at.iter_mut())
-            .enumerate()
-        {
-            for s in out_chunk.iter_mut() {
-                *s = A::Sig::default();
-            }
-            *wake = NO_WAKE;
-            let mut ctx = StepCtx {
-                tick,
-                inputs: &in_buf[idx * delta..(idx + 1) * delta],
-                outputs: out_chunk,
-                events: &mut ev.scratch,
-                wake,
-            };
-            node.step(&mut ctx);
-            ev.tag(idx);
-        }
-        // Phase 2: gather — route every wired out-slot to its in-slot by
-        // plain copy (the `Copy` bound keeps this a word move, never a
-        // clone or an allocation). An active fault plane interposes the
-        // same stateless per-character decision the sharded paths make.
-        let out_buf = &self.out_buf;
-        let route_in = &self.route_in;
-        let blank = A::Sig::default();
-        let mut fault = self.fault.take();
-        for (nid, (chunk, has)) in self
-            .in_buf
-            .chunks_mut(delta)
-            .zip(self.has_input.iter_mut())
-            .enumerate()
-        {
-            *has = false;
-            for (i, dst) in chunk.iter_mut().enumerate() {
-                let r = route_in[nid * delta + i];
-                if r == NO_ROUTE {
-                    if *dst != blank {
-                        *dst = A::Sig::default();
-                    }
-                } else {
-                    let mut sig = out_buf[r as usize];
-                    if sig != blank {
-                        if let Some(f) = fault.as_deref_mut() {
-                            match fault_decide(&f.plane, f.threshold, r as usize, tick) {
-                                None => {
-                                    f.dropped += 1;
-                                    sig = blank;
-                                }
-                                Some(0) => {}
-                                Some(d) => {
-                                    f.delayed.push(Delayed {
-                                        due: tick + 1 + d,
-                                        in_slot: (nid * delta + i) as u32,
-                                        emit: tick,
-                                        sig,
-                                    });
-                                    f.delayed_total += 1;
-                                    sig = blank;
-                                }
-                            }
-                        }
-                    }
-                    *dst = sig;
-                    if *dst != blank {
-                        *has = true;
-                    }
-                }
-            }
-        }
-        self.fault = fault;
-        // Phase 3: refresh the frontier counters wholesale — dense pays
-        // O(N) per tick anyway (the saturated parallel path fuses these
-        // recounts into its scan, which is how it wins).
-        self.pending_inputs = self.has_input.iter().filter(|&&h| h).count();
-        self.armed = self.wake_at.iter().filter(|&&w| w != NO_WAKE).count();
-        // Phase 4: drain events in node order.
-        self.drain_events(events);
-    }
 }
 
 #[cfg(test)]
@@ -1810,6 +1676,7 @@ impl<A: Automaton> Engine<A> {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::oracle::Oracle;
 
     /// Test automaton: forwards any received u32+1 on all out-ports after a
     /// fixed dwell; the root injects value 1 at tick 0. Exercises wake-up,
@@ -1898,6 +1765,26 @@ mod tests {
         events
     }
 
+    /// The reference: `ticks` oracle ticks, stopping early once quiet.
+    fn oracle_to_quiet<A: Automaton>(o: &mut Oracle<A>, ticks: u64) -> Vec<(NodeId, A::Event)> {
+        let mut events = Vec::new();
+        for _ in 0..ticks {
+            o.tick(&mut events);
+            if o.is_quiet() {
+                break;
+            }
+        }
+        assert!(o.is_quiet(), "the oracle run should quiesce");
+        events
+    }
+
+    fn hopper_oracle(dwell: u64) -> Oracle<Hopper> {
+        Oracle::new(&generators::ring(4), NodeId(0), &mut |meta| Hopper {
+            dwell,
+            ..hopper_factory(meta)
+        })
+    }
+
     #[test]
     fn message_hops_around_ring() {
         let mut eng = hopper_engine(EngineMode::Dense, 0);
@@ -1910,11 +1797,13 @@ mod tests {
     #[test]
     fn all_modes_agree() {
         for dwell in [0u64, 2, 3] {
-            let base = run_to_quiet(&mut hopper_engine(EngineMode::Dense, dwell));
+            let base = oracle_to_quiet(&mut hopper_oracle(dwell), 200);
+            let dense = run_to_quiet(&mut hopper_engine(EngineMode::Dense, dwell));
             let sparse = run_to_quiet(&mut hopper_engine(EngineMode::Sparse, dwell));
             let par = run_to_quiet(&mut hopper_engine(EngineMode::Parallel, dwell));
-            assert_eq!(base, sparse, "dense vs sparse, dwell {dwell}");
-            assert_eq!(base, par, "dense vs parallel, dwell {dwell}");
+            assert_eq!(base, dense, "oracle vs dense, dwell {dwell}");
+            assert_eq!(base, sparse, "oracle vs sparse, dwell {dwell}");
+            assert_eq!(base, par, "oracle vs parallel, dwell {dwell}");
         }
     }
 
@@ -1924,7 +1813,7 @@ mod tests {
         // pool, so this sweep exercises the pooled step/scatter/merge
         // phases and cross-shard lanes, not just the inline driver.
         for dwell in [0u64, 2] {
-            let base = run_to_quiet(&mut hopper_engine(EngineMode::Dense, dwell));
+            let base = oracle_to_quiet(&mut hopper_oracle(dwell), 200);
             for shards in [1usize, 2, 3, 7, 16] {
                 let mut eng = hopper_engine_sharded(EngineMode::Parallel, dwell, Some(shards));
                 assert_eq!(eng.shard_count(), shards);
@@ -1932,7 +1821,7 @@ mod tests {
                 let got = run_to_quiet(&mut eng);
                 assert_eq!(
                     base, got,
-                    "dense vs parallel/{shards} shards, dwell {dwell}"
+                    "oracle vs parallel/{shards} shards, dwell {dwell}"
                 );
             }
         }
@@ -1976,16 +1865,26 @@ mod tests {
         flooder_engine_on(&generators::random_sc(48, 2, 11), mode, shards)
     }
 
+    fn flooder(meta: NodeMeta) -> Flooder {
+        Flooder {
+            meta_is_root: meta.is_root,
+            out_ports: meta.out_connected.iter().map(|p| p.idx()).collect(),
+            started: false,
+        }
+    }
+
+    fn flooder_oracle(topo: &Topology, plane: FaultPlane) -> Oracle<Flooder> {
+        let mut oracle = Oracle::new(topo, NodeId(0), &mut flooder);
+        oracle.set_fault_plane(plane);
+        oracle
+    }
+
     fn flooder_engine_on(
         topo: &Topology,
         mode: EngineMode,
         shards: Option<usize>,
     ) -> Engine<Flooder> {
-        Engine::with_root_sharded(topo, mode, NodeId(0), shards, &mut |meta| Flooder {
-            meta_is_root: meta.is_root,
-            out_ports: meta.out_connected.iter().map(|p| p.idx()).collect(),
-            started: false,
-        })
+        Engine::with_root_sharded(topo, mode, NodeId(0), shards, &mut flooder)
     }
 
     #[test]
@@ -2002,14 +1901,16 @@ mod tests {
             assert!(eng.is_quiet());
             events
         };
-        let base = run(EngineMode::Dense, None);
+        let topo = generators::random_sc(48, 2, 11);
+        let base = oracle_to_quiet(&mut flooder_oracle(&topo, FaultPlane::NONE), 40);
         assert!(!base.is_empty());
-        assert_eq!(base, run(EngineMode::Sparse, None), "dense vs sparse");
+        assert_eq!(base, run(EngineMode::Dense, None), "oracle vs dense");
+        assert_eq!(base, run(EngineMode::Sparse, None), "oracle vs sparse");
         for shards in [1usize, 2, 7, 16] {
             assert_eq!(
                 base,
                 run(EngineMode::Parallel, Some(shards)),
-                "dense vs parallel/{shards} shards across saturation"
+                "oracle vs parallel/{shards} shards across saturation"
             );
         }
     }
@@ -2113,18 +2014,45 @@ mod tests {
         log
     }
 
+    /// [`chorus_run`] on the oracle: each tick's events.
+    fn chorus_oracle_run(
+        topo: &Topology,
+        mutations: &[(u64, Topology, MembershipChange)],
+    ) -> Vec<Vec<(NodeId, (u64, u32))>> {
+        let mut oracle = Oracle::new(topo, NodeId(0), &mut chorus_factory);
+        let mut log = Vec::new();
+        for _ in 0..200 {
+            for (at, t, change) in mutations {
+                if *at == oracle.tick_count() {
+                    oracle.apply_topology_with(t, *change, &mut chorus_factory);
+                }
+            }
+            let mut events = Vec::new();
+            oracle.tick(&mut events);
+            log.push(events);
+            let pending = mutations.iter().any(|(at, ..)| *at >= oracle.tick_count());
+            if oracle.is_quiet() && !pending {
+                break;
+            }
+        }
+        assert!(oracle.is_quiet(), "the oracle must quiesce");
+        log
+    }
+
     /// Every tick's events come out in ascending node order (a node's own
-    /// events keep their emission order), identical to Dense at every
-    /// shard count; the Parallel runs must include both saturated and
-    /// event ticks in which several nodes emit.
+    /// events keep their emission order), identical to the oracle's at
+    /// every shard count; the Parallel runs must include both saturated
+    /// and event ticks in which several nodes emit.
     fn assert_event_order(topo: &Topology, mutations: &[(u64, Topology, MembershipChange)]) {
         let strip = |log: &TickLog| log.iter().map(|(e, _)| e.clone()).collect::<Vec<_>>();
-        let base = chorus_run(topo, EngineMode::Dense, None, mutations);
+        let base = chorus_oracle_run(topo, mutations);
+        let dense = chorus_run(topo, EngineMode::Dense, None, mutations);
+        assert_eq!(base, strip(&dense), "oracle vs dense");
         let sparse = chorus_run(topo, EngineMode::Sparse, None, mutations);
-        assert_eq!(strip(&base), strip(&sparse), "dense vs sparse");
+        assert_eq!(base, strip(&sparse), "oracle vs sparse");
         for shards in [1usize, 2, 7, 16] {
             let log = chorus_run(topo, EngineMode::Parallel, Some(shards), mutations);
-            assert_eq!(strip(&base), strip(&log), "dense vs parallel/{shards}");
+            assert_eq!(base, strip(&log), "oracle vs parallel/{shards}");
             let mut seen = [false; 2];
             for (events, saturated) in &log {
                 assert!(
@@ -2225,7 +2153,17 @@ mod tests {
                     assert!(eng.is_quiet(), "topology {ti} must quiesce");
                     (events, trace, saturated)
                 };
-                let (base_events, base_trace, _) = run(EngineMode::Dense, None);
+                let mut oracle = flooder_oracle(topo, plane);
+                let (mut base_events, mut base_trace) = (Vec::new(), Vec::new());
+                for _ in 0..200 {
+                    oracle.tick(&mut base_events);
+                    let (dropped, delayed) = oracle.faults();
+                    base_trace.push((oracle.signals_in_flight(), dropped, delayed));
+                    if oracle.is_quiet() {
+                        break;
+                    }
+                }
+                assert!(oracle.is_quiet(), "topology {ti} must quiesce");
                 assert!(!base_events.is_empty());
                 if plane.is_active() {
                     assert!(base_trace.last().is_some_and(|t| t.1 > 0 && t.2 > 0));
@@ -2441,15 +2379,19 @@ mod tests {
                 events
             })
             .collect();
-        for r in &runs[1..] {
-            assert_eq!(&runs[0], r, "all disciplines agree across a join");
+        let mut oracle = hopper_oracle(0);
+        let mut base = Vec::new();
+        oracle.tick(&mut base);
+        oracle.apply_topology_with(&joined, change, &mut hopper_factory);
+        base.append(&mut oracle_to_quiet(&mut oracle, 200));
+        for r in &runs {
+            assert_eq!(
+                &base, r,
+                "every shard count agrees with the oracle across a join"
+            );
         }
         // the newcomer (n4) took part in the hop chain
-        assert!(
-            runs[0].iter().any(|&(n, _)| n == NodeId(4)),
-            "{:?}",
-            runs[0]
-        );
+        assert!(base.iter().any(|&(n, _)| n == NodeId(4)), "{base:?}");
     }
 
     #[test]
@@ -2496,8 +2438,20 @@ mod tests {
                     events
                 })
                 .collect();
-        assert_eq!(runs[0], runs[1], "dense vs sparse across rewire");
-        assert_eq!(runs[0], runs[2], "dense vs parallel across rewire");
+        let mut oracle = hopper_oracle(2);
+        let mut base = Vec::new();
+        for _ in 0..3 {
+            oracle.tick(&mut base);
+        }
+        oracle.apply_topology_with(
+            &ring4_rerouted(),
+            MembershipChange::None,
+            &mut hopper_factory,
+        );
+        base.append(&mut oracle_to_quiet(&mut oracle, 200));
+        assert_eq!(base, runs[0], "oracle vs dense across rewire");
+        assert_eq!(base, runs[1], "oracle vs sparse across rewire");
+        assert_eq!(base, runs[2], "oracle vs parallel across rewire");
     }
 
     #[test]
@@ -2585,15 +2539,19 @@ mod tests {
                 eng.fault_delayed(),
             )
         };
-        let base = run(EngineMode::Dense, None);
+        let mut oracle = flooder_oracle(&generators::random_sc(48, 2, 11), plane);
+        let events = oracle_to_quiet(&mut oracle, 200);
+        let (dropped, delayed) = oracle.faults();
+        let base = (events, oracle.tick_count(), dropped, delayed);
         assert!(base.2 > 0, "the plane dropped something");
         assert!(base.3 > 0, "the plane delayed something");
-        assert_eq!(base, run(EngineMode::Sparse, None), "dense vs sparse");
+        assert_eq!(base, run(EngineMode::Dense, None), "oracle vs dense");
+        assert_eq!(base, run(EngineMode::Sparse, None), "oracle vs sparse");
         for shards in [1usize, 2, 7, 16] {
             assert_eq!(
                 base,
                 run(EngineMode::Parallel, Some(shards)),
-                "dense vs parallel/{shards} under faults"
+                "oracle vs parallel/{shards} under faults"
             );
         }
     }
@@ -2663,6 +2621,6 @@ mod tests {
         let sparse = hopper_engine(EngineMode::Sparse, 0);
         assert_eq!(sparse.shard_count(), 1);
         let dense = hopper_engine(EngineMode::Dense, 0);
-        assert_eq!(dense.shard_count(), 0);
+        assert_eq!(dense.shard_count(), 1);
     }
 }

@@ -23,10 +23,11 @@
 //! 3. **The lockstep engine** ([`engine`]) — a synchronous simulator in
 //!    which, on every global clock tick, each automaton reads one
 //!    constant-size character per in-port, performs a state change, and
-//!    writes one character per out-port. Three execution strategies are
-//!    provided (dense, sparse/event-driven, and sharded-parallel over a
-//!    persistent worker pool) which are observationally identical;
-//!    equivalence is enforced by tests.
+//!    writes one character per out-port. It steps only the active
+//!    frontier, over one shard or k shards fanned out on a persistent
+//!    worker pool, and its transcripts are identical at every shard
+//!    count. Tests check it against [`oracle`], a naive simulator that
+//!    shares no routing code with it.
 //!
 //! Nothing in this crate knows about snakes or the GTD protocol; it is the
 //! "hardware" on which `gtd-snake` and `gtd-core` run.
@@ -60,6 +61,7 @@ pub mod engine;
 pub mod generators;
 pub mod ids;
 pub mod mutation;
+pub mod oracle;
 mod pool;
 pub mod rng;
 pub mod spec;

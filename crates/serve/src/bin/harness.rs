@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! harness list                         # spec families, mappers, engine modes
-//! harness run [e1 … e8] [--scale K] [--json FILE]
+//! harness run [e1 … e7] [--scale K] [--json FILE]
 //! harness grid --spec S [--spec S …] [--mappers a,b] [--modes x,y]
 //!              [--roots 0,1] [--reps K] [--budget T] [--jobs K]
 //!              [--cell-timeout MS] [--via ADDR]
@@ -15,11 +15,11 @@
 //! harness compare OLD.jsonl NEW.jsonl [--threshold PCT]
 //! ```
 //!
-//! `run` regenerates the E1–E8 experiment rows (each experiment
+//! `run` regenerates the E1–E7 experiment rows (each experiment
 //! corresponds to one formal claim of the paper — the paper has no
 //! empirical tables/figures; see DESIGN.md §2 for the mapping). E1 and E7
-//! are expressed as [`Campaign`] grids; the probe experiments (E3/E4) and
-//! the engine ablation drive their machinery directly. `grid` runs an
+//! are expressed as [`Campaign`] grids; the probe experiments (E3/E4)
+//! drive their machinery directly. `grid` runs an
 //! arbitrary declared campaign; `--resume-from` seeds the incremental
 //! cell cache from a previous export so only new cells execute, and
 //! `--via` submits the same grid to a `harness serve` coordinator instead
@@ -61,7 +61,7 @@ fn usage(code: i32) -> ! {
     eprintln!(
         "usage:\n  \
          harness list\n  \
-         harness run [e1 .. e8] [--scale K] [--json FILE]\n  \
+         harness run [e1 .. e7] [--scale K] [--json FILE]\n  \
          harness grid --spec SPEC [--spec SPEC ...] [--mappers a,b] [--modes x,y]\n               \
          [--policies lazy,eager] [--roots 0,1] [--reps K] [--budget T] [--jobs K]\n               \
          [--cell-timeout MS] [--via ADDR]\n               \
@@ -854,8 +854,8 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// `harness bench`: the e2/e8 engine workloads as machine-readable perf
-/// records — median ticks/sec per spec × mode — written as grid-shaped
+/// `harness bench`: engine workloads as machine-readable perf records —
+/// median ticks/sec per spec × mode — written as grid-shaped
 /// JSONL rows (default `BENCH_engine.json`) so `harness compare` can gate
 /// the deterministic tick counts against a committed baseline while the
 /// wall-time fields track the perf trajectory.
@@ -863,8 +863,8 @@ fn peak_rss_kb() -> u64 {
 /// Seven regimes:
 /// * full protocol runs (`ring:64`) — session-driven, lull-skipping;
 /// * a quiet-heavy stepping window (`ring:1024` mid-GTD) — the regime the
-///   event-driven frontier exists for: dense pays O(N) per tick, the
-///   frontier O(active);
+///   event-driven frontier exists for: it pays O(active) per tick, not
+///   O(N);
 /// * flood-saturated windows (`random-sc:4096` and `random-sc:16384`
 ///   during an IG flood) — the regimes the sharded parallel mode exists
 ///   for, the larger one with real fan-out headroom;
@@ -1002,7 +1002,7 @@ fn cmd_bench(args: &[String]) {
     }
     // Quiet-heavy stepping window: raw per-tick engine cost mid-GTD on a
     // big ring — snakes crawl a few wires per tick while 1000+ processors
-    // idle. Dense pays O(N) per tick; the frontier pays O(active).
+    // idle. The frontier pays O(active) per tick, not O(N).
     // Construction stays outside the timed window.
     {
         let topo = TopologySpec::Ring { n: 1024 }.build();
@@ -1018,8 +1018,8 @@ fn cmd_bench(args: &[String]) {
             (window, secs)
         });
     }
-    // Flood-saturated windows: every node active every tick (e8b's
-    // regime), at two scales — 4096 is the historical baseline, 16384
+    // Flood-saturated windows: every node active every tick, at two
+    // scales — 4096 is the historical baseline, 16384
     // is where parallel fan-out headroom is real. Construction and the
     // 20 saturation ticks stay outside the timed window, which spans
     // ticks 20..60.
@@ -1154,7 +1154,7 @@ fn cmd_bench(args: &[String]) {
 }
 
 // ---------------------------------------------------------------------------
-// harness run (the E1–E8 experiments)
+// harness run (the E1–E7 experiments)
 // ---------------------------------------------------------------------------
 
 struct Out {
@@ -1189,11 +1189,8 @@ fn cmd_run(args: &[String]) {
             }
             other => {
                 let id = other.to_lowercase();
-                if !matches!(
-                    id.as_str(),
-                    "e1" | "e2" | "e3" | "e4" | "e5" | "e6" | "e7" | "e8"
-                ) {
-                    bail(&format!("unknown experiment {other:?} (e1 .. e8)"));
+                if !matches!(id.as_str(), "e1" | "e2" | "e3" | "e4" | "e5" | "e6" | "e7") {
+                    bail(&format!("unknown experiment {other:?} (e1 .. e7)"));
                 }
                 wanted.push(id);
             }
@@ -1225,9 +1222,6 @@ fn cmd_run(args: &[String]) {
     }
     if want("e7", &wanted) {
         e7_baselines(&mut out, scale);
-    }
-    if want("e8", &wanted) {
-        e8_engine(&mut out, scale);
     }
 }
 
@@ -1648,80 +1642,6 @@ fn e7_baselines(out: &mut Out, scale: usize) {
     out.table(&t);
     println!("expected shape: flood-echo wins by ~N x (unbounded bandwidth), routed-dfs");
     println!("by a constant factor (same O(E*D) walk without snake machinery).");
-}
-
-/// E8: engine strategy ablation.
-fn e8_engine(out: &mut Out, scale: usize) {
-    out.section("E8 — engine ablation: dense vs sparse vs thread-parallel");
-    let mut t = Table::new(&["workload", "mode", "ticks", "wall ms", "Mnode-ticks/s"]);
-    let n = 64 * scale;
-    let topo = generators::random_sc(n, 3, 2);
-    for mode in EngineMode::ALL {
-        let t0 = Instant::now();
-        let run = GtdSession::on(&topo).mode(mode).run().expect("terminates");
-        let wall = t0.elapsed();
-        run.map.verify_against(&topo, NodeId(0)).expect("exact");
-        let node_ticks = run.ticks as f64 * n as f64;
-        t.row(vec![
-            format!("random-sc:n={n},delta=3,seed=2"),
-            mode.name().into(),
-            run.ticks.to_string(),
-            format!("{:.1}", wall.as_secs_f64() * 1e3),
-            format!("{:.1}", node_ticks / wall.as_secs_f64() / 1e6),
-        ]);
-        out.json(json_line(
-            "E8",
-            json!({
-                "workload": format!("random-sc:{n}"), "mode": mode.name(),
-                "ticks": run.ticks, "wall_ms": wall.as_secs_f64() * 1e3,
-            }),
-        ));
-    }
-    out.table(&t);
-    println!("all modes simulate identical tick sequences; only wall time differs.");
-    println!("(a full GTD run is latency-bound: ticks are tiny units of work, so");
-    println!("thread dispatch dominates the parallel mode at these sizes)");
-
-    // Saturated-flood throughput: step a large network through the flood
-    // phase of one RCA, where every node is active every tick — the regime
-    // the parallel engine exists for.
-    let mut t = Table::new(&["workload", "mode", "ticks", "wall ms", "Mnode-ticks/s"]);
-    let n = 16384 * scale;
-    let topo = generators::random_sc(n, 3, 9);
-    for mode in EngineMode::ALL {
-        let mut engine = gtd_netsim::Engine::new(&topo, mode, |meta| {
-            let start = if meta.id == NodeId(1) {
-                gtd_core::StartBehavior::SingleRca
-            } else {
-                gtd_core::StartBehavior::Passive
-            };
-            gtd_core::ProtocolNode::new(&meta, start)
-        });
-        let steps = 300u64;
-        let t0 = Instant::now();
-        let mut events = Vec::new();
-        for _ in 0..steps {
-            engine.tick(&mut events);
-        }
-        let wall = t0.elapsed();
-        let node_ticks = steps as f64 * n as f64;
-        t.row(vec![
-            format!("random-sc:{n} flood"),
-            mode.name().into(),
-            steps.to_string(),
-            format!("{:.1}", wall.as_secs_f64() * 1e3),
-            format!("{:.1}", node_ticks / wall.as_secs_f64() / 1e6),
-        ]);
-        out.json(json_line(
-            "E8b",
-            json!({
-                "workload": format!("flood({n})"), "mode": mode.name(),
-                "wall_ms": wall.as_secs_f64() * 1e3,
-            }),
-        ));
-    }
-    out.table(&t);
-    println!("during flood saturation every node is active; the thread fan-out amortizes.");
 }
 
 #[cfg(test)]
