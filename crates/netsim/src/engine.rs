@@ -217,7 +217,8 @@ const NO_WAKE: u64 = u64::MAX;
 /// protocol uses (speed-1 = 3 ticks/hop) fits comfortably.
 const WHEEL: usize = 8;
 
-/// Hard ceiling on the parallel shard count (and thus pool size).
+/// Hard ceiling on the parallel shard count. The pool's thread count is
+/// further capped by the core count.
 pub const MAX_SHARDS: usize = 64;
 
 /// Auto-sizing: one shard per ~this many nodes (capped by core count),
@@ -408,9 +409,13 @@ fn resolve_shards(n: usize, requested: Option<usize>) -> (usize, bool) {
             }
         }
     }
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let cap = n.div_ceil(NODES_PER_SHARD).max(1);
-    (cores.clamp(1, cap).min(MAX_SHARDS), false)
+    (available_cores().clamp(1, cap).min(MAX_SHARDS), false)
+}
+
+/// The host's core count (1 if unknown).
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |c| c.get())
 }
 
 /// The lockstep simulator. Generic over the automaton type so the same
@@ -458,8 +463,9 @@ pub struct Engine<A: Automaton> {
     /// The shard count was requested explicitly (knob or env var): fan
     /// event ticks over the pool unconditionally.
     forced_fanout: bool,
-    /// Persistent tick-phase workers (more than one shard only);
-    /// spawned once here, parked between dispatches, joined on drop.
+    /// Persistent tick-phase workers (more than one shard on more than
+    /// one core only); spawned once here, parked between dispatches,
+    /// joined on drop.
     pool: Option<WorkerPool>,
     /// Per-shard event buffers, drained every tick.
     event_bufs: Vec<EventBuf<A::Event>>,
@@ -523,14 +529,16 @@ impl<S> Default for ApplyScratch<S> {
 }
 
 /// Fill `route_in`/`route_out` (pre-sized to `n*δ`, all [`NO_ROUTE`])
-/// from the wiring of `topo`.
+/// from the wiring of `topo`: each table from its own direction's
+/// adjacency, so both are written in slot order.
 fn fill_routes(topo: &Topology, delta: usize, route_in: &mut [u32], route_out: &mut [u32]) {
+    let slot = |node: NodeId, port: Port| (node.idx() * delta + port.idx()) as u32;
     for u in topo.node_ids() {
         for (o, ep) in topo.out_edges(u) {
-            let out_slot = u.idx() * delta + o.idx();
-            let in_slot = ep.node.idx() * delta + ep.port.idx();
-            route_out[out_slot] = in_slot as u32;
-            route_in[in_slot] = out_slot as u32;
+            route_out[slot(u, o) as usize] = slot(ep.node, ep.port);
+        }
+        for (i, ep) in topo.in_edges(u) {
+            route_in[slot(u, i) as usize] = slot(ep.node, ep.port);
         }
     }
 }
@@ -937,7 +945,15 @@ impl<A: Automaton> Engine<A> {
                 }
             })
             .collect();
-        let pool = (s_count > 1).then(|| WorkerPool::new(s_count - 1));
+        // Auto-sizing never picks more shards than cores; a forced count
+        // may, and then its extra shards are claimed in turn by the
+        // threads there are (more threads would only spin for a turn).
+        let threads = if forced_fanout {
+            s_count.min(available_cores())
+        } else {
+            s_count
+        };
+        let pool = (threads > 1).then(|| WorkerPool::new(threads - 1));
         Engine {
             delta,
             root,
@@ -1022,8 +1038,9 @@ impl<A: Automaton> Engine<A> {
         self.shards.len()
     }
 
-    /// Pre-spawned pool workers (shard count − 1; the main thread is
-    /// always a worker).
+    /// Pre-spawned pool workers: `min(shards, available cores) − 1`, as
+    /// the main thread is always a worker. Any further shards are claimed
+    /// in turn by these threads.
     #[inline]
     pub fn pool_workers(&self) -> usize {
         self.pool.as_ref().map_or(0, WorkerPool::workers)
@@ -1817,7 +1834,7 @@ mod tests {
             for shards in [1usize, 2, 3, 7, 16] {
                 let mut eng = hopper_engine_sharded(EngineMode::Parallel, dwell, Some(shards));
                 assert_eq!(eng.shard_count(), shards);
-                assert_eq!(eng.pool_workers(), shards - 1);
+                assert_eq!(eng.pool_workers(), shards.min(available_cores()) - 1);
                 let got = run_to_quiet(&mut eng);
                 assert_eq!(
                     base, got,

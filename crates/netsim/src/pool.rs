@@ -79,8 +79,9 @@ struct PoolShared {
 }
 
 /// Pre-spawned tick-phase workers. Built once per parallel engine
-/// (worker count = shards − 1: the main thread is the final worker),
-/// parked between jobs, shut down and joined on drop.
+/// (worker count = min(shards, cores) − 1: the main thread is the final
+/// worker, and every thread claims shards until none are left), parked
+/// between jobs, shut down and joined on drop.
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,

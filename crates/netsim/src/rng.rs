@@ -15,8 +15,9 @@ const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 /// Deterministic splitmix64 generator.
 ///
 /// splitmix64 is counter-based: the state advances by a fixed increment
-/// per draw and the output is a pure function of the new state, so a draw
-/// can be [skipped](DetRng::skip) without computing it.
+/// per draw and the output is a pure function of the new state, so draws
+/// can be [skipped](DetRng::skip) without computing them, or
+/// [peeked at](DetRng::peek_range) without advancing.
 #[derive(Clone, Debug)]
 pub struct DetRng {
     state: u64,
@@ -31,26 +32,29 @@ impl DetRng {
     /// Next raw 64-bit value (splitmix64).
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GAMMA);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        mix(self.state)
     }
 
-    /// Advance the stream past one draw without computing it: afterwards
-    /// the generator is exactly where a discarded [`DetRng::next_u64`]
-    /// would leave it.
+    /// Advance the stream past `draws` draws without computing them:
+    /// afterwards the generator is exactly where that many discarded
+    /// [`DetRng::next_u64`] calls would leave it.
     #[inline]
-    pub(crate) fn skip(&mut self) {
-        self.state = self.state.wrapping_add(GAMMA);
+    pub(crate) fn skip(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(GAMMA.wrapping_mul(draws));
     }
 
     /// Uniform value in `range` (modulo method: the tiny bias is
     /// irrelevant for topology generation).
     pub fn random_range(&mut self, range: Range<u32>) -> u32 {
-        assert!(range.start < range.end, "empty range");
-        let span = (range.end - range.start) as u64;
-        range.start + (self.next_u64() % span) as u32
+        in_range(self.next_u64(), range)
+    }
+
+    /// What [`DetRng::random_range`] would return `ahead` draws from now
+    /// (`0` is the next draw), without advancing the stream.
+    #[inline]
+    pub(crate) fn peek_range(&self, ahead: u64, range: Range<u32>) -> u32 {
+        let state = self.state.wrapping_add(GAMMA.wrapping_mul(ahead + 1));
+        in_range(mix(state), range)
     }
 
     /// `true` with probability `p`.
@@ -68,6 +72,23 @@ impl DetRng {
             slice.swap(i, j);
         }
     }
+}
+
+/// splitmix64's output function of a state.
+#[inline]
+fn mix(state: u64) -> u64 {
+    let mut z = state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A raw draw mapped into `range` by the modulo method.
+#[inline]
+fn in_range(x: u64, range: Range<u32>) -> u32 {
+    assert!(range.start < range.end, "empty range");
+    let span = (range.end - range.start) as u64;
+    range.start + (x % span) as u32
 }
 
 #[cfg(test)]
@@ -94,7 +115,7 @@ mod tests {
                 // Interleave skips with real draws, including runs of skips.
                 if i % 3 == 0 || i % 7 == 0 {
                     drawn.next_u64();
-                    skipped.skip();
+                    skipped.skip(1);
                 } else {
                     assert_eq!(
                         drawn.next_u64(),
@@ -108,6 +129,26 @@ mod tests {
                 drawn.random_range(0..1_000_000),
                 skipped.random_range(0..1_000_000)
             );
+        }
+    }
+
+    /// A peeked draw is the draw that many places ahead, and a multi-draw
+    /// skip lands where that many single draws would.
+    #[test]
+    fn peek_and_skip_name_later_draws() {
+        for seed in [0, 7, u64::MAX] {
+            let mut rng = DetRng::seed_from_u64(seed);
+            for step in 0..50u64 {
+                let ahead: Vec<u32> = (0..9).map(|k| rng.peek_range(k, 0..1000)).collect();
+                let mut drawn = rng.clone();
+                let got: Vec<u32> = (0..9).map(|_| drawn.random_range(0..1000)).collect();
+                assert_eq!(ahead, got, "seed {seed}, step {step}");
+                let draws = step % 5;
+                let mut single = rng.clone();
+                (0..draws).for_each(|_| single.skip(1));
+                rng.skip(draws);
+                assert_eq!(rng.state, single.state);
+            }
         }
     }
 

@@ -70,12 +70,13 @@ pub enum TopologySpec {
     },
     /// `hypercube:D` — bidirectional hypercube Q_D.
     Hypercube {
-        /// Dimensions (1..=7).
+        /// Dimensions (2..=7): δ = dims, and the model needs δ ≥ 2.
         dims: u32,
     },
     /// `complete:N` — complete bidirectional network (tiny N only).
     Complete {
-        /// Number of processors (2..=9).
+        /// Number of processors (3..=9): δ = n − 1, and the model needs
+        /// δ ≥ 2.
         n: usize,
     },
     /// `random-sc:n=…,delta=…,seed=…` — random strongly-connected digraph.
@@ -187,13 +188,13 @@ pub const REGISTRY: &[FamilySpec] = &[
     },
     FamilySpec {
         name: "hypercube",
-        params: &[p("dims", "dimensions (1..=7)")],
+        params: &[p("dims", "dimensions (2..=7)")],
         example: "hypercube:4",
         summary: "bidirectional hypercube Q_d, D = d = log2 N",
     },
     FamilySpec {
         name: "complete",
-        params: &[p("n", "processors (2..=9)")],
+        params: &[p("n", "processors (3..=9)")],
         example: "complete:4",
         summary: "complete bidirectional network (dense adversarial case)",
     },
@@ -477,12 +478,15 @@ impl TopologySpec {
             {
                 fail(format!("k^m too large to simulate (k={k}, m={m})"))
             }
-            TopologySpec::Hypercube { dims } if !(1..=7).contains(&dims) => {
-                fail(format!("dims must be in 1..=7 (got {dims})"))
+            TopologySpec::Hypercube { dims } if !generators::HYPERCUBE_DIMS.contains(&dims) => {
+                fail(format!(
+                    "dims must be in {:?} (got {dims})",
+                    generators::HYPERCUBE_DIMS
+                ))
             }
-            TopologySpec::Complete { n } if !(2..=9).contains(&n) => {
-                fail(format!("n must be in 2..=9 (got {n})"))
-            }
+            TopologySpec::Complete { n } if !generators::COMPLETE_NODES.contains(&n) => fail(
+                format!("n must be in {:?} (got {n})", generators::COMPLETE_NODES),
+            ),
             TopologySpec::RandomSc { n, delta, .. } if n < 2 || delta < 2 => fail(format!(
                 "need n >= 2 and delta >= 2 (got n={n}, delta={delta})"
             )),
@@ -973,6 +977,29 @@ impl FromStr for DynamicSpec {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // asserts may panic freely
 mod tests {
     use super::*;
+
+    /// Spec validation and the generators share the hypercube and
+    /// complete bounds: δ = 1 (`hypercube:1`, `complete:2`) and sizes past
+    /// the top are parse errors, which the generators refuse as well, and
+    /// the values at either end of the ranges build.
+    #[test]
+    fn hypercube_and_complete_bounds_match_their_generators() {
+        for bad in ["hypercube:1", "hypercube:8", "complete:2", "complete:10"] {
+            let err = bad.parse::<TopologySpec>().unwrap_err();
+            assert!(
+                matches!(err, ParseSpecError::OutOfRange { .. }),
+                "{bad}: {err:?}"
+            );
+        }
+        for (dims, n) in [(1, 2), (8, 10)] {
+            assert!(std::panic::catch_unwind(|| generators::hypercube_bidi(dims)).is_err());
+            assert!(std::panic::catch_unwind(|| generators::complete_bidi(n)).is_err());
+        }
+        for good in ["hypercube:2", "hypercube:7", "complete:3", "complete:9"] {
+            let topo = good.parse::<TopologySpec>().unwrap().build();
+            assert!(topo.delta() >= 2, "{good}");
+        }
+    }
 
     #[test]
     fn registry_examples_parse_build_and_roundtrip() {

@@ -377,7 +377,10 @@ impl Topology {
 /// port`) and compresses them to the CSR form of [`Topology`] at
 /// [`TopologyBuilder::build`]. Per-node wired-port counts sit beside the
 /// tables, so free-port queries such as [`TopologyBuilder::can_connect`]
-/// are O(1) and never touch them.
+/// are O(1) and never touch them. While every node's ports have been wired
+/// in order (always, unless an explicit `connect` skipped a port), the
+/// counts are also the lowest free ports, so `connect_auto` only writes
+/// the tables and never reads them.
 #[derive(Clone, Debug)]
 pub struct TopologyBuilder {
     delta: u8,
@@ -392,6 +395,10 @@ pub struct TopologyBuilder {
     out_used: Vec<u8>,
     /// `in_used[v]` = number of wired in-ports of `v`.
     in_used: Vec<u8>,
+    /// Some wire took a port other than its node's next one (`out_used` /
+    /// `in_used`), so a node's wired ports may no longer be `0..used`.
+    /// Until then the counts are the lowest free ports.
+    gapped: bool,
 }
 
 impl TopologyBuilder {
@@ -422,6 +429,7 @@ impl TopologyBuilder {
             ins: vec![None; n * delta as usize],
             out_used: vec![0; n],
             in_used: vec![0; n],
+            gapped: false,
         }
     }
 
@@ -495,12 +503,19 @@ impl TopologyBuilder {
                 is_out: false,
             });
         }
+        self.wire(src, src_port, dst, dst_port);
+        Ok(())
+    }
+
+    /// Record a checked wire: both ports exist and are free.
+    fn wire(&mut self, src: NodeId, src_port: Port, dst: NodeId, dst_port: Port) {
+        let (su, du) = (&mut self.out_used[src.idx()], &mut self.in_used[dst.idx()]);
+        self.gapped |= src_port.0 != *su || dst_port.0 != *du;
+        *su += 1;
+        *du += 1;
         let (so, si) = (self.slot(src, src_port), self.slot(dst, dst_port));
         self.outs[so] = Some(Endpoint::new(dst, dst_port));
         self.ins[si] = Some(Endpoint::new(src, src_port));
-        self.out_used[src.idx()] += 1;
-        self.in_used[dst.idx()] += 1;
-        Ok(())
     }
 
     /// Wire `src` to `dst` using the lowest free out-port on `src` and the
@@ -515,23 +530,35 @@ impl TopologyBuilder {
         if src == dst {
             return Err(TopologyError::SelfLoop(src));
         }
-        let o = self.outs[self.slots(src)]
-            .iter()
-            .position(Option::is_none)
-            .ok_or(TopologyError::NodeFull {
-                node: src,
-                is_out: true,
-            })?;
-        let i = self.ins[self.slots(dst)]
-            .iter()
-            .position(Option::is_none)
+        let o = self.lowest_free(src, true).ok_or(TopologyError::NodeFull {
+            node: src,
+            is_out: true,
+        })?;
+        let i = self
+            .lowest_free(dst, false)
             .ok_or(TopologyError::NodeFull {
                 node: dst,
                 is_out: false,
             })?;
-        let (o, i) = (Port(o as u8), Port(i as u8));
-        self.connect(src, o, dst, i)?;
+        self.wire(src, o, dst, i);
         Ok((o, i))
+    }
+
+    /// The lowest free port on one side of `node`, `None` if all δ are
+    /// wired: the wired-port count while the builder is gap-free, else a
+    /// scan of the node's slots.
+    fn lowest_free(&self, node: NodeId, is_out: bool) -> Option<Port> {
+        let (table, used) = if is_out {
+            (&self.outs, &self.out_used)
+        } else {
+            (&self.ins, &self.in_used)
+        };
+        let port = if self.gapped {
+            table[self.slots(node)].iter().position(Option::is_none)?
+        } else {
+            used[node.idx()] as usize
+        };
+        (port < self.delta as usize).then_some(Port(port as u8))
     }
 
     /// True if `src` has a free out-port and `dst` a free in-port. O(1).
@@ -559,10 +586,28 @@ impl TopologyBuilder {
     }
 
     /// Finish and validate: compress the slot tables to CSR form.
+    ///
+    /// The check needs no lookup across wires. `wire` is the tables' only
+    /// writer and records each wire at both ends, after the range and
+    /// self-loop checks, so the tables mirror each other as long as no
+    /// slot was written twice, which packing confirms by matching every
+    /// row against its node's port count. What is left of
+    /// [`Topology::validate`] is that every node has a wired out- and
+    /// in-port; the first node without one gives the error `validate`
+    /// would.
     pub fn build(self) -> Result<Topology, TopologyError> {
+        let t = self.pack()?;
+        let unwired = self.first_unwired();
+        debug_assert_eq!(t.validate(), unwired.clone().map_or(Ok(()), Err));
+        unwired.map_or(Ok(t), Err)
+    }
+
+    /// The slot tables in CSR form, unvalidated; an error if some row's
+    /// wired slots disagree with its node's port count.
+    fn pack(&self) -> Result<Topology, TopologyError> {
         let delta = self.delta as usize;
         let wires = self.out_used.iter().map(|&c| c as usize).sum();
-        let pack = |slots: &[Option<Endpoint>]| {
+        let pack = |slots: &[Option<Endpoint>], used: &[u8]| {
             let mut off = Vec::with_capacity(self.n + 1);
             let mut adj = Vec::with_capacity(wires);
             off.push(0u32);
@@ -576,22 +621,45 @@ impl TopologyBuilder {
                         });
                     }
                 }
-                off.push(adj.len() as u32);
+                let row = adj.len() as u32;
+                if row - off[node] != u32::from(used[node]) {
+                    return Err(TopologyError::Malformed(format!(
+                        "{} has {} wired slots but counts {}",
+                        NodeId(node as u32),
+                        row - off[node],
+                        used[node]
+                    )));
+                }
+                off.push(row);
             }
-            (off, adj)
+            Ok((off, adj))
         };
-        let (out_off, out_adj) = pack(&self.outs);
-        let (in_off, in_adj) = pack(&self.ins);
-        let t = Topology {
+        let (out_off, out_adj) = pack(&self.outs, &self.out_used)?;
+        let (in_off, in_adj) = pack(&self.ins, &self.in_used)?;
+        Ok(Topology {
             delta: self.delta,
             n: self.n as u32,
             out_off,
             out_adj,
             in_off,
             in_adj,
+        })
+    }
+
+    /// The model defect [`Topology::validate`] would report first for the
+    /// packed tables: the lowest node without a wired out-port, or without
+    /// a wired in-port.
+    fn first_unwired(&self) -> Option<TopologyError> {
+        let node = (0..self.n).find(|&v| self.out_used[v] == 0 || self.in_used[v] == 0)?;
+        let side = if self.out_used[node] == 0 {
+            "out"
+        } else {
+            "in"
         };
-        t.validate()?;
-        Ok(t)
+        Some(TopologyError::Malformed(format!(
+            "{} has no connected {side}-port",
+            NodeId(node as u32)
+        )))
     }
 }
 
@@ -984,6 +1052,131 @@ mod tests {
         ] {
             assert!(failures.contains(kind), "{kind} never hit: {failures:?}");
         }
+    }
+
+    /// `connect_auto` against a reference that scans the slot tables for
+    /// the lowest free ports, port for port and error for error, over
+    /// random interleavings with explicit `connect`s. Half the explicit
+    /// ports are each node's next one, which keeps a run gap-free, and
+    /// half are arbitrary (busy, out of range, or leaving a gap).
+    #[test]
+    fn connect_auto_matches_a_lowest_free_port_scan() {
+        use crate::rng::DetRng;
+        let reference = |b: &TopologyBuilder, src: NodeId, dst: NodeId| {
+            b.check_node(src)?;
+            b.check_node(dst)?;
+            if src == dst {
+                return Err(TopologyError::SelfLoop(src));
+            }
+            let lowest = |table: &[Option<Endpoint>], node: NodeId, is_out| {
+                table[b.slots(node)]
+                    .iter()
+                    .position(Option::is_none)
+                    .map(|p| Port(p as u8))
+                    .ok_or(TopologyError::NodeFull { node, is_out })
+            };
+            Ok((lowest(&b.outs, src, true)?, lowest(&b.ins, dst, false)?))
+        };
+        let mut rng = DetRng::seed_from_u64(0x6175_746f_7363_616e);
+        let (mut gapped_runs, mut autos) = (0, [0usize; 2]);
+        for run in 0..300 {
+            let n = rng.random_range(2..9);
+            let delta = rng.random_range(2..5) as u8;
+            let mut b = TopologyBuilder::new(n as usize, delta);
+            let mut gap_left = false;
+            for step in 0..rng.random_range(1..60) {
+                let src = NodeId(rng.random_range(0..n + 1));
+                let dst = NodeId(rng.random_range(0..n + 1));
+                if rng.random_bool(0.7) {
+                    let expected = reference(&b, src, dst);
+                    let got = b.connect_auto(src, dst);
+                    assert_eq!(got, expected, "run {run} step {step}: {src} -> {dst}");
+                    if let Ok((o, i)) = got {
+                        assert_eq!(b.outs[b.slot(src, o)], Some(Endpoint::new(dst, i)));
+                        assert_eq!(b.ins[b.slot(dst, i)], Some(Endpoint::new(src, o)));
+                    }
+                    autos[usize::from(b.gapped)] += 1;
+                } else {
+                    let next = |used: &[u8], node: NodeId| used.get(node.idx()).copied();
+                    let (o, i) = if rng.random_bool(0.5) {
+                        (
+                            Port(next(&b.out_used, src).unwrap_or(0)),
+                            Port(next(&b.in_used, dst).unwrap_or(0)),
+                        )
+                    } else {
+                        let port =
+                            |rng: &mut DetRng| Port(rng.random_range(0..delta as u32 + 1) as u8);
+                        (port(&mut rng), port(&mut rng))
+                    };
+                    let leaves_gap =
+                        next(&b.out_used, src) != Some(o.0) || next(&b.in_used, dst) != Some(i.0);
+                    if b.connect(src, o, dst, i).is_ok() {
+                        gap_left |= leaves_gap;
+                    }
+                }
+                assert_eq!(b.gapped, gap_left, "run {run} step {step}");
+            }
+            gapped_runs += usize::from(gap_left);
+        }
+        assert!(
+            (50..250).contains(&gapped_runs),
+            "{gapped_runs} of 300 runs left a gap"
+        );
+        assert!(
+            autos.iter().all(|&c| c > 1000),
+            "gap-free/gapped: {autos:?}"
+        );
+    }
+
+    /// `build`'s count-based check gives `validate`'s verdict on the
+    /// packed tables, first defect included, over random partial wirings
+    /// in which some nodes lack an in- or out-port.
+    #[test]
+    fn build_agrees_with_validate_on_partial_wirings() {
+        use crate::rng::DetRng;
+        let mut rng = DetRng::seed_from_u64(0x0062_7569_6c64);
+        let mut outcomes = [0usize; 2];
+        for case in 0..500 {
+            let n = rng.random_range(2..10);
+            let mut b = TopologyBuilder::new(n as usize, rng.random_range(2..4) as u8);
+            for _ in 0..rng.random_range(n..4 * n) {
+                let (src, dst) = (rng.random_range(0..n), rng.random_range(0..n));
+                if rng.random_bool(0.8) {
+                    let _ = b.connect_auto(NodeId(src), NodeId(dst));
+                } else {
+                    let (o, i) = (rng.random_range(0..3) as u8, rng.random_range(0..3) as u8);
+                    let _ = b.connect(NodeId(src), Port(o), NodeId(dst), Port(i));
+                }
+            }
+            let expected = b.pack().unwrap().validate();
+            let built = b.clone().build();
+            assert_eq!(built.as_ref().err(), expected.as_ref().err(), "case {case}");
+            if let Ok(t) = built {
+                assert_eq!(t, b.pack().unwrap());
+            }
+            outcomes[usize::from(expected.is_err())] += 1;
+        }
+        assert!(
+            outcomes.iter().all(|&c| c > 50),
+            "valid/defective: {outcomes:?}"
+        );
+    }
+
+    /// A slot written twice leaves its row one entry short of the node's
+    /// port count, and `build` refuses the tables.
+    #[test]
+    fn build_refuses_a_slot_written_twice() {
+        let mut b = TopologyBuilder::new(3, 2);
+        b.connect(NodeId(0), Port(0), NodeId(1), Port(0)).unwrap();
+        b.connect(NodeId(1), Port(0), NodeId(0), Port(0)).unwrap();
+        b.connect(NodeId(1), Port(1), NodeId(2), Port(0)).unwrap();
+        b.wire(NodeId(2), Port(0), NodeId(0), Port(0));
+        assert_eq!(
+            b.build(),
+            Err(TopologyError::Malformed(
+                "n0 has 1 wired slots but counts 2".into()
+            ))
+        );
     }
 
     #[test]
