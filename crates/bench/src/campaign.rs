@@ -392,9 +392,8 @@ impl Campaign {
     /// [`Campaign::resume_from`] over a `harness grid --json` /
     /// [`CampaignReport::to_jsonl`] export ([`parse_jsonl`]). Lines that
     /// are not grid records (e.g. `harness run` experiment rows, or
-    /// `harness bench` perf rows — grid-shaped for `compare`, but not
-    /// campaign cells) are skipped; lines that are not JSON at all are
-    /// an error.
+    /// perf rows marked `"bench"` — grid-shaped, but not campaign
+    /// cells) are skipped; lines that are not JSON at all are an error.
     pub fn resume_from_jsonl(self, text: &str) -> Result<Self, String> {
         Ok(self.resume_from(parse_jsonl(text)?))
     }
@@ -729,10 +728,10 @@ pub type CacheKey = (
 /// a parsed record reproduces its row byte-for-byte — the property the
 /// incremental cache ([`Campaign::resume_from`]) relies on. Rows that are
 /// not grid records are skipped — `harness run` experiment rows, and
-/// `harness bench` perf rows (grid-shaped for `harness compare`, but
+/// engine perf rows, which older harness versions wrote grid-shaped but
 /// marked with a `"bench"` member precisely so they can never satisfy a
-/// campaign cell). Lines that fail to parse as JSON are an error naming
-/// the line.
+/// campaign cell; exports holding them still load. Lines that fail to
+/// parse as JSON are an error naming the line.
 pub fn parse_jsonl(text: &str) -> Result<Vec<RunRecord>, String> {
     let mut out = Vec::new();
     for (lineno, line) in text.lines().enumerate() {

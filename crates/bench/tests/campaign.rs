@@ -352,8 +352,8 @@ fn cache_never_crosses_tick_budgets_or_accepts_bench_rows() {
         .unwrap();
     assert_eq!(unbudgeted.cached, 0, "different budget must re-run");
     assert_eq!(unbudgeted.error_count(), 0, "default budget succeeds");
-    // `harness bench` perf rows are grid-shaped (for compare) but carry
-    // a "bench" marker; resume must never let one satisfy a real cell.
+    // Perf rows in older exports are grid-shaped but carry a "bench"
+    // marker; resume must never let one satisfy a real cell.
     let bench_row = r#"{"bench":"engine","e":64,"mapper":"gtd","mode":"sparse","n":64,"ok":true,"policy":"lazy","rep":0,"root":0,"rounds":1,"spec":"ring:64","verified":true,"wall_ms":1.0}"#;
     let poisoned = Campaign::new()
         .parse_specs(["ring:64"])

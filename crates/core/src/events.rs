@@ -5,7 +5,7 @@
 //! exactly what the master computer needs (Lemma 4.1): the port-pair hops
 //! of the canonical shortest paths as the root converts IG→OG and ID→OD,
 //! plus the FORWARD/BACK loop tokens, plus the root-local DFS moves that
-//! never touch the network (DESIGN.md §5, reconstruction 2).
+//! never touch the network (README, reconstruction choice 2).
 
 use gtd_netsim::Port;
 use gtd_snake::Hop;

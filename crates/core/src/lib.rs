@@ -7,8 +7,8 @@
 //!   signals FORWARD/BACK to the root while the root's master computer
 //!   learns the canonical shortest paths A→root and root→A;
 //! * the **Backwards Communication Algorithm** (BCA, paper §4.1, rebuilt
-//!   from its stated contract — see DESIGN.md §5) — a constant-size message
-//!   crosses a directed edge backwards;
+//!   from its stated contract — see README, reconstruction choice 1) — a
+//!   constant-size message crosses a directed edge backwards;
 //! * the **DFS driver** (§3) that walks the DFS token across every edge,
 //!   reporting each move to the root; and
 //! * the **master computer** (§3) that replays the root's transcript into

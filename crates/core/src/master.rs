@@ -13,7 +13,7 @@
 //!   edge from the previous stack top; BACK pops;
 //! * root-local moves (LocalForward/LocalBack) do the same bookkeeping for
 //!   edges into the root, which the root transcribes without a network RCA
-//!   (DESIGN.md §5).
+//!   (README, reconstruction choice 2).
 //!
 //! The decoder is strict: out-of-order events, duplicate edges, stack
 //! underflow, or inconsistent canonical paths are hard [`DecodeError`]s —

@@ -10,9 +10,9 @@
 //!   snakes, eat the first returning OG head, launch the ID snake, then
 //!   KILL + loop token + UNMARK (§4.2.1 steps 1, 3–5);
 //! * **BCA driver** ([`BcaState`]) — our reconstruction of Ostrovsky &
-//!   Wilkerson's backwards communication (DESIGN.md §5): BG flood, BD loop
-//!   marking with endpoint self-detection, KILL + payload token, UNMARK
-//!   absorbed at the target;
+//!   Wilkerson's backwards communication (README, reconstruction choice
+//!   1): BG flood, BD loop marking with endpoint self-detection, KILL +
+//!   payload token, UNMARK absorbed at the target;
 //! * **DFS driver** ([`DfsState`]) — the Global Topology Determination
 //!   algorithm of §3: forward moves carry the DFS token directly, backward
 //!   moves ride the BCA, and every receipt triggers an RCA with FORWARD or
@@ -111,7 +111,7 @@ enum RootRca {
     LoopPhase,
 }
 
-/// Initiator-side BCA phases (DESIGN.md §5).
+/// Initiator-side BCA phases (README, reconstruction choice 1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum BcaState {
     Idle,
@@ -538,7 +538,7 @@ impl ProtocolNode {
     /// releasing here (rather than at the paper's step 4) widens Lemma
     /// 4.2's catch-up margin from O(1) ticks to Θ(loop) ticks, closing a
     /// real race where a stale KILL of a short-loop BCA could erase the
-    /// next RCA's fresh flood (DESIGN.md §5).
+    /// next RCA's fresh flood (README, reconstruction choice 5).
     fn release_kill(&mut self, ctx: &mut Ctx) {
         self.ig.erase(&mut self.pool);
         self.og.erase(&mut self.pool);
@@ -1028,8 +1028,9 @@ impl ProtocolNode {
 
     fn on_dfs_forward(&mut self, o: Port, i: Port, now: u64, ctx: &mut Ctx) {
         if self.is_root {
-            // Root self-communication short-circuit (DESIGN.md §5): the
-            // transcript is piped locally, then the token bounces back.
+            // Root self-communication short-circuit (README, reconstruction
+            // choice 2): the transcript is piped locally, then the token
+            // bounces back.
             ctx.events.push(TranscriptEvent::LocalForward {
                 out_port: o,
                 in_port: i,

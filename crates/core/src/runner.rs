@@ -53,7 +53,7 @@ pub fn run_single_rca(topo: &Topology, a: NodeId, mode: EngineMode) -> Result<Rc
     assert_ne!(
         a,
         NodeId(0),
-        "the root communicates with itself locally (DESIGN.md §5)"
+        "the root communicates with itself locally (README, reconstruction choice 2)"
     );
     let mut engine = Engine::new(topo, mode, |meta| {
         let start = if meta.id == a {

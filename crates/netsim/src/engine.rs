@@ -413,9 +413,12 @@ fn resolve_shards(n: usize, requested: Option<usize>) -> (usize, bool) {
     (available_cores().clamp(1, cap).min(MAX_SHARDS), false)
 }
 
-/// The host's core count (1 if unknown).
+/// The host's core count (1 if unknown), queried once per process: the
+/// query reads cgroup files (~20 µs on Linux), and every auto-sized
+/// parallel engine build asks.
 fn available_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |c| c.get())
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
 }
 
 /// The lockstep simulator. Generic over the automaton type so the same
@@ -1825,7 +1828,7 @@ mod tests {
     }
 
     #[test]
-    fn all_shard_counts_agree_with_dense() {
+    fn all_shard_counts_agree_with_the_oracle() {
         // An explicit shard count forces event ticks through the worker
         // pool, so this sweep exercises the pooled step/scatter/merge
         // phases and cross-shard lanes, not just the inline driver.
@@ -1905,7 +1908,7 @@ mod tests {
     }
 
     #[test]
-    fn saturated_ticks_agree_with_dense_across_shard_counts() {
+    fn saturated_ticks_agree_with_the_oracle_across_shard_counts() {
         let run = |mode, shards| {
             let mut eng = flooder_engine(mode, shards);
             let mut events = Vec::new();
@@ -2125,7 +2128,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_gather_block_edges_agree_with_dense() {
+    fn batched_gather_block_edges_agree_with_the_oracle() {
         // δ = 40 on 20 nodes: one node's in-slots overrun a whole gather
         // block, and most in-ports stay unwired. δ = 3 on 53 nodes: 159
         // slots, so neither the whole range nor any shard range is a

@@ -1,7 +1,7 @@
 //! Workload topology generators.
 //!
 //! These produce the graph families used throughout the test suite and the
-//! experiment harness (DESIGN.md §8): structured families with known
+//! experiment harness (README § Campaigns): structured families with known
 //! diameters, random bounded-degree strongly-connected digraphs, the
 //! paper's motivating "bidirectional network with directional faults"
 //! (§1.2.2), and the Lemma 5.1 lower-bound family (full binary tree with
@@ -80,9 +80,9 @@ pub fn torus(w: usize, h: usize) -> Topology {
 
 /// De Bruijn graph B(k, m) on k^m nodes: `u → (u·k + a) mod k^m`, with the
 /// self-loops at the two fixed points dropped (self-loops are outside the
-/// model, DESIGN.md §5). D = m = log_k N, δ = k — the "large network with
-/// small diameter" regime in which the paper's protocol is asymptotically
-/// optimal.
+/// model, README, reconstruction choice 3). D = m = log_k N, δ = k — the
+/// "large network with small diameter" regime in which the paper's
+/// protocol is asymptotically optimal.
 pub fn debruijn(k: usize, m: usize) -> Topology {
     assert!(k >= 2 && m >= 1);
     let n = k.pow(m as u32);

@@ -6,7 +6,7 @@
 //! connected by two wires in opposite directions (a simulated bidirectional
 //! link) or by several parallel wires; a processor is never wired to itself
 //! (self-loops carry no information in the model and the paper never uses
-//! them — see DESIGN.md §5).
+//! them — see README, reconstruction choice 3).
 //!
 //! ## Storage
 //!
@@ -52,7 +52,7 @@ pub enum TopologyError {
         port: Port,
         is_out: bool,
     },
-    /// Self-loops are rejected (DESIGN.md §5).
+    /// Self-loops are rejected (README, reconstruction choice 3).
     SelfLoop(NodeId),
     /// All ports on this side of the node are already wired.
     NodeFull { node: NodeId, is_out: bool },

@@ -226,7 +226,7 @@ proptest! {
 }
 
 #[test]
-fn pooled_sharded_parallel_matches_dense_at_scale() {
+fn pooled_sharded_parallel_matches_the_oracle_at_scale() {
     // Every generated proptest topology is tiny, where auto-sharding
     // keeps Parallel sequential. This instance forces multi-shard worker
     // pools so the pooled step/scatter/merge phases, cross-shard lanes,

@@ -11,23 +11,21 @@
 //!               [--resume-from OLD.jsonl] [--lease-ms MS] [--lease-max-ms MS]
 //!               [--max-attempts K]
 //! harness work --connect ADDR [--connect-retries K] [--connect-backoff-ms MS]
-//! harness bench [--reps K] [--window T] [--modes x,y] [--json FILE]
 //! harness compare OLD.jsonl NEW.jsonl [--threshold PCT]
 //! ```
 //!
 //! `run` regenerates the E1–E7 experiment rows (each experiment
 //! corresponds to one formal claim of the paper — the paper has no
-//! empirical tables/figures; see DESIGN.md §2 for the mapping). E1 and E7
-//! are expressed as [`Campaign`] grids; the probe experiments (E3/E4)
-//! drive their machinery directly. `grid` runs an
-//! arbitrary declared campaign; `--resume-from` seeds the incremental
+//! empirical tables/figures; see README § Experiments for the mapping).
+//! E1 and E7 are expressed as [`Campaign`] grids; the probe experiments
+//! (E3/E4) drive their machinery directly. `grid` runs an arbitrary
+//! declared campaign; `--resume-from` seeds the incremental
 //! cell cache from a previous export so only new cells execute, and
 //! `--via` submits the same grid to a `harness serve` coordinator instead
 //! of running in-process (same flags, byte-identical exports). `serve`
 //! runs the crash-tolerant campaign service and `work` a worker for it
-//! (see README §"Campaign service"). `bench` writes engine perf records
-//! (median ticks/sec per spec × mode) that `compare` can gate against a
-//! committed baseline. Bare experiment names (`harness e1 e7`) are
+//! (see README §"Campaign service"). `compare` gates one grid export
+//! against another. Bare experiment names (`harness e1 e7`) are
 //! accepted as a shorthand for `run`.
 
 use gtd_baselines::{family_size_log2, min_ticks_lower_bound, tree_loop_params};
@@ -49,7 +47,6 @@ fn main() {
         Some("serve") => cmd_serve(&args[1..]),
         Some("work") => cmd_work(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => usage(0),
         // bare experiment ids / flags: legacy shorthand for `run`
@@ -69,16 +66,13 @@ fn usage(code: i32) -> ! {
          harness serve --listen ADDR [--workers N] [--cache FILE]\n               \
          [--resume-from OLD.jsonl] [--lease-ms MS] [--lease-max-ms MS] [--max-attempts K]\n  \
          harness work --connect ADDR [--connect-retries K] [--connect-backoff-ms MS]\n  \
-         harness bench [--reps K] [--window T] [--modes x,y] [--json FILE]\n  \
          harness compare OLD.jsonl NEW.jsonl [--threshold PCT]\n\n\
          `harness list` prints the spec grammar; e.g. --spec ring:64 --spec debruijn:2,5\n\
          dynamic specs append mutation suffixes: --spec ring:64+node-leave=3@t500\n\
          fault suffixes ride before mutations: --spec ring:64~loss=0.01~delay=1..3\n\
          `grid --resume-from` skips cells already recorded in a previous JSONL export\n\
          `grid --via` submits the grid to a `harness serve` coordinator (same flags,\n\
-         byte-identical exports); `serve --workers N` spawns its own worker fleet\n\
-         `bench` measures engine throughput (median ticks/sec per spec x mode) and\n\
-         writes machine-readable perf records (default BENCH_engine.json)"
+         byte-identical exports); `serve --workers N` spawns its own worker fleet"
     );
     exit(code)
 }
@@ -799,358 +793,6 @@ fn cmd_compare(args: &[String]) {
     if regressions > 0 {
         exit(1);
     }
-}
-
-// ---------------------------------------------------------------------------
-// harness bench (engine throughput records)
-// ---------------------------------------------------------------------------
-
-/// One perf measurement: deterministic tick count plus median wall time.
-struct BenchMeasure {
-    ticks: u64,
-    median_secs: f64,
-}
-
-/// Run `f` `reps` times and keep the median wall time. `f` times its own
-/// measured section (returning `(ticks, seconds)`), so engine
-/// construction and warm-up ticks stay outside the recorded window.
-fn measure(reps: usize, mut f: impl FnMut() -> (u64, f64)) -> BenchMeasure {
-    let mut ticks = 0;
-    let mut walls: Vec<f64> = Vec::with_capacity(reps);
-    for _ in 0..reps.max(1) {
-        let (t, secs) = f();
-        ticks = t;
-        walls.push(secs);
-    }
-    walls.sort_by(|a, b| a.partial_cmp(b).expect("wall times are finite"));
-    BenchMeasure {
-        ticks,
-        median_secs: walls[(walls.len() - 1) / 2],
-    }
-}
-
-/// Time one closure, returning its result and elapsed seconds.
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed().as_secs_f64())
-}
-
-/// Peak resident set size of this process in KiB: `VmHWM` from
-/// `/proc/self/status`. Returns 0 where the file or field is missing
-/// (non-Linux), keeping the JSONL schema stable everywhere. The value is
-/// a process-wide high-water mark, so within one bench run it is
-/// monotone across regimes — the biggest regime runs last so the smaller
-/// rows stay meaningful.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// `harness bench`: engine workloads as machine-readable perf records —
-/// median ticks/sec per spec × mode — written as grid-shaped
-/// JSONL rows (default `BENCH_engine.json`) so `harness compare` can gate
-/// the deterministic tick counts against a committed baseline while the
-/// wall-time fields track the perf trajectory.
-///
-/// Seven regimes:
-/// * full protocol runs (`ring:64`) — session-driven, lull-skipping;
-/// * a quiet-heavy stepping window (`ring:1024` mid-GTD) — the regime the
-///   event-driven frontier exists for: it pays O(active) per tick, not
-///   O(N);
-/// * flood-saturated windows (`random-sc:4096` and `random-sc:16384`
-///   during an IG flood) — the regimes the sharded parallel mode exists
-///   for, the larger one with real fan-out headroom;
-/// * a dynamic timeline with a far-future mutation — exercising the O(1)
-///   idle fast-forward;
-/// * a chaos run (`ring:8~loss=0.0005~fault-seed=2`) — the resilient
-///   session retrying through a lossy wire until a drop-free attempt
-///   verifies, pricing the whole retry loop;
-/// * a million-node flood window (`random-sc:1000000`, last so the
-///   process-wide RSS high-water mark doesn't bleed into smaller rows) —
-///   the memory regime the CSR/slab layout exists for.
-///
-/// Every row carries `peak_rss_kb` (0 off-Linux); `harness compare`
-/// ignores it like the wall-time fields — informational, never
-/// REGRESSED.
-fn cmd_bench(args: &[String]) {
-    let mut json_path = String::from("BENCH_engine.json");
-    let mut reps = 3usize;
-    let mut window = 50_000u64;
-    let mut modes: Vec<EngineMode> = EngineMode::ALL.to_vec();
-    let mut it = args.iter().cloned();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json_path = flag_value(&mut it, "--json"),
-            "--reps" => reps = parse_int(&flag_value(&mut it, "--reps"), "--reps").max(1),
-            "--window" => window = parse_int(&flag_value(&mut it, "--window"), "--window") as u64,
-            "--modes" => {
-                match flag_value(&mut it, "--modes")
-                    .split(',')
-                    .map(str::parse)
-                    .collect::<Result<Vec<EngineMode>, String>>()
-                {
-                    Ok(m) if !m.is_empty() => modes = m,
-                    Ok(_) => bail("--modes needs at least one engine mode"),
-                    Err(e) => bail(&e),
-                }
-            }
-            other => bail(&format!(
-                "unknown bench flag {other:?} (see `harness help`)"
-            )),
-        }
-    }
-
-    let mut t = Table::new(&[
-        "workload",
-        "driver",
-        "mode",
-        "ticks",
-        "wall ms",
-        "Mticks/s",
-        "vs dense",
-        "peak RSS MB",
-    ]);
-    let mut rows: Vec<String> = Vec::new();
-    let mut bench_workload =
-        |spec: &str, driver: &str, run_one: &mut dyn FnMut(EngineMode) -> (u64, f64)| {
-            let topo: DynamicSpec = spec
-                .parse()
-                .unwrap_or_else(|e| bail(&format!("{spec}: {e}")));
-            let built = topo.build();
-            let mut dense_tps = 0.0f64;
-            for &mode in &modes {
-                let m = measure(reps, || run_one(mode));
-                let tps = m.ticks as f64 / m.median_secs;
-                if mode == EngineMode::Dense {
-                    dense_tps = tps;
-                }
-                // With `--modes` excluding dense there is no reference
-                // run; the ratio degrades to 1.0 (compare ignores it).
-                let speedup = if dense_tps > 0.0 {
-                    tps / dense_tps
-                } else {
-                    1.0
-                };
-                let rss_kb = peak_rss_kb();
-                t.row(vec![
-                    spec.to_string(),
-                    driver.to_string(),
-                    mode.name().into(),
-                    m.ticks.to_string(),
-                    format!("{:.2}", m.median_secs * 1e3),
-                    format!("{:.2}", tps / 1e6),
-                    if dense_tps > 0.0 {
-                        format!("{speedup:.1}x")
-                    } else {
-                        "n/a".into()
-                    },
-                    format!("{:.0}", rss_kb as f64 / 1024.0),
-                ]);
-                // Grid-shaped so `harness compare` groups and gates the
-                // deterministic `rounds`; the "bench" marker keeps
-                // `grid --resume-from` from ever mistaking a perf row
-                // for a campaign cell ("verified" is schema filler the
-                // parser requires — the closures assert correctness
-                // themselves where a map exists).
-                let row = json!({
-                    "bench": "engine",
-                    "spec": spec,
-                    "mapper": driver,
-                    "mode": mode.name(),
-                    "policy": "lazy",
-                    "root": 0u32,
-                    "rep": 0usize,
-                    "n": built.num_nodes(),
-                    "e": built.num_edges(),
-                    "ok": true,
-                    "rounds": m.ticks,
-                    "verified": true,
-                    "wall_ms": m.median_secs * 1e3,
-                    "ticks_per_sec": tps,
-                    "speedup_vs_dense": speedup,
-                    "peak_rss_kb": rss_kb,
-                });
-                rows.push(row.render());
-            }
-        };
-
-    // Full protocol runs: lull-skipping session on a small quiet-heavy
-    // ring. The timed window is the session run itself (engine build
-    // included — it is part of what a mapping costs); the map is
-    // verified outside it.
-    {
-        let topo = TopologySpec::Ring { n: 64 }.build();
-        bench_workload("ring:64", "gtd", &mut |mode| {
-            let (run, secs) = timed(|| {
-                GtdSession::on(&topo)
-                    .mode(mode)
-                    .capture_transcript(false)
-                    .run()
-                    .expect("terminates")
-            });
-            run.map.verify_against(&topo, NodeId(0)).expect("exact map");
-            (run.ticks, secs)
-        });
-    }
-    // Quiet-heavy stepping window: raw per-tick engine cost mid-GTD on a
-    // big ring — snakes crawl a few wires per tick while 1000+ processors
-    // idle. The frontier pays O(active) per tick, not O(N).
-    // Construction stays outside the timed window.
-    {
-        let topo = TopologySpec::Ring { n: 1024 }.build();
-        bench_workload("ring:1024", "engine", &mut |mode| {
-            let mut engine = gtd_core::build_gtd_engine(&topo, mode);
-            let mut events = Vec::new();
-            let ((), secs) = timed(|| {
-                for _ in 0..window {
-                    engine.tick(&mut events);
-                }
-            });
-            events.clear();
-            (window, secs)
-        });
-    }
-    // Flood-saturated windows: every node active every tick, at two
-    // scales — 4096 is the historical baseline, 16384
-    // is where parallel fan-out headroom is real. Construction and the
-    // 20 saturation ticks stay outside the timed window, which spans
-    // ticks 20..60.
-    for n in [4096, 16384] {
-        let spec = TopologySpec::RandomSc {
-            n,
-            delta: 3,
-            seed: 9,
-        };
-        let topo = spec.build();
-        bench_workload(&spec.to_string(), "engine", &mut |mode| {
-            let mut engine = gtd_netsim::Engine::new(&topo, mode, |meta| {
-                let start = if meta.id == NodeId(1) {
-                    gtd_core::StartBehavior::SingleRca
-                } else {
-                    gtd_core::StartBehavior::Passive
-                };
-                gtd_core::ProtocolNode::new(&meta, start)
-            });
-            let mut events = Vec::new();
-            for _ in 0..20 {
-                engine.tick(&mut events); // let the IG flood saturate
-            }
-            // Measure inside the saturated phase only: by ~tick 70 the
-            // KILL flood has erased the growing snakes and the network
-            // quiesces, which would measure idling, not flooding.
-            let steps = 40u64;
-            let ((), secs) = timed(|| {
-                for _ in 0..steps {
-                    engine.tick(&mut events);
-                }
-            });
-            events.clear();
-            (steps, secs)
-        });
-    }
-    // Dynamic timeline with a far-future mutation: the engine idles to
-    // tick 250k in O(1) via the frontier's lull fast-forward. The timed
-    // window is the whole timeline; correctness asserted outside it.
-    {
-        let spec: DynamicSpec = "ring:64+add-edge=1@t250000"
-            .parse()
-            .expect("literal spec parses");
-        let topo = spec.build();
-        bench_workload(&spec.to_string(), "gtd", &mut |mode| {
-            let (out, secs) = timed(|| {
-                GtdSession::on(&topo)
-                    .mode(mode)
-                    .capture_transcript(false)
-                    .run_dynamic(&spec.schedule)
-                    .expect("timeline completes")
-            });
-            assert!(out.final_verified(), "final map must verify");
-            (out.total_ticks, secs)
-        });
-    }
-    // Chaos regime: a lossy ring driven through the resilient session
-    // path. The fault hash is stateless, so the retry schedule — two
-    // wedged attempts, then a drop-free third that verifies — and the
-    // winning attempt's tick count are deterministic across modes and
-    // reps (compare-gateable); the wall window prices the whole
-    // retry loop, wasted attempts included, which is what a mapping
-    // costs on an unreliable network.
-    {
-        let spec: DynamicSpec = "ring:8~loss=0.0005~fault-seed=2"
-            .parse()
-            .expect("literal spec parses");
-        let topo = spec.build();
-        bench_workload(&spec.to_string(), "gtd", &mut |mode| {
-            let (res, secs) = timed(|| {
-                GtdSession::on(&topo)
-                    .mode(mode)
-                    .capture_transcript(false)
-                    .faults(spec.fault)
-                    .max_retries(3)
-                    .run_resilient()
-                    .expect("well-formed session")
-            });
-            assert!(res.verified(), "hunted fault seed must verify");
-            assert!(
-                res.retries() > 0,
-                "chaos regime must exercise the retry path"
-            );
-            (res.ticks, secs)
-        });
-    }
-    // Million-node flood window: the memory regime. A full map is out of
-    // budget here; a short saturating window is enough to charge the
-    // whole CSR topology + SoA automaton state against peak RSS and to
-    // track per-tick cost at scale. Runs last because VmHWM is a
-    // process-wide high-water mark.
-    {
-        let spec = TopologySpec::RandomSc {
-            n: 1_000_000,
-            delta: 3,
-            seed: 9,
-        };
-        let topo = spec.build();
-        bench_workload(&spec.to_string(), "engine", &mut |mode| {
-            let mut engine = gtd_netsim::Engine::new(&topo, mode, |meta| {
-                let start = if meta.id == NodeId(1) {
-                    gtd_core::StartBehavior::SingleRca
-                } else {
-                    gtd_core::StartBehavior::Passive
-                };
-                gtd_core::ProtocolNode::new(&meta, start)
-            });
-            let mut events = Vec::new();
-            // ~2 ticks of dwell per hop and log₃(10⁶) ≈ 13 hops: 30
-            // warm-up ticks reach the whole graph, so the window (and
-            // the RSS high-water mark) measures the saturated state.
-            for _ in 0..30 {
-                engine.tick(&mut events);
-            }
-            let steps = 10u64;
-            let ((), secs) = timed(|| {
-                for _ in 0..steps {
-                    engine.tick(&mut events);
-                }
-            });
-            events.clear();
-            (steps, secs)
-        });
-    }
-
-    print!("{}", t.render());
-    println!("ticks are deterministic (compare-gateable); wall times are this machine's.");
-    let mut file = rows.join("\n");
-    file.push('\n');
-    std::fs::write(&json_path, file).unwrap_or_else(|e| bail(&format!("{json_path}: {e}")));
-    println!("wrote {json_path} ({reps} rep(s), window {window})");
 }
 
 // ---------------------------------------------------------------------------

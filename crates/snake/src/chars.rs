@@ -11,7 +11,7 @@
 use gtd_netsim::Port;
 
 /// The six snake kinds used across the RCA (§4.2) and our BCA
-/// reconstruction (DESIGN.md §5).
+/// reconstruction (README, reconstruction choice 1).
 ///
 /// "Out" snakes are generated at the root and move away from it; "in"
 /// snakes are generated elsewhere and trigger an action when they reach the
@@ -27,7 +27,7 @@ pub enum SnakeKind {
     Id,
     /// Out-dying: marks the path root → A (RCA step 3).
     Od,
-    /// Backwards-growing: BCA's loop search (DESIGN.md §5).
+    /// Backwards-growing: BCA's loop search (README, reconstruction choice 1).
     Bg,
     /// Backwards-dying: BCA's loop marker.
     Bd,

@@ -15,7 +15,8 @@
 //! passage then schedules the converted emissions at speed-1 and reports
 //! whether this processor turned out to be the **path endpoint** (its head
 //! was immediately followed by the tail) — the local test our BCA
-//! reconstruction uses to let the target recognize itself (DESIGN.md §5).
+//! reconstruction uses to let the target recognize itself
+//! (README, reconstruction choice 1).
 
 use crate::chars::{OptPort, SnakeChar, SnakeKind};
 use crate::speed::{DwellPool, SPEED1_DWELL};

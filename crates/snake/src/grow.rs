@@ -112,7 +112,8 @@ impl GrowRelay {
     /// emits the head first and relays preserve order), so this matches the
     /// paper's "receives … for the first time" rule; the restriction only
     /// bites on post-KILL stragglers, preventing a headless orphan stream
-    /// from re-marking erased processors and flooding forever (DESIGN.md §5).
+    /// from re-marking erased processors and flooding forever
+    /// (README, reconstruction choice 4).
     #[inline]
     pub fn accept(&mut self, port: Port, c: SnakeChar) -> Option<SnakeChar> {
         if self.link == FRESH {
@@ -346,7 +347,7 @@ mod tests {
     fn headless_stragglers_do_not_mark_fresh_nodes() {
         // A body or tail character hitting an unvisited node is a post-KILL
         // straggler; adopting it would regenerate an orphan flood, so it is
-        // dropped (DESIGN.md §5).
+        // dropped (README, reconstruction choice 4).
         let mut r = GrowRelay::new(SnakeKind::Ig);
         assert!(r.accept(Port(2), body(1, 1)).is_none());
         assert!(r.accept(Port(2), SnakeChar::Tail).is_none());

@@ -1,7 +1,7 @@
 //! The three mappers — GTD (finite-state), routed DFS (unbounded memory)
 //! and flood-echo (unbounded messages) — all run through the common
 //! [`TopologyMapper`] trait, must discover literally the same wires, and
-//! their costs must order the way DESIGN.md §2 predicts.
+//! their costs must order the way README § Experiments (E7) states.
 
 use gtd::{
     algo, all_mappers, generators, FloodEchoMapper, GtdMapper, NodeId, RoutedDfsMapper,

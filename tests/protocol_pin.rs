@@ -11,7 +11,10 @@
 //! non-steady path of the step: static maps (every snake kind, KILL,
 //! loop tokens, UNMARK, DFS), a re-map (the RESET flood), lossy and
 //! delayed wires, a `node-restart` (the offline path) and live rewires
-//! and bursts (mutation-era straggler characters).
+//! and bursts (mutation-era straggler characters). Three more pin tick
+//! counts that the protocol alone decides, the cost the paper bounds: a
+//! 64-ring map, a 64-ring timeline that idles to a far-future mutation,
+//! and a lossy ring's retry schedule.
 
 use gtd::protocol::runner::build_gtd_engine;
 use gtd::{
@@ -75,7 +78,10 @@ fn dynamic(spec: &str) -> DynamicSpec {
 fn session_digest(name: &str) -> u64 {
     let mut h = Fnv::new();
     match name {
-        "static ring:9" | "static debruijn:2,4" | "static random-sc:n=40,delta=3,seed=2" => {
+        "static ring:9"
+        | "static debruijn:2,4"
+        | "static random-sc:n=40,delta=3,seed=2"
+        | "static ring:64" => {
             let topo = dynamic(&name["static ".len()..]).base.build();
             h.run(&GtdSession::on(&topo).run().expect("maps"));
         }
@@ -100,6 +106,22 @@ fn session_digest(name: &str) -> u64 {
                 out.stats.fault_dropped + out.stats.fault_delayed > 0,
                 "{name}"
             );
+            h.debug(&(out.status, &out.attempts, out.ticks, out.total_ticks));
+            h.stats(&out.stats);
+            h.transcript(&out.events);
+        }
+        // Lossy until a drop-free attempt: two wedged attempts, then a
+        // third that verifies, so its own counters read no drop.
+        "chaos ring:8~loss=0.0005~fault-seed=2" => {
+            let spec = dynamic(&name["chaos ".len()..]);
+            let topo = spec.base.build();
+            let out = GtdSession::on(&topo)
+                .faults(spec.fault)
+                .max_retries(3)
+                .run_resilient()
+                .expect("structured outcome");
+            assert!(out.verified(), "{name}");
+            assert_eq!(out.retries(), 2, "{name}");
             h.debug(&(out.status, &out.attempts, out.ticks, out.total_ticks));
             h.stats(&out.stats);
             h.transcript(&out.events);
@@ -256,7 +278,7 @@ const fn pin(events: u64, sums: [u64; 5]) -> NodePin {
 
 #[test]
 fn protocol_behaviour_is_pinned() {
-    let sessions: [(&str, u64); 10] = [
+    let sessions: [(&str, u64); 13] = [
         ("static ring:9", 0xb39d_b910_790c_6e49),
         ("static debruijn:2,4", 0xed61_4f2c_ccea_2bca),
         (
@@ -288,6 +310,15 @@ fn protocol_behaviour_is_pinned() {
             0xe8f3_22fc_09c9_2713,
         ),
         ("dynamic ring:12+rewire=1@t60", 0x9fd9_e414_4c6e_5c46),
+        // 133,001 ticks.
+        ("static ring:64", 0xeb89_0919_3129_ff15),
+        // 384,401 ticks in all, a remap latency of 134,401.
+        ("dynamic ring:64+add-edge=1@t250000", 0x9668_a810_012c_a7bc),
+        // 1,849 ticks in the third attempt.
+        (
+            "chaos ring:8~loss=0.0005~fault-seed=2",
+            0xd587_25c5_edac_bab8,
+        ),
     ];
     let nodes: [(&str, NodePin); 8] = [
         (
