@@ -39,7 +39,7 @@ pub use lower_bound::{
     signal_alphabet_log2, transcript_capacity_log2, tree_loop_params, TreeLoopParams,
 };
 pub use mapper::{
-    all_mappers, mapper_by_name, mapper_names, DynamicRun, FloodEchoMapper, GtdMapper,
-    MapperConfig, MapperError, MapperRun, RoutedDfsMapper, TopologyMapper,
+    all_mappers, mapper_by_name, mapper_names, DynamicRun, FloodEchoMapper, GtdMapper, MapperError,
+    MapperRun, RoutedDfsMapper, TopologyMapper,
 };
 pub use routed_dfs::{source_routed_dfs, RoutedDfsOutcome};

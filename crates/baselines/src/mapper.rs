@@ -409,39 +409,6 @@ impl TopologyMapper for RoutedDfsMapper {
     }
 }
 
-/// How [`mapper_by_name`] configures the mapper it builds. Baselines
-/// ignore every knob (they are analytic machines); GTD honours all three.
-#[derive(Clone, Copy, Debug)]
-pub struct MapperConfig {
-    /// Engine strategy for protocol runs.
-    pub mode: EngineMode,
-    /// Optional tick budget for protocol runs.
-    pub tick_budget: Option<u64>,
-    /// Capture the transcript for the phase breakdown.
-    pub capture_phases: bool,
-    /// Remap trigger for dynamic timelines (GTD only; the analytic
-    /// baselines re-map instantly under either policy).
-    pub policy: RemapPolicy,
-    /// Wire-level fault plane (GTD only — the baselines are analytic
-    /// machines with no wires to fault).
-    pub fault: FaultPlane,
-    /// Retry budget for faulted static runs (GTD only).
-    pub max_retries: u32,
-}
-
-impl Default for MapperConfig {
-    fn default() -> Self {
-        MapperConfig {
-            mode: EngineMode::Sparse,
-            tick_budget: None,
-            capture_phases: false,
-            policy: RemapPolicy::Lazy,
-            fault: FaultPlane::NONE,
-            max_retries: 3,
-        }
-    }
-}
-
 /// The stable mapper names, in descending cost order (matches
 /// [`all_mappers`]).
 pub fn mapper_names() -> Vec<&'static str> {
@@ -449,20 +416,15 @@ pub fn mapper_names() -> Vec<&'static str> {
 }
 
 /// Build a mapper by its stable name (`"gtd"`, `"routed-dfs"`,
-/// `"flood-echo"`), configured by `cfg`. Returns `None` for unknown names.
+/// `"flood-echo"`): `"gtd"` is a copy of `cfg`, and the baselines ignore
+/// every knob (they are analytic machines). Returns `None` for unknown
+/// names.
 pub fn mapper_by_name(
     name: &str,
-    cfg: &MapperConfig,
+    cfg: &GtdMapper,
 ) -> Option<Box<dyn TopologyMapper + Send + Sync>> {
     match name {
-        "gtd" => Some(Box::new(GtdMapper {
-            mode: cfg.mode,
-            tick_budget: cfg.tick_budget,
-            capture_phases: cfg.capture_phases,
-            policy: cfg.policy,
-            fault: cfg.fault,
-            max_retries: cfg.max_retries,
-        })),
+        "gtd" => Some(Box::new(*cfg)),
         "routed-dfs" => Some(Box::new(RoutedDfsMapper)),
         "flood-echo" => Some(Box::new(FloodEchoMapper)),
         _ => None,
@@ -474,7 +436,7 @@ pub fn mapper_by_name(
 pub fn all_mappers() -> Vec<Box<dyn TopologyMapper + Send + Sync>> {
     mapper_names()
         .into_iter()
-        .map(|n| mapper_by_name(n, &MapperConfig::default()).expect("registry name"))
+        .map(|n| mapper_by_name(n, &GtdMapper::default()).expect("registry name"))
         .collect()
 }
 
@@ -536,10 +498,10 @@ mod tests {
     #[test]
     fn mapper_by_name_round_trips_the_registry() {
         for name in mapper_names() {
-            let m = mapper_by_name(name, &MapperConfig::default()).unwrap();
+            let m = mapper_by_name(name, &GtdMapper::default()).unwrap();
             assert_eq!(m.name(), name);
         }
-        assert!(mapper_by_name("oracle", &MapperConfig::default()).is_none());
+        assert!(mapper_by_name("oracle", &GtdMapper::default()).is_none());
     }
 
     #[test]
@@ -728,14 +690,14 @@ mod tests {
     #[test]
     fn analytic_baselines_are_fault_immune() {
         let topo = generators::random_sc(14, 3, 6);
-        let cfg = MapperConfig {
+        let cfg = GtdMapper {
             fault: FaultPlane {
                 loss: 1.0,
                 delay_min: 0,
                 delay_max: 0,
                 seed: 3,
             },
-            ..MapperConfig::default()
+            ..GtdMapper::default()
         };
         for name in ["flood-echo", "routed-dfs"] {
             let mapper = mapper_by_name(name, &cfg).unwrap();

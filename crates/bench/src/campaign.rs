@@ -42,7 +42,7 @@
 //! ```
 
 use crate::json::{bool_field, num_field, str_field, JsonValue};
-use gtd_baselines::{mapper_by_name, MapperConfig, MapperError};
+use gtd_baselines::{mapper_by_name, GtdMapper, MapperError};
 use gtd_core::{GtdError, PhaseBreakdown, RemapPolicy};
 use gtd_netsim::{DynamicSpec, EngineMode, NodeId, ParseSpecError, Topology};
 use std::collections::HashMap;
@@ -122,13 +122,13 @@ impl CellSpec {
     /// name is captured as a `precondition` [`CellError`], mirroring how
     /// out-of-range roots are handled — a cell failure, never a panic.
     pub fn execute(&self, topo: &Topology) -> RunRecord {
-        let cfg = MapperConfig {
+        let cfg = GtdMapper {
             mode: self.mode,
             tick_budget: self.budget,
             capture_phases: true,
             policy: self.policy,
             fault: self.spec.fault,
-            ..MapperConfig::default()
+            ..GtdMapper::default()
         };
         // Fault counters are only rendered for cells whose spec carries an
         // active plane, so reliable-wire rows stay byte-identical to
@@ -422,7 +422,7 @@ impl Campaign {
             spec.validate()?;
         }
         for name in &self.mappers {
-            if mapper_by_name(name, &MapperConfig::default()).is_none() {
+            if mapper_by_name(name, &GtdMapper::default()).is_none() {
                 return Err(CampaignError::UnknownMapper(name.clone()));
             }
         }

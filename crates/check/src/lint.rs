@@ -30,7 +30,7 @@ pub const LINT_RULES: &[LintRule] = &[
         summary: "no allocating calls inside Engine::tick and its two tick paths \
                   (tick_event/tick_saturated), the shard phases, the \
                   worker-pool dispatch path, Node::flush_due, or the per-epoch \
-                  topology queries (CSR views, masks, rewire hooks)",
+                  topology queries (slot-table views, masks, rewire hooks)",
         rationale: "the per-tick path is the O(N*D) inner loop the paper's cost model \
                     measures; one stray format!/clone turns the profile to noise — \
                     and the remap/verify paths re-query the topology every epoch, \
@@ -264,7 +264,7 @@ fn scan_scoped_fns(
 /// The per-tick hot path: `Engine::tick`, its two tick paths, the
 /// shard phase functions the pool fans out, the frontier rebuild, and
 /// the pool's own dispatch/claim/worker loop — plus the per-epoch paths:
-/// the topology's CSR connectivity views (iterator/mask forms, queried
+/// the topology's slot-table connectivity views (iterator/mask forms, queried
 /// on every remap and verify) and the automaton's rewire hooks.
 const TICK_PATH_SCOPES: &[(&str, &[&str])] = &[
     (

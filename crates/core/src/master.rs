@@ -268,17 +268,6 @@ impl MasterComputer {
         self.terminated
     }
 
-    /// Current DFS stack depth (the token's distance from the root in
-    /// tree terms) — used by tests and the trace example.
-    pub fn stack_depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Processors named so far.
-    pub fn nodes_discovered(&self) -> usize {
-        self.paths.len()
-    }
-
     fn intern(&mut self, path: PortPath, return_path: PortPath) -> Result<u32, DecodeError> {
         match self.names.entry(path.clone()) {
             Entry::Occupied(o) => {

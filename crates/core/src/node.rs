@@ -366,16 +366,6 @@ impl ProtocolNode {
             && (!self.is_root || self.root_rca == RootRca::Open)
     }
 
-    /// Count of growing-snake characters dwelling here plus set markings
-    /// (the things KILL tokens must eradicate) — E5's residue census.
-    pub fn growing_residue(&self) -> usize {
-        let marks = [&self.ig, &self.og, &self.bg]
-            .iter()
-            .map(|r| usize::from(r.is_marked()) + r.pending_len(&self.pool))
-            .sum::<usize>();
-        marks
-    }
-
     /// Characters of any kind dwelling in this processor (type-size /
     /// finite-state census).
     pub fn chars_in_flight(&self) -> usize {

@@ -1,5 +1,5 @@
 //! Million-node smoke at debug-feasible scale: `random-sc:n=100000`
-//! must build under the CSR/SoA layout, sparse and parallel must agree
+//! must build under the slot-table/SoA layout, sparse and parallel must agree
 //! byte-for-byte on a bounded flood window, and steady-state ticks must
 //! not allocate at all: every dwelling character stays in its
 //! processor's inline dwell pool.

@@ -59,8 +59,8 @@ pub use gtd_serve as serve;
 pub use gtd_snake as snake;
 
 pub use gtd_baselines::{
-    all_mappers, mapper_by_name, mapper_names, DynamicRun, FloodEchoMapper, GtdMapper,
-    MapperConfig, MapperError, MapperRun, RoutedDfsMapper, TopologyMapper,
+    all_mappers, mapper_by_name, mapper_names, DynamicRun, FloodEchoMapper, GtdMapper, MapperError,
+    MapperRun, RoutedDfsMapper, TopologyMapper,
 };
 pub use gtd_bench::{
     core_families, Campaign, CampaignError, CampaignReport, CellError, CellOutcome, GroupStat,

@@ -207,7 +207,8 @@ impl std::str::FromStr for EngineMode {
     }
 }
 
-const NO_ROUTE: u32 = u32::MAX;
+/// An unwired slot in the route tables, which copy the topology's.
+const NO_ROUTE: u32 = crate::topology::UNWIRED;
 
 /// Sentinel "no wake requested" deadline.
 const NO_WAKE: u64 = u64::MAX;
@@ -438,11 +439,12 @@ pub struct Engine<A: Automaton> {
     in_buf: Vec<A::Sig>,
     /// `out_buf[n*δ + o]` — signal written on out-port `o` of node `n`.
     out_buf: Vec<A::Sig>,
-    /// For each in-slot, the out-slot feeding it (saturated gather).
+    /// For each in-slot, the out-slot feeding it (saturated gather): a
+    /// copy of the topology's in-slot table.
     route_in: Vec<u32>,
-    /// For each out-slot, the in-slot it feeds (event scatter). Bijective
-    /// on wired slots — which is what makes cross-shard in-slot writes
-    /// race-free.
+    /// For each out-slot, the in-slot it feeds (event scatter): a copy of
+    /// the topology's out-slot table. Bijective on wired slots — which is
+    /// what makes cross-shard in-slot writes race-free.
     route_out: Vec<u32>,
     /// `wake_at[n]` — earliest tick node `n` asked to be stepped at
     /// ([`NO_WAKE`] = no request). The authoritative deadline store; the
@@ -527,21 +529,6 @@ impl<S> Default for ApplyScratch<S> {
             in_buf: Vec::new(),
             wake_at: Vec::new(),
             inv: Vec::new(),
-        }
-    }
-}
-
-/// Fill `route_in`/`route_out` (pre-sized to `n*δ`, all [`NO_ROUTE`])
-/// from the wiring of `topo`: each table from its own direction's
-/// adjacency, so both are written in slot order.
-fn fill_routes(topo: &Topology, delta: usize, route_in: &mut [u32], route_out: &mut [u32]) {
-    let slot = |node: NodeId, port: Port| (node.idx() * delta + port.idx()) as u32;
-    for u in topo.node_ids() {
-        for (o, ep) in topo.out_edges(u) {
-            route_out[slot(u, o) as usize] = slot(ep.node, ep.port);
-        }
-        for (i, ep) in topo.in_edges(u) {
-            route_in[slot(u, i) as usize] = slot(ep.node, ep.port);
         }
     }
 }
@@ -914,9 +901,6 @@ impl<A: Automaton> Engine<A> {
                 delta: topo.delta(),
             }));
         }
-        let mut route_in = vec![NO_ROUTE; n * delta];
-        let mut route_out = vec![NO_ROUTE; n * delta];
-        fill_routes(topo, delta, &mut route_in, &mut route_out);
         let (s_count, forced_fanout) = match mode {
             EngineMode::Dense | EngineMode::Sparse => (1, false),
             EngineMode::Parallel => resolve_shards(n, par_shards),
@@ -964,8 +948,8 @@ impl<A: Automaton> Engine<A> {
             nodes,
             in_buf: vec![A::Sig::default(); n * delta],
             out_buf: vec![A::Sig::default(); n * delta],
-            route_in,
-            route_out,
+            route_in: topo.in_slots().to_vec(),
+            route_out: topo.out_slots().to_vec(),
             // Arm every wake for tick 0 (the power-on step).
             wake_at: vec![0; n],
             has_input: vec![false; n],
@@ -1005,11 +989,6 @@ impl<A: Automaton> Engine<A> {
             dropped: 0,
             delayed_total: 0,
         }));
-    }
-
-    /// The interposed fault plane ([`FaultPlane::NONE`] when reliable).
-    pub fn fault_plane(&self) -> FaultPlane {
-        self.fault.as_ref().map_or(FaultPlane::NONE, |f| f.plane)
     }
 
     /// Lifetime count of characters the fault plane destroyed.
@@ -1204,10 +1183,9 @@ impl<A: Automaton> Engine<A> {
         let route_in = &mut scratch.route_in;
         let route_out = &mut scratch.route_out;
         route_in.clear();
-        route_in.resize(new_n * delta, NO_ROUTE);
+        route_in.extend_from_slice(new_topo.in_slots());
         route_out.clear();
-        route_out.resize(new_n * delta, NO_ROUTE);
-        fill_routes(new_topo, delta, route_in, route_out);
+        route_out.extend_from_slice(new_topo.out_slots());
         // Carry in-flight characters across wires that connect the same
         // physical processors through the same ports; every removed or
         // re-sourced wire loses its character.

@@ -61,12 +61,6 @@ impl PortMask {
     /// The empty set.
     pub const EMPTY: PortMask = PortMask(0);
 
-    /// Build from a raw bit pattern (bit `p` ⇔ port `p`).
-    #[inline]
-    pub fn from_bits(bits: u64) -> Self {
-        PortMask(bits)
-    }
-
     /// The raw bit pattern.
     #[inline]
     pub fn bits(self) -> u64 {

@@ -10,14 +10,16 @@
 //!
 //! ## Storage
 //!
-//! A finished [`Topology`] is stored in compressed-sparse-row form: one
-//! `offsets` array per direction (length N+1) plus one packed entry per
-//! wire end. Node `v`'s wired out-ports live at
-//! `out_adj[out_off[v] .. out_off[v+1]]`, sorted by local port number.
-//! Entries are 8 bytes each, so a δ=3 network costs ~56 bytes/node — flat,
-//! cache-friendly, and free of the per-node `Vec` headers and heap blocks
-//! the million-node regimes cannot afford. The query API below exposes thin
-//! views (iterators and O(1) lookups) over these arrays; nothing allocates.
+//! Every port of node `v` has a *slot*, `v·δ + port`, and a [`Topology`]
+//! keeps one `u32` per slot in each direction: `outs[v·δ + o]` is the
+//! in-slot that out-port `o` of `v` feeds, `ins[v·δ + i]` the out-slot
+//! feeding in-port `i` of `v`, and [`UNWIRED`] marks a free port. A δ=3
+//! network costs 24 bytes per node. The builder writes these tables, the
+//! finished topology keeps them, and the engine copies them as its route
+//! tables, so the wiring has one format from generator to tick. An
+//! endpoint is `slot / δ` and `slot % δ`, so lookups are O(1); degrees and
+//! masks read a node's δ slots. The query API below exposes thin views
+//! (iterators and O(1) lookups) over these arrays; nothing allocates.
 
 use crate::ids::{Endpoint, NodeId, Port, PortMask};
 
@@ -25,6 +27,9 @@ use crate::ids::{Endpoint, NodeId, Port, PortMask};
 /// words ([`PortMask`]); the paper's δ is a small constant, so this is not
 /// a practical restriction.
 pub const MAX_DELTA: u8 = 64;
+
+/// The slot-table entry of a port with no wire.
+pub(crate) const UNWIRED: u32 = u32::MAX;
 
 /// A single wire: out-port `src_port` of `src` feeds in-port `dst_port` of `dst`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -84,25 +89,6 @@ impl std::fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-/// One wired port in a CSR adjacency row: the local port number plus the
-/// packed remote endpoint. 8 bytes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct CsrEntry {
-    /// Local port number (out-port in `out_adj`, in-port in `in_adj`).
-    local: u8,
-    /// Remote port number on `peer`.
-    peer_port: u8,
-    /// Remote processor.
-    peer: u32,
-}
-
-impl CsrEntry {
-    #[inline]
-    fn endpoint(self) -> Endpoint {
-        Endpoint::new(NodeId(self.peer), Port(self.peer_port))
-    }
-}
-
 /// An immutable, validated network topology.
 ///
 /// Construct one through [`TopologyBuilder`] or the generators in
@@ -113,13 +99,13 @@ impl CsrEntry {
 pub struct Topology {
     delta: u8,
     n: u32,
-    /// CSR offsets: node `v`'s wired out-ports are `out_adj[out_off[v] ..
-    /// out_off[v+1]]`, ascending by port. Length N+1.
-    out_off: Vec<u32>,
-    out_adj: Vec<CsrEntry>,
-    /// Mirror of the out-tables for the in-direction. Length N+1.
-    in_off: Vec<u32>,
-    in_adj: Vec<CsrEntry>,
+    edges: usize,
+    /// `outs[v·δ + o]` = the in-slot fed by out-port `o` of `v`, or
+    /// [`UNWIRED`].
+    outs: Vec<u32>,
+    /// `ins[v·δ + i]` = the out-slot feeding in-port `i` of `v`, or
+    /// [`UNWIRED`].
+    ins: Vec<u32>,
 }
 
 impl Topology {
@@ -138,7 +124,7 @@ impl Topology {
     /// Number of wires E.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.out_adj.len()
+        self.edges
     }
 
     /// Iterate over all node ids `0..N`.
@@ -146,65 +132,95 @@ impl Topology {
         (0..self.n).map(NodeId)
     }
 
-    /// The CSR row of wired out-ports for `node`.
-    #[inline]
-    fn out_row(&self, node: NodeId) -> &[CsrEntry] {
-        &self.out_adj[self.out_off[node.idx()] as usize..self.out_off[node.idx() + 1] as usize]
+    /// The out-slot table: entry `v·δ + o` is the in-slot out-port `o` of
+    /// `v` feeds, or [`UNWIRED`].
+    pub(crate) fn out_slots(&self) -> &[u32] {
+        &self.outs
     }
 
-    /// The CSR row of wired in-ports for `node`.
+    /// The in-slot table: entry `v·δ + i` is the out-slot feeding in-port
+    /// `i` of `v`, or [`UNWIRED`].
+    pub(crate) fn in_slots(&self) -> &[u32] {
+        &self.ins
+    }
+
+    /// `node`'s δ slots in `table`.
     #[inline]
-    fn in_row(&self, node: NodeId) -> &[CsrEntry] {
-        &self.in_adj[self.in_off[node.idx()] as usize..self.in_off[node.idx() + 1] as usize]
+    fn row<'a>(&self, table: &'a [u32], node: NodeId) -> &'a [u32] {
+        let base = node.idx() * self.delta as usize;
+        &table[base..base + self.delta as usize]
+    }
+
+    /// The endpoint a slot-table entry names, `None` if [`UNWIRED`].
+    #[inline]
+    fn endpoint(&self, slot: u32) -> Option<Endpoint> {
+        let delta = u32::from(self.delta);
+        (slot != UNWIRED).then(|| Endpoint::new(NodeId(slot / delta), Port((slot % delta) as u8)))
+    }
+
+    /// The wired ports of one row, ascending, with their remote endpoints.
+    fn wired<'a>(&'a self, row: &'a [u32]) -> impl Iterator<Item = (Port, Endpoint)> + 'a {
+        (0..self.delta)
+            .zip(row)
+            .filter_map(|(p, &slot)| Some((Port(p), self.endpoint(slot)?)))
+    }
+
+    /// The ports of one row that are wired, as a mask.
+    #[inline]
+    fn mask(row: &[u32]) -> PortMask {
+        (0..).zip(row).fold(PortMask::EMPTY, |m, (p, &slot)| {
+            if slot == UNWIRED {
+                m
+            } else {
+                m.with(Port(p))
+            }
+        })
+    }
+
+    /// The endpoint `table` names at `node`'s port `port`; `None` if the
+    /// port is unwired or does not exist.
+    #[inline]
+    fn lookup(&self, table: &[u32], node: NodeId, port: Port) -> Option<Endpoint> {
+        if port.0 >= self.delta {
+            return None;
+        }
+        self.endpoint(*table.get(node.idx() * self.delta as usize + port.idx())?)
     }
 
     /// The remote endpoint fed by `node`'s out-port `port`, if wired.
-    ///
-    /// Rows are sorted by port and at most δ long, so a linear scan is
-    /// both correct and faster than a binary search at the paper's δ.
     #[inline]
     pub fn out_endpoint(&self, node: NodeId, port: Port) -> Option<Endpoint> {
-        self.out_row(node)
-            .iter()
-            .find(|e| e.local == port.0)
-            .map(|e| e.endpoint())
+        self.lookup(&self.outs, node, port)
     }
 
     /// The remote endpoint feeding `node`'s in-port `port`, if wired.
     #[inline]
     pub fn in_endpoint(&self, node: NodeId, port: Port) -> Option<Endpoint> {
-        self.in_row(node)
-            .iter()
-            .find(|e| e.local == port.0)
-            .map(|e| e.endpoint())
+        self.lookup(&self.ins, node, port)
     }
 
     /// Out-port connectivity of a node as a bitmask (out-port awareness,
     /// §1.2.1). Bit `o` set ⇔ out-port `o` is wired.
     #[inline]
     pub fn out_mask(&self, node: NodeId) -> PortMask {
-        self.out_row(node)
-            .iter()
-            .fold(PortMask::EMPTY, |m, e| m.with(Port(e.local)))
+        Self::mask(self.row(&self.outs, node))
     }
 
     /// In-port connectivity of a node as a bitmask (in-port awareness, §1.2.1).
     #[inline]
     pub fn in_mask(&self, node: NodeId) -> PortMask {
-        self.in_row(node)
-            .iter()
-            .fold(PortMask::EMPTY, |m, e| m.with(Port(e.local)))
+        Self::mask(self.row(&self.ins, node))
     }
 
     /// Out-port connectivity flags of a node, one `bool` per port `0..δ`,
-    /// without allocating (borrows the CSR row).
+    /// without allocating (one read of the slot row).
     pub fn out_connected(&self, node: NodeId) -> impl Iterator<Item = bool> + '_ {
         let m = self.out_mask(node);
         (0..self.delta).map(move |p| m.contains(Port(p)))
     }
 
     /// In-port connectivity flags of a node, one `bool` per port `0..δ`,
-    /// without allocating (borrows the CSR row).
+    /// without allocating (one read of the slot row).
     pub fn in_connected(&self, node: NodeId) -> impl Iterator<Item = bool> + '_ {
         let m = self.in_mask(node);
         (0..self.delta).map(move |p| m.contains(Port(p)))
@@ -213,33 +229,29 @@ impl Topology {
     /// Connected out-degree of a node.
     #[inline]
     pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out_row(node).len()
+        self.out_mask(node).len()
     }
 
     /// Connected in-degree of a node.
     #[inline]
     pub fn in_degree(&self, node: NodeId) -> usize {
-        self.in_row(node).len()
+        self.in_mask(node).len()
     }
 
     /// Out-neighbours of a node as `(out-port, remote endpoint)` pairs, in
     /// ascending port order.
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = (Port, Endpoint)> + '_ {
-        self.out_row(node)
-            .iter()
-            .map(|e| (Port(e.local), e.endpoint()))
+        self.wired(self.row(&self.outs, node))
     }
 
     /// In-neighbours of a node as `(in-port, remote endpoint)` pairs, in
     /// ascending port order.
     pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = (Port, Endpoint)> + '_ {
-        self.in_row(node)
-            .iter()
-            .map(|e| (Port(e.local), e.endpoint()))
+        self.wired(self.row(&self.ins, node))
     }
 
     /// Every wire in the network, in `(src node, src port)` order, as a
-    /// non-allocating view over the CSR arrays.
+    /// non-allocating view over the slot tables.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.node_ids().flat_map(move |src| {
             self.out_edges(src).map(move |(src_port, ep)| Edge {
@@ -272,67 +284,20 @@ impl Topology {
         Some(cur)
     }
 
-    /// Validate the cross-linking invariants; used by tests and after
-    /// deserialization. Checks that out- and in-tables mirror each other and
-    /// that model requirements hold.
+    /// Validate the cross-linking invariants and the model requirements;
+    /// used by tests and by [`TopologyBuilder::build`]'s debug check.
     ///
-    /// A valid network is confirmed by one pass over its wires
-    /// ([`Topology::wired_consistently`]); only a network that fails it is
-    /// scanned node by node, so the error always names the first defect in
-    /// node order.
+    /// Nodes are checked in order, each for its out-wires (no self-loop,
+    /// mirrored by the in-table), its in-wires (mirrored by the
+    /// out-table) and its degrees in turn, so the error names the first
+    /// defect in node order. A slot past the network mirrors nothing.
     pub fn validate(&self) -> Result<(), TopologyError> {
-        if self.wired_consistently() {
-            return Ok(());
-        }
-        self.first_defect()
-    }
-
-    /// Sufficient condition for [`Topology::validate`] to pass, checked
-    /// with one lookup per wire instead of two.
-    ///
-    /// Every row holds 1..=δ entries with strictly ascending ports, every
-    /// out-wire avoids a self-loop and its in-end mirrors it, and both
-    /// directions hold the same number of entries. Mirroring makes the map
-    /// from out-wires to the in-entries they land on injective (an entry
-    /// names one sender); equal totals make it onto, so every in-entry is
-    /// some out-wire's mirror and the in-to-out check holds as well.
-    fn wired_consistently(&self) -> bool {
-        let delta = self.delta as usize;
-        let rows_ok = |off: &[u32], adj: &[CsrEntry]| {
-            off.windows(2).all(|w| {
-                let row = &adj[w[0] as usize..w[1] as usize];
-                (1..=delta).contains(&row.len()) && row.windows(2).all(|p| p[0].local < p[1].local)
-            })
-        };
-        self.n >= 2
-            && self.out_adj.len() == self.in_adj.len()
-            && rows_ok(&self.out_off, &self.out_adj)
-            && rows_ok(&self.in_off, &self.in_adj)
-            && self.node_ids().all(|node| {
-                self.out_edges(node).all(|(o, ep)| {
-                    ep.node != node
-                        && self.in_endpoint(ep.node, ep.port) == Some(Endpoint::new(node, o))
-                })
-            })
-    }
-
-    /// The first defect in node order, checking each node's degree bound,
-    /// wires in both directions and degrees in turn; `Ok` if there is none.
-    fn first_defect(&self) -> Result<(), TopologyError> {
         if self.n < 2 {
             return Err(TopologyError::Malformed(
                 "the model requires at least two processors".into(),
             ));
         }
         for node in self.node_ids() {
-            if self.out_degree(node) > self.delta as usize
-                || self.in_degree(node) > self.delta as usize
-            {
-                return Err(TopologyError::Malformed(format!(
-                    "{node} has more than delta = {} ports",
-                    self.delta
-                )));
-            }
             for (o, ep) in self.out_edges(node) {
                 if ep.node == node {
                     return Err(TopologyError::SelfLoop(node));
@@ -373,25 +338,26 @@ impl Topology {
 /// auto-assigned to the lowest free ports ([`TopologyBuilder::connect_auto`]),
 /// which keeps generator output deterministic in edge-insertion order.
 ///
-/// Internally the builder keeps two flat `n·δ` slot tables (`slot = node·δ +
-/// port`) and compresses them to the CSR form of [`Topology`] at
-/// [`TopologyBuilder::build`]. Per-node wired-port counts sit beside the
-/// tables, so free-port queries such as [`TopologyBuilder::can_connect`]
-/// are O(1) and never touch them. While every node's ports have been wired
-/// in order (always, unless an explicit `connect` skipped a port), the
-/// counts are also the lowest free ports, so `connect_auto` only writes
-/// the tables and never reads them.
+/// The builder writes [`Topology`]'s two slot tables directly, and
+/// [`TopologyBuilder::build`] moves them into the finished network.
+/// Per-node wired-port counts sit beside the tables, so free-port queries
+/// such as [`TopologyBuilder::can_connect`] are O(1) and never touch them.
+/// While every node's ports have been wired in order (always, unless an
+/// explicit `connect` skipped a port), the counts are also the lowest free
+/// ports, so `connect_auto` only writes the tables and never reads them.
 #[derive(Clone, Debug)]
 pub struct TopologyBuilder {
     delta: u8,
     n: usize,
-    /// `outs[v·δ + o]` = remote `(node, in-port)` fed by `v`'s out-port `o`.
-    outs: Vec<Option<Endpoint>>,
-    /// `ins[v·δ + i]` = remote `(node, out-port)` feeding `v`'s in-port `i`.
-    ins: Vec<Option<Endpoint>>,
-    /// `out_used[v]` = number of wired out-ports of `v` (the `Some`s in its
-    /// `outs` slots). [`TopologyBuilder::connect`] is the only writer of the
-    /// slot tables and of these counts.
+    /// `outs[v·δ + o]` = the in-slot fed by `v`'s out-port `o`, or
+    /// [`UNWIRED`].
+    outs: Vec<u32>,
+    /// `ins[v·δ + i]` = the out-slot feeding `v`'s in-port `i`, or
+    /// [`UNWIRED`].
+    ins: Vec<u32>,
+    /// `out_used[v]` = number of wired out-ports of `v` (the wired slots
+    /// in its `outs` row). `wire` is the only writer of the slot tables
+    /// and of these counts.
     out_used: Vec<u8>,
     /// `in_used[v]` = number of wired in-ports of `v`.
     in_used: Vec<u8>,
@@ -405,11 +371,11 @@ impl TopologyBuilder {
     /// Start a network with `n` processors and port bound `delta` (δ ≥ 2,
     /// as in the paper).
     ///
-    /// Panics when `n·δ` does not fit in 32 bits: the engine's flat route
-    /// tables index wire slots with `u32` (one value reserved as the
-    /// unrouted sentinel), and silently truncating node ids there would
-    /// corrupt the wiring. Spec-driven construction rejects such sizes
-    /// earlier with a structured parse error.
+    /// Panics when `n·δ` does not fit in 32 bits: the slot tables index
+    /// wire slots with `u32` (one value reserved as the [`UNWIRED`]
+    /// sentinel), and silently truncating node ids there would corrupt
+    /// the wiring. Spec-driven construction rejects such sizes earlier
+    /// with a structured parse error.
     pub fn new(n: usize, delta: u8) -> Self {
         assert!(delta >= 2, "the paper requires delta >= 2");
         assert!(
@@ -419,14 +385,14 @@ impl TopologyBuilder {
         assert!(n >= 2, "the model requires at least two processors");
         assert!(
             n.checked_mul(delta as usize)
-                .is_some_and(|slots| slots < u32::MAX as usize),
+                .is_some_and(|slots| slots < UNWIRED as usize),
             "network too large: n * delta must fit in 32 bits"
         );
         TopologyBuilder {
             delta,
             n,
-            outs: vec![None; n * delta as usize],
-            ins: vec![None; n * delta as usize],
+            outs: vec![UNWIRED; n * delta as usize],
+            ins: vec![UNWIRED; n * delta as usize],
             out_used: vec![0; n],
             in_used: vec![0; n],
             gapped: false,
@@ -489,14 +455,14 @@ impl TopologyBuilder {
                 delta: self.delta,
             });
         }
-        if self.outs[self.slot(src, src_port)].is_some() {
+        if self.outs[self.slot(src, src_port)] != UNWIRED {
             return Err(TopologyError::PortBusy {
                 node: src,
                 port: src_port,
                 is_out: true,
             });
         }
-        if self.ins[self.slot(dst, dst_port)].is_some() {
+        if self.ins[self.slot(dst, dst_port)] != UNWIRED {
             return Err(TopologyError::PortBusy {
                 node: dst,
                 port: dst_port,
@@ -514,10 +480,9 @@ impl TopologyBuilder {
         *su += 1;
         *du += 1;
         let (so, si) = (self.slot(src, src_port), self.slot(dst, dst_port));
-        self.outs[so] = Some(Endpoint::new(dst, dst_port));
-        self.ins[si] = Some(Endpoint::new(src, src_port));
+        self.outs[so] = si as u32;
+        self.ins[si] = so as u32;
     }
-
     /// Wire `src` to `dst` using the lowest free out-port on `src` and the
     /// lowest free in-port on `dst`. Returns the chosen `(out, in)` ports.
     pub fn connect_auto(
@@ -554,7 +519,7 @@ impl TopologyBuilder {
             (&self.ins, &self.in_used)
         };
         let port = if self.gapped {
-            table[self.slots(node)].iter().position(Option::is_none)?
+            table[self.slots(node)].iter().position(|&s| s == UNWIRED)?
         } else {
             used[node.idx()] as usize
         };
@@ -579,76 +544,65 @@ impl TopologyBuilder {
 
     /// True if some wire `src → dst` already exists (any port pair).
     pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
+        let delta = u32::from(self.delta);
         self.outs[self.slots(src)]
             .iter()
-            .flatten()
-            .any(|ep| ep.node == dst)
+            .any(|&slot| slot != UNWIRED && slot / delta == dst.0)
     }
 
-    /// Finish and validate: compress the slot tables to CSR form.
+    /// Finish and validate: move the slot tables into a [`Topology`].
     ///
     /// The check needs no lookup across wires. `wire` is the tables' only
     /// writer and records each wire at both ends, after the range and
     /// self-loop checks, so the tables mirror each other as long as no
-    /// slot was written twice, which packing confirms by matching every
+    /// slot was written twice, which one pass confirms by matching every
     /// row against its node's port count. What is left of
     /// [`Topology::validate`] is that every node has a wired out- and
     /// in-port; the first node without one gives the error `validate`
     /// would.
     pub fn build(self) -> Result<Topology, TopologyError> {
-        let t = self.pack()?;
+        self.check_counts()?;
         let unwired = self.first_unwired();
+        let t = self.into_topology();
         debug_assert_eq!(t.validate(), unwired.clone().map_or(Ok(()), Err));
         unwired.map_or(Ok(t), Err)
     }
 
-    /// The slot tables in CSR form, unvalidated; an error if some row's
-    /// wired slots disagree with its node's port count.
-    fn pack(&self) -> Result<Topology, TopologyError> {
-        let delta = self.delta as usize;
-        let wires = self.out_used.iter().map(|&c| c as usize).sum();
-        let pack = |slots: &[Option<Endpoint>], used: &[u8]| {
-            let mut off = Vec::with_capacity(self.n + 1);
-            let mut adj = Vec::with_capacity(wires);
-            off.push(0u32);
-            for node in 0..self.n {
-                for port in 0..delta {
-                    if let Some(ep) = slots[node * delta + port] {
-                        adj.push(CsrEntry {
-                            local: port as u8,
-                            peer_port: ep.port.0,
-                            peer: ep.node.0,
-                        });
-                    }
-                }
-                let row = adj.len() as u32;
-                if row - off[node] != u32::from(used[node]) {
+    /// An error if some node's wired slots, on either side, disagree with
+    /// its port count.
+    fn check_counts(&self) -> Result<(), TopologyError> {
+        for node in 0..self.n {
+            let id = NodeId(node as u32);
+            for (table, used) in [(&self.outs, &self.out_used), (&self.ins, &self.in_used)] {
+                let wired = table[self.slots(id)]
+                    .iter()
+                    .filter(|&&s| s != UNWIRED)
+                    .count();
+                if wired != used[node] as usize {
                     return Err(TopologyError::Malformed(format!(
-                        "{} has {} wired slots but counts {}",
-                        NodeId(node as u32),
-                        row - off[node],
+                        "{id} has {wired} wired slots but counts {}",
                         used[node]
                     )));
                 }
-                off.push(row);
             }
-            Ok((off, adj))
-        };
-        let (out_off, out_adj) = pack(&self.outs, &self.out_used)?;
-        let (in_off, in_adj) = pack(&self.ins, &self.in_used)?;
-        Ok(Topology {
+        }
+        Ok(())
+    }
+
+    /// The tables as a [`Topology`], unvalidated.
+    fn into_topology(self) -> Topology {
+        Topology {
             delta: self.delta,
             n: self.n as u32,
-            out_off,
-            out_adj,
-            in_off,
-            in_adj,
-        })
+            edges: self.out_used.iter().map(|&c| c as usize).sum(),
+            outs: self.outs,
+            ins: self.ins,
+        }
     }
 
     /// The model defect [`Topology::validate`] would report first for the
-    /// packed tables: the lowest node without a wired out-port, or without
-    /// a wired in-port.
+    /// tables: the lowest node without a wired out-port, or without a
+    /// wired in-port.
     fn first_unwired(&self) -> Option<TopologyError> {
         let node = (0..self.n).find(|&v| self.out_used[v] == 0 || self.in_used[v] == 0)?;
         let side = if self.out_used[node] == 0 {
@@ -844,38 +798,60 @@ mod tests {
         t2.validate().unwrap();
     }
 
-    /// A `Topology` assembled from per-node rows exactly as given: no
-    /// sorting and no validation, so a test can hand `validate` anything.
-    fn from_rows(delta: u8, outs: &[Vec<CsrEntry>], ins: &[Vec<CsrEntry>]) -> Topology {
-        let flat = |rows: &[Vec<CsrEntry>]| {
-            let mut off = vec![0u32];
-            let mut adj = Vec::new();
-            for row in rows {
-                adj.extend_from_slice(row);
-                off.push(adj.len() as u32);
-            }
-            (off, adj)
-        };
-        let ((out_off, out_adj), (in_off, in_adj)) = (flat(outs), flat(ins));
-        Topology {
-            delta,
-            n: outs.len() as u32,
-            out_off,
-            out_adj,
-            in_off,
-            in_adj,
-        }
-    }
-
-    /// `validate`'s one-pass acceptance never admits a network the
-    /// node-ordered scan rejects, so both report the same first defect.
-    /// Corruptions of a valid network with rows of 1 to δ wires: a field
-    /// of one entry or an extra entry on one side only, or, keeping both
-    /// ends mirrored, a removed wire, an added wire (self-loops included)
-    /// or a relabelled port (duplicates and ports ≥ δ included).
+    /// `validate` against a reference that reads only the wire views
+    /// ([`Topology::edges`] and [`Topology::in_edges`]), error for error,
+    /// over one random corruption of a valid network's slot tables per
+    /// case: a slot cleared on one side, a wire cleared at both ends, a
+    /// slot past the network, a one-sided write, or a mirrored wire written
+    /// over any two slots (busy ones and self-loops included).
     #[test]
     fn validate_reports_the_node_ordered_first_defect() {
         use crate::rng::DetRng;
+        use std::collections::BTreeMap;
+        type Ends = BTreeMap<(NodeId, Port), Endpoint>;
+        // The first defect in node order: out-wires (no self-loop,
+        // mirrored), in-wires (mirrored), degrees.
+        let reference = |t: &Topology| {
+            let outs: Ends = t
+                .edges()
+                .map(|e| ((e.src, e.src_port), Endpoint::new(e.dst, e.dst_port)))
+                .collect();
+            let ins: Ends = t
+                .node_ids()
+                .flat_map(|v| t.in_edges(v).map(move |(i, ep)| ((v, i), ep)))
+                .collect();
+            let malformed = |msg: String| Err(TopologyError::Malformed(msg));
+            for v in t.node_ids() {
+                let row = |ends: &Ends| -> Vec<(Port, Endpoint)> {
+                    ends.range((v, Port(0))..=(v, Port(u8::MAX)))
+                        .map(|(&(_, p), &ep)| (p, ep))
+                        .collect()
+                };
+                let (out_row, in_row) = (row(&outs), row(&ins));
+                for &(o, ep) in &out_row {
+                    if ep.node == v {
+                        return Err(TopologyError::SelfLoop(v));
+                    }
+                    let back = ins.get(&(ep.node, ep.port)).copied();
+                    if back != Some(Endpoint::new(v, o)) {
+                        return malformed(format!("wire {v}:{o} -> {ep} not mirrored ({back:?})"));
+                    }
+                }
+                for &(i, ep) in &in_row {
+                    let fwd = outs.get(&(ep.node, ep.port)).copied();
+                    if fwd != Some(Endpoint::new(v, i)) {
+                        return malformed(format!("wire {ep} -> {v}:{i} not mirrored ({fwd:?})"));
+                    }
+                }
+                if out_row.is_empty() {
+                    return malformed(format!("{v} has no connected out-port"));
+                }
+                if in_row.is_empty() {
+                    return malformed(format!("{v} has no connected in-port"));
+                }
+            }
+            Ok(())
+        };
         let (n, delta) = (10u32, 3u8);
         let mut b = TopologyBuilder::new(n as usize, delta);
         for u in 0..n {
@@ -885,97 +861,46 @@ mod tests {
             }
         }
         let base = b.build().unwrap();
-        assert!(base.wired_consistently());
-        let rows = |out: bool| -> Vec<Vec<CsrEntry>> {
-            base.node_ids()
-                .map(|v| if out { base.out_row(v) } else { base.in_row(v) }.to_vec())
-                .collect()
-        };
+        let slots = n * u32::from(delta);
         let mut rng = DetRng::seed_from_u64(0x7661_6c69_6461_7465);
-        let mut outcomes = [0usize; 2];
+        let mut outcomes = BTreeMap::new();
         for case in 0..4000 {
-            let (mut outs, mut ins) = (rows(true), rows(false));
-            let port = |rng: &mut DetRng| rng.random_range(0..delta as u32 + 2) as u8;
-            let node = |rng: &mut DetRng| rng.random_range(0..n) as usize;
-            // A random wire: (u, index in u's out-row, v, index in v's in-row).
-            let wire = |rng: &mut DetRng, outs: &[Vec<CsrEntry>], ins: &[Vec<CsrEntry>]| {
-                let u = (0..)
-                    .map(|_| node(rng))
-                    .find(|&u| !outs[u].is_empty())
-                    .unwrap();
-                let k = rng.random_range(0..outs[u].len() as u32) as usize;
-                let (v, i) = (outs[u][k].peer as usize, outs[u][k].peer_port);
-                let j = ins[v].iter().position(|e| e.local == i).unwrap();
-                (u, k, v, j)
+            let mut t = base.clone();
+            let slot = |rng: &mut DetRng| rng.random_range(0..slots);
+            let (s, r) = (slot(&mut rng) as usize, slot(&mut rng));
+            let table = if rng.random_bool(0.5) {
+                &mut t.outs
+            } else {
+                &mut t.ins
             };
             match rng.random_range(0..5) {
-                0 => {
-                    let side = if rng.random_bool(0.5) {
-                        &mut outs
-                    } else {
-                        &mut ins
-                    };
-                    let v = (0..)
-                        .map(|_| node(&mut rng))
-                        .find(|&v| !side[v].is_empty())
-                        .unwrap();
-                    let k = rng.random_range(0..side[v].len() as u32) as usize;
-                    match rng.random_range(0..3) {
-                        0 => side[v][k].local = port(&mut rng),
-                        1 => side[v][k].peer_port = port(&mut rng),
-                        _ => side[v][k].peer = rng.random_range(0..n),
-                    }
-                }
+                0 => table[s] = UNWIRED,
                 1 => {
-                    let side = if rng.random_bool(0.5) {
-                        &mut outs
-                    } else {
-                        &mut ins
-                    };
-                    let entry = CsrEntry {
-                        local: port(&mut rng),
-                        peer_port: port(&mut rng),
-                        peer: rng.random_range(0..n),
-                    };
-                    side[node(&mut rng)].push(entry);
-                }
-                2 => {
-                    let (u, k, v, j) = wire(&mut rng, &outs, &ins);
-                    outs[u].remove(k);
-                    ins[v].remove(j);
-                }
-                3 => {
-                    let (u, v) = (node(&mut rng), node(&mut rng));
-                    let (o, i) = (port(&mut rng), port(&mut rng));
-                    outs[u].push(CsrEntry {
-                        local: o,
-                        peer_port: i,
-                        peer: v as u32,
-                    });
-                    ins[v].push(CsrEntry {
-                        local: i,
-                        peer_port: o,
-                        peer: u as u32,
-                    });
-                }
-                _ => {
-                    let (u, k, v, j) = wire(&mut rng, &outs, &ins);
-                    let p = port(&mut rng);
-                    if rng.random_bool(0.5) {
-                        (outs[u][k].local, ins[v][j].peer_port) = (p, p);
-                    } else {
-                        (ins[v][j].local, outs[u][k].peer_port) = (p, p);
+                    if t.outs[s] != UNWIRED {
+                        t.ins[t.outs[s] as usize] = UNWIRED;
                     }
+                    t.outs[s] = UNWIRED;
                 }
+                2 => table[s] = rng.random_range(slots..UNWIRED),
+                3 => table[s] = r,
+                _ => (t.outs[s], t.ins[r as usize]) = (r, s as u32),
             }
-            let t = from_rows(delta, &outs, &ins);
-            let first = t.first_defect();
-            assert_eq!(t.validate(), first, "case {case}");
-            outcomes[usize::from(first.is_err())] += 1;
+            let expected = reference(&t);
+            assert_eq!(t.validate(), expected, "case {case}");
+            let outcome = match expected {
+                Ok(()) => "valid",
+                Err(TopologyError::SelfLoop(_)) => "self-loop",
+                Err(TopologyError::Malformed(m)) => ["mirrored", "out-port", "in-port"]
+                    .into_iter()
+                    .find(|key| m.contains(key))
+                    .unwrap(),
+                Err(e) => panic!("case {case}: {e:?}"),
+            };
+            *outcomes.entry(outcome).or_insert(0usize) += 1;
         }
         assert!(
-            outcomes.iter().all(|&c| c > 500),
-            "valid/defective: {outcomes:?}"
+            outcomes.len() == 5 && outcomes.values().all(|&c| c > 20),
+            "outcomes: {outcomes:?}"
         );
     }
 
@@ -993,10 +918,10 @@ mod tests {
             (node.idx() < b.n).then(|| table[b.slots(node)].to_vec())
         };
         let free = |b: &TopologyBuilder, node: NodeId, out: bool| {
-            scan(b, node, out).is_some_and(|row| row.contains(&None))
+            scan(b, node, out).is_some_and(|row| row.contains(&UNWIRED))
         };
         let wired = |b: &TopologyBuilder, node: NodeId, out: bool| {
-            scan(b, node, out).map_or(0, |row| row.iter().flatten().count())
+            scan(b, node, out).map_or(0, |row| row.iter().filter(|&&s| s != UNWIRED).count())
         };
         let mut rng = DetRng::seed_from_u64(0x636f_756e_7473);
         let mut failures = std::collections::BTreeSet::new();
@@ -1068,10 +993,10 @@ mod tests {
             if src == dst {
                 return Err(TopologyError::SelfLoop(src));
             }
-            let lowest = |table: &[Option<Endpoint>], node: NodeId, is_out| {
+            let lowest = |table: &[u32], node: NodeId, is_out| {
                 table[b.slots(node)]
                     .iter()
-                    .position(Option::is_none)
+                    .position(|&s| s == UNWIRED)
                     .map(|p| Port(p as u8))
                     .ok_or(TopologyError::NodeFull { node, is_out })
             };
@@ -1092,8 +1017,8 @@ mod tests {
                     let got = b.connect_auto(src, dst);
                     assert_eq!(got, expected, "run {run} step {step}: {src} -> {dst}");
                     if let Ok((o, i)) = got {
-                        assert_eq!(b.outs[b.slot(src, o)], Some(Endpoint::new(dst, i)));
-                        assert_eq!(b.ins[b.slot(dst, i)], Some(Endpoint::new(src, o)));
+                        assert_eq!(b.outs[b.slot(src, o)], b.slot(dst, i) as u32);
+                        assert_eq!(b.ins[b.slot(dst, i)], b.slot(src, o) as u32);
                     }
                     autos[usize::from(b.gapped)] += 1;
                 } else {
@@ -1129,7 +1054,7 @@ mod tests {
     }
 
     /// `build`'s count-based check gives `validate`'s verdict on the
-    /// packed tables, first defect included, over random partial wirings
+    /// builder's tables, first defect included, over random partial wirings
     /// in which some nodes lack an in- or out-port.
     #[test]
     fn build_agrees_with_validate_on_partial_wirings() {
@@ -1148,11 +1073,12 @@ mod tests {
                     let _ = b.connect(NodeId(src), Port(o), NodeId(dst), Port(i));
                 }
             }
-            let expected = b.pack().unwrap().validate();
+            b.check_counts().unwrap();
+            let expected = b.clone().into_topology().validate();
             let built = b.clone().build();
             assert_eq!(built.as_ref().err(), expected.as_ref().err(), "case {case}");
             if let Ok(t) = built {
-                assert_eq!(t, b.pack().unwrap());
+                assert_eq!(t, b.into_topology());
             }
             outcomes[usize::from(expected.is_err())] += 1;
         }
