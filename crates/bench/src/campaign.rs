@@ -43,7 +43,7 @@
 
 use crate::json::{bool_field, num_field, str_field, JsonValue};
 use gtd_baselines::{mapper_by_name, GtdMapper, MapperError};
-use gtd_core::{GtdError, PhaseBreakdown, RemapPolicy};
+use gtd_core::{GtdError, PhaseBreakdown, PreconditionViolation, RemapPolicy};
 use gtd_netsim::{DynamicSpec, EngineMode, NodeId, ParseSpecError, Topology};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -119,8 +119,9 @@ impl CellSpec {
 
     /// Execute this cell against a pre-built base topology (callers that
     /// share one spec across many cells build it once). An unknown mapper
-    /// name is captured as a `precondition` [`CellError`], mirroring how
-    /// out-of-range roots are handled — a cell failure, never a panic.
+    /// name or a root outside the base topology is captured as a
+    /// `precondition` [`CellError`] before any mapper runs — a cell
+    /// failure, never a panic.
     pub fn execute(&self, topo: &Topology) -> RunRecord {
         let cfg = GtdMapper {
             mode: self.mode,
@@ -141,6 +142,18 @@ impl CellSpec {
                     "unknown mapper {:?} (known: {})",
                     self.mapper,
                     gtd_baselines::mapper_names().join(", ")
+                ),
+            }),
+            Some(_) if self.root.idx() >= topo.num_nodes() => Err(CellError {
+                kind: "precondition",
+                // the text a `gtd` session reports for the same root
+                message: format!(
+                    "{} run failed: precondition violated: {}",
+                    self.mapper,
+                    PreconditionViolation::RootOutOfRange {
+                        root: self.root,
+                        nodes: topo.num_nodes(),
+                    }
                 ),
             }),
             Some(mapper) if self.spec.is_static() => match mapper.map_network(topo, self.root) {
@@ -331,9 +344,9 @@ impl Campaign {
         self
     }
 
-    /// Replace the root axis (default: `n0` only). Roots out of range for
-    /// a particular spec become per-cell precondition errors, not grid
-    /// failures.
+    /// Replace the root axis (default: `n0` only). A root out of range
+    /// for a particular spec becomes a per-cell `precondition` error for
+    /// every mapper, static or dynamic, not a grid failure.
     pub fn roots(mut self, roots: impl IntoIterator<Item = NodeId>) -> Self {
         self.roots = roots.into_iter().collect();
         self
@@ -1265,18 +1278,28 @@ mod tests {
     #[test]
     fn out_of_range_root_is_a_cell_error_not_a_grid_failure() {
         let report = Campaign::new()
-            .parse_specs(["ring:4", "ring:16"])
+            .parse_specs(["ring:4", "ring:4+rewire=1@t50", "ring:16"])
             .unwrap()
-            .mappers(["gtd"])
+            .mappers(["gtd", "routed-dfs", "flood-echo"])
             .roots([NodeId(9)])
             .run()
             .unwrap();
-        assert_eq!(report.records.len(), 2);
-        // n9 exists in ring:16 but not in ring:4
-        let err = report.records[0].result.as_ref().unwrap_err();
-        assert_eq!(err.kind, "precondition");
-        assert!(report.records[1].result.is_ok());
-        assert_eq!(report.error_count(), 1);
+        assert_eq!(report.records.len(), 9);
+        // n9 exists in ring:16 but not in ring:4, static or dynamic
+        for rec in &report.records[..6] {
+            let err = rec.result.as_ref().unwrap_err();
+            assert_eq!(err.kind, "precondition", "{} on {}", rec.mapper, rec.spec);
+            assert_eq!(
+                err.message,
+                format!(
+                    "{} run failed: precondition violated: root n9 out of range \
+                     (network has 4 processors)",
+                    rec.mapper
+                )
+            );
+        }
+        assert!(report.records[6..].iter().all(|r| r.result.is_ok()));
+        assert_eq!(report.error_count(), 6);
     }
 
     #[test]

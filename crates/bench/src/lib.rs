@@ -1,7 +1,7 @@
 //! # gtd-bench
 //!
-//! The experiment layer: declarative, spec-backed workloads
-//! ([`Workload`], [`core_family_specs`]), the [`Campaign`] grid runner
+//! The experiment layer: the structured families the experiments share
+//! ([`core_family_specs`]), the [`Campaign`] grid runner
 //! (topology specs × mappers × engine modes × roots × repetitions over a
 //! worker pool), a plain-text table writer, and JSON row dumps so
 //! experiment numbers stay regenerable.
@@ -14,7 +14,7 @@
 pub mod campaign;
 pub mod json;
 
-use gtd_netsim::{Topology, TopologySpec};
+use gtd_netsim::TopologySpec;
 
 pub use campaign::{
     parse_jsonl, CacheKey, Campaign, CampaignError, CampaignReport, CellError, CellOutcome,
@@ -23,34 +23,6 @@ pub use campaign::{
 pub use gtd_core::{phase_breakdown, PhaseBreakdown};
 
 use crate::json::JsonValue;
-
-/// A named workload instance: a [`TopologySpec`] plus the topology it
-/// built. The display name *is* the canonical spec string, so names and
-/// parameters can never drift apart.
-pub struct Workload {
-    /// The declarative description.
-    pub spec: TopologySpec,
-    /// The network it builds.
-    pub topo: Topology,
-}
-
-impl Workload {
-    /// Build the workload a spec describes.
-    pub fn from_spec(spec: TopologySpec) -> Self {
-        let topo = spec.build();
-        Workload { spec, topo }
-    }
-
-    /// Parse a spec string and build it.
-    pub fn parse(s: &str) -> Result<Self, gtd_netsim::ParseSpecError> {
-        s.parse().map(Workload::from_spec)
-    }
-
-    /// Canonical display name (the spec string).
-    pub fn name(&self) -> String {
-        self.spec.to_string()
-    }
-}
 
 /// The structured families used across experiments, as specs (kept small
 /// enough that every experiment finishes on a laptop; the harness accepts
@@ -81,14 +53,6 @@ pub fn core_family_specs(scale: usize) -> Vec<TopologySpec> {
             seed: 11,
         },
     ]
-}
-
-/// [`core_family_specs`], built.
-pub fn core_families(scale: usize) -> Vec<Workload> {
-    core_family_specs(scale)
-        .into_iter()
-        .map(Workload::from_spec)
-        .collect()
 }
 
 /// Simple fixed-width table printer (markdown-flavoured).
@@ -159,29 +123,30 @@ mod tests {
 
     #[test]
     fn families_are_valid_networks() {
-        for w in core_families(1) {
-            w.topo.validate().unwrap();
-            assert!(
-                gtd_netsim::algo::is_strongly_connected(&w.topo),
-                "{}",
-                w.name()
-            );
+        for spec in core_family_specs(1) {
+            let topo = spec.build();
+            topo.validate().unwrap();
+            assert!(gtd_netsim::algo::is_strongly_connected(&topo), "{spec}");
         }
     }
 
     #[test]
     fn families_scale() {
-        let small: usize = core_families(1).iter().map(|w| w.topo.num_nodes()).sum();
-        let big: usize = core_families(4).iter().map(|w| w.topo.num_nodes()).sum();
-        assert!(big > small);
+        let nodes = |scale| -> usize {
+            core_family_specs(scale)
+                .iter()
+                .map(|s| s.build().num_nodes())
+                .sum()
+        };
+        assert!(nodes(4) > nodes(1));
     }
 
     #[test]
     fn family_names_round_trip_as_specs() {
-        for w in core_families(2) {
-            let reparsed: TopologySpec = w.name().parse().unwrap();
-            assert_eq!(reparsed, w.spec, "{} must round-trip", w.name());
-            assert_eq!(reparsed.build(), w.topo);
+        for spec in core_family_specs(2) {
+            let reparsed: TopologySpec = spec.to_string().parse().unwrap();
+            assert_eq!(reparsed, spec, "{spec} must round-trip");
+            assert_eq!(reparsed.build(), spec.build());
         }
     }
 

@@ -59,10 +59,6 @@ pub enum PreconditionViolation {
         /// Number of processors in the network.
         nodes: usize,
     },
-    /// The configured [`StartBehavior`] cannot drive a full GTD run to
-    /// termination (only [`StartBehavior::GtdRoot`] initiates the DFS
-    /// whose `Terminated` event ends a session run).
-    StartNotRunnable(StartBehavior),
 }
 
 impl std::fmt::Display for PreconditionViolation {
@@ -76,9 +72,6 @@ impl std::fmt::Display for PreconditionViolation {
                     f,
                     "root {root} out of range (network has {nodes} processors)"
                 )
-            }
-            PreconditionViolation::StartNotRunnable(start) => {
-                write!(f, "start behaviour {start:?} cannot terminate a GTD run")
             }
         }
     }
@@ -514,7 +507,6 @@ pub struct GtdSession<'a> {
     root: NodeId,
     mode: EngineMode,
     tick_budget: Option<u64>,
-    start: StartBehavior,
     capture: bool,
     policy: RemapPolicy,
     par_shards: Option<usize>,
@@ -534,7 +526,6 @@ impl<'a> GtdSession<'a> {
             root: NodeId(0),
             mode: EngineMode::Sparse,
             tick_budget: None,
-            start: StartBehavior::GtdRoot,
             capture: true,
             policy: RemapPolicy::Lazy,
             par_shards: None,
@@ -576,21 +567,6 @@ impl<'a> GtdSession<'a> {
     /// spinning forever.
     pub fn tick_budget(mut self, budget: u64) -> Self {
         self.tick_budget = Some(budget);
-        self
-    }
-
-    /// The root's power-on behaviour. Only [`StartBehavior::GtdRoot`]
-    /// (the default) initiates the DFS whose `Terminated` event ends a
-    /// session run, so [`Self::run`]/[`Self::run_repeated`] reject any
-    /// other value up front with
-    /// [`PreconditionViolation::StartNotRunnable`] — probe behaviours
-    /// belong on non-root initiators and are driven by
-    /// [`run_single_rca`](crate::runner::run_single_rca) /
-    /// [`run_single_bca`](crate::runner::run_single_bca). The knob
-    /// exists so future run shapes (e.g. probe sessions) keep the same
-    /// builder surface.
-    pub fn start(mut self, start: StartBehavior) -> Self {
-        self.start = start;
         self
     }
 
@@ -660,9 +636,6 @@ impl<'a> GtdSession<'a> {
                 nodes: self.topo.num_nodes(),
             });
         }
-        if self.start != StartBehavior::GtdRoot {
-            return Err(PreconditionViolation::StartNotRunnable(self.start));
-        }
         if !algo::is_strongly_connected(self.topo) {
             return Err(PreconditionViolation::NotStronglyConnected);
         }
@@ -676,11 +649,10 @@ impl<'a> GtdSession<'a> {
     /// a power-cycle resets the engine clock, so a retry under the
     /// identical seed would replay the identical fault pattern.
     fn build_engine_on(&self, topo: &Topology, root: NodeId, attempt: u32) -> Engine<ProtocolNode> {
-        let start = self.start;
         let mut engine =
             Engine::with_root_sharded(topo, self.mode, root, self.par_shards, &mut |meta| {
                 let behaviour = if meta.is_root {
-                    start
+                    StartBehavior::GtdRoot
                 } else {
                     StartBehavior::Passive
                 };
@@ -1468,22 +1440,6 @@ mod tests {
     }
 
     #[test]
-    fn non_runnable_start_behaviour_is_rejected_up_front() {
-        // A passive root would never emit `Terminated` and would burn the
-        // whole default budget; the session rejects it before simulating.
-        let topo = generators::ring(4);
-        assert_eq!(
-            GtdSession::on(&topo)
-                .start(StartBehavior::Passive)
-                .run()
-                .unwrap_err(),
-            GtdError::Precondition(PreconditionViolation::StartNotRunnable(
-                StartBehavior::Passive
-            ))
-        );
-    }
-
-    #[test]
     fn bogus_root_is_rejected_up_front() {
         let topo = generators::ring(3);
         assert_eq!(
@@ -1551,30 +1507,29 @@ mod tests {
     fn every_epoch_end_is_reachable() {
         let topo = generators::ring(6);
         let never = Limits::budget(u64::MAX);
-        // One epoch on a fresh engine (master on n0), watching `root`, its
-        // master optionally fed one event first.
-        let end = |s: GtdSession, root, strict, limits, prime| {
-            let mut engine = s.build_engine_on(&topo, NodeId(0), 0);
+        // One epoch on `engine` (master on n0), watching `root`, its master
+        // optionally fed one event first.
+        let end = |mut engine: Engine<ProtocolNode>, root, strict, limits, prime| {
             let mut ep = Epoch::new(&engine, 0, root, true, strict);
             if let Some(ev) = prime {
                 ep.master.feed(ev).unwrap();
             }
             ep.advance(&mut engine, limits, &mut None)
         };
-        let on = || GtdSession::on(&topo);
+        let fresh = || GtdSession::on(&topo).build_engine_on(&topo, NodeId(0), 0);
         let at = |t| Limits::budget(t);
         let (n0, n1) = (NodeId(0), NodeId(1));
         assert!(matches!(
-            end(on(), n0, true, never, None),
+            end(fresh(), n0, true, never, None),
             Ok(EpochEnd::Terminated { .. })
         ));
         assert!(matches!(
-            end(on(), n0, true, at(20), None),
+            end(fresh(), n0, true, at(20), None),
             Ok(EpochEnd::Budget)
         ));
         let window = Limits { window: 1, ..never };
         assert!(matches!(
-            end(on(), n0, true, window, None),
+            end(fresh(), n0, true, window, None),
             Ok(EpochEnd::Window)
         ));
         let mutation = Limits {
@@ -1582,26 +1537,28 @@ mod tests {
             ..never
         };
         assert!(matches!(
-            end(on(), n0, true, mutation, None),
+            end(fresh(), n0, true, mutation, None),
             Ok(EpochEnd::MutationDue)
         ));
         // A passive root never starts the DFS: the network is quiet at once.
-        let passive = on().start(StartBehavior::Passive);
+        let passive = Engine::new(&topo, EngineMode::Sparse, |meta| {
+            ProtocolNode::new(&meta, StartBehavior::Passive)
+        });
         assert!(matches!(
             end(passive, n0, true, never, None),
             Ok(EpochEnd::Quiet)
         ));
         // A master that already saw `Start` rejects the root's own.
-        let primed = end(on(), n0, true, never, Some(TranscriptEvent::Start));
+        let primed = end(fresh(), n0, true, never, Some(TranscriptEvent::Start));
         assert!(matches!(primed, Ok(EpochEnd::MasterDead)));
         // Watching n1 makes n0's events strays: a bug when strict, else
         // dropped.
         assert!(matches!(
-            end(on(), n1, true, never, None),
+            end(fresh(), n1, true, never, None),
             Err(GtdError::Invariant { .. })
         ));
         assert!(matches!(
-            end(on(), n1, false, never, None),
+            end(fresh(), n1, false, never, None),
             Ok(EpochEnd::Quiet)
         ));
     }

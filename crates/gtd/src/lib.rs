@@ -63,8 +63,8 @@ pub use gtd_baselines::{
     MapperRun, RoutedDfsMapper, TopologyMapper,
 };
 pub use gtd_bench::{
-    core_families, Campaign, CampaignError, CampaignReport, CellError, CellOutcome, GroupStat,
-    RemapSummary, RunRecord, Workload,
+    Campaign, CampaignError, CampaignReport, CellError, CellOutcome, GroupStat, RemapSummary,
+    RunRecord,
 };
 pub use gtd_core::{
     default_tick_budget, phase_breakdown, AttemptOutcome, DecodeError, EpochOutcome, EpochStatus,

@@ -1269,47 +1269,22 @@ impl<A: Automaton> Engine<A> {
         self.apply_scratch = scratch;
         self.out_buf.clear();
         self.out_buf.resize(new_n * delta, A::Sig::default());
-        // Rebuild the sharded frontier for the new indexing: recompute
-        // shard ranges (the count is fixed), clear every worklist, then
-        // re-mark pending inputs and re-index armed wakes.
+        // Re-mark pending inputs from the carried characters, recompute the
+        // shard ranges (the count is fixed), then rebuild every shard's
+        // worklists. Lanes and per-shard deltas are empty between ticks.
         self.has_input.clear();
-        self.has_input.resize(new_n, false);
+        self.has_input.extend(
+            self.in_buf
+                .chunks_exact(delta)
+                .map(|s| s.iter().any(|c| *c != blank)),
+        );
         self.chunk = new_n.div_ceil(self.shards.len()).max(1);
         let chunk = self.chunk;
         for (s, sh) in self.shards.iter_mut().enumerate() {
             sh.lo = (s * chunk).min(new_n);
             sh.hi = ((s + 1) * chunk).min(new_n);
-            for slot in &mut sh.wheel {
-                slot.clear();
-            }
-            sh.timers.clear();
-            sh.frontier.clear();
-            sh.stepped.clear();
-            for lane in &mut sh.lanes {
-                lane.clear();
-            }
-            sh.pending_delta = 0;
-            sh.armed_delta = 0;
         }
-        self.frontier_dirty = false;
-        self.pending_inputs = 0;
-        for n in 0..new_n {
-            let sigs = &self.in_buf[n * delta..(n + 1) * delta];
-            if sigs.iter().any(|s| *s != blank) {
-                self.has_input[n] = true;
-                self.pending_inputs += 1;
-                let s = self.shard_of(n);
-                self.shards[s].frontier.push(n as u32);
-            }
-        }
-        self.armed = 0;
-        for n in 0..new_n {
-            let w = self.wake_at[n];
-            if w != NO_WAKE {
-                self.armed += 1;
-                self.schedule_wake(n as u32, w);
-            }
-        }
+        self.rebuild_frontier();
     }
 
     /// True when nothing is pending: no node has an armed wake deadline

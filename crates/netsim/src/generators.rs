@@ -327,14 +327,6 @@ pub fn tree_loop_random(h: u32, seed: u64) -> Topology {
     tree_loop(h, &perm)
 }
 
-/// A chain of 2-cycles: `0 ↔ 1 ↔ 2 ↔ …` — same shape as [`line_bidi`] but
-/// named per the paper's "pair of processors … connected with two
-/// communication links, one in either direction, simulating a bidirectional
-/// link" (§1.1). Kept as an alias for workload tables.
-pub fn two_cycle_chain(n: usize) -> Topology {
-    line_bidi(n)
-}
-
 /// Kautz graph K(k, m): the de Bruijn variant without repeated symbols —
 /// nodes are strings s₁…s_{m+1} over k+1 symbols with sᵢ ≠ sᵢ₊₁, and
 /// u = s₁…s_{m+1} → s₂…s_{m+1}a for every a ≠ s_{m+1}. Self-loop-free by
@@ -705,10 +697,5 @@ mod tests {
         assert_eq!(t.num_edges(), 12);
         assert!(is_strongly_connected(&t));
         assert_eq!(diameter(&t), 1);
-    }
-
-    #[test]
-    fn two_cycle_chain_is_line() {
-        assert_eq!(two_cycle_chain(4), line_bidi(4));
     }
 }

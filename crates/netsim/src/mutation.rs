@@ -719,60 +719,39 @@ fn try_burst_r(topo: &Topology, x: NodeId, radius: u64) -> Option<Topology> {
 
 /// Correlated failure of `x`'s out-wires: greedily drop each out-wire
 /// whose removal keeps the network valid and strongly connected (always
-/// keeping x's last one); when nothing is droppable, exchange the heads
-/// of x's out-wires cyclically (degree-preserving). `None` when neither
-/// variant produces a changed, valid network.
+/// keeping x's last one) — a radius-0 [`try_burst_r`]; when nothing is
+/// droppable, exchange the heads of x's out-wires cyclically
+/// (degree-preserving). `None` when neither variant produces a changed,
+/// valid network.
 fn try_burst(topo: &Topology, x: NodeId) -> Option<Topology> {
-    let n = topo.num_nodes();
-    let delta = topo.delta();
+    if let Some(t) = try_burst_r(topo, x, 0) {
+        return Some(t);
+    }
     let ports: Vec<Port> = topo.out_edges(x).map(|(o, _)| o).collect();
-    let mut cur = topo.clone();
-    let mut dropped = 0usize;
-    for &o in &ports {
-        if cur.out_degree(x) <= 1 {
-            break;
-        }
-        let rest: Vec<Edge> = cur
-            .sorted_edges()
-            .into_iter()
-            .filter(|e| !(e.src == x && e.src_port == o))
-            .collect();
-        if let Some(t) = rebuild(n, delta, &rest) {
-            cur = t;
-            dropped += 1;
-        }
+    if ports.len() < 2 {
+        return None;
     }
-    if dropped > 0 {
-        return Some(cur);
+    // `ports` holds x's wired out-ports only.
+    #[allow(clippy::expect_used)]
+    let heads: Vec<Endpoint> = ports
+        .iter()
+        .map(|&o| topo.out_endpoint(x, o).expect("out-port is wired"))
+        .collect();
+    let mut edges: Vec<Edge> = topo
+        .sorted_edges()
+        .into_iter()
+        .filter(|e| e.src != x)
+        .collect();
+    for (i, &o) in ports.iter().enumerate() {
+        let h = heads[(i + 1) % heads.len()];
+        edges.push(Edge {
+            src: x,
+            src_port: o,
+            dst: h.node,
+            dst_port: h.port,
+        });
     }
-    if ports.len() >= 2 {
-        // `ports` was filtered to wired out-ports a few lines up.
-        #[allow(clippy::expect_used)]
-        let heads: Vec<Endpoint> = ports
-            .iter()
-            .map(|&o| topo.out_endpoint(x, o).expect("out-port is wired"))
-            .collect();
-        let mut edges: Vec<Edge> = topo
-            .sorted_edges()
-            .into_iter()
-            .filter(|e| e.src != x)
-            .collect();
-        for (i, &o) in ports.iter().enumerate() {
-            let h = heads[(i + 1) % heads.len()];
-            edges.push(Edge {
-                src: x,
-                src_port: o,
-                dst: h.node,
-                dst_port: h.port,
-            });
-        }
-        if let Some(t) = rebuild(n, delta, &edges) {
-            if t != *topo {
-                return Some(t);
-            }
-        }
-    }
-    None
+    rebuild(topo.num_nodes(), topo.delta(), &edges).filter(|t| t != topo)
 }
 
 impl Topology {

@@ -816,13 +816,6 @@ impl DynamicSpec {
     pub fn final_topology(&self) -> Topology {
         self.schedule.final_topology(&self.base.build())
     }
-
-    /// [`DynamicSpec::final_topology`] for a collector on `root` (the
-    /// root id is tracked across membership changes).
-    pub fn final_topology_rooted(&self, root: crate::NodeId) -> Topology {
-        self.schedule
-            .final_topology_rooted(&self.base.build(), root)
-    }
 }
 
 impl From<TopologySpec> for DynamicSpec {

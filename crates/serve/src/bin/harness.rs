@@ -29,15 +29,18 @@
 //! accepted as a shorthand for `run`.
 
 use gtd_baselines::{family_size_log2, min_ticks_lower_bound, tree_loop_params};
+use gtd_bench::campaign::lower_median;
 use gtd_bench::json::{str_field, JsonValue};
-use gtd_bench::{core_family_specs, json, json_line, Campaign, RunRecord, Table, Workload};
-use gtd_core::{run_single_bca, run_single_rca, GtdSession, RemapPolicy, TranscriptEvent};
+use gtd_bench::{core_family_specs, json, json_line, Campaign, RunRecord, Table};
+use gtd_core::{
+    default_tick_budget, run_single_bca, run_single_rca, GtdSession, RemapPolicy, TranscriptEvent,
+};
 use gtd_netsim::{
     algo, generators, mutation, spec, DynamicSpec, EngineMode, NodeId, Port, TopologySpec,
 };
 use std::io::Write;
 use std::process::exit;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -85,6 +88,28 @@ fn bail(msg: &str) -> ! {
 fn flag_value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
     it.next()
         .unwrap_or_else(|| bail(&format!("{flag} needs a value")))
+}
+
+/// The flag's value parsed as a number of the field's own type, so a
+/// value that overflows the field is an error rather than a wrap.
+fn flag_num<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let v = flag_value(it, flag);
+    v.parse()
+        .unwrap_or_else(|_| bail(&format!("{flag} expects an integer, got {v:?}")))
+}
+
+/// The flag's value as a comma-separated list, each item parsed by its
+/// type's `FromStr` (whose error names the known values).
+fn flag_list<T>(it: &mut impl Iterator<Item = String>, flag: &str) -> Vec<T>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    flag_value(it, flag)
+        .split(',')
+        .map(str::parse)
+        .collect::<Result<_, T::Err>>()
+        .unwrap_or_else(|e| bail(&e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -172,15 +197,8 @@ fn cmd_list(args: &[String]) {
 // ---------------------------------------------------------------------------
 
 fn cmd_grid(args: &[String]) {
-    let mut specs: Vec<DynamicSpec> = Vec::new();
-    let mut mappers: Option<Vec<String>> = None;
-    let mut modes: Option<Vec<EngineMode>> = None;
-    let mut policies: Option<Vec<RemapPolicy>> = None;
-    let mut roots: Option<Vec<u32>> = None;
-    let mut reps: Option<usize> = None;
+    let mut req = gtd_serve::GridRequest::new(Vec::<String>::new(), gtd_baselines::mapper_names());
     let mut jobs: Option<usize> = None;
-    let mut budget: Option<u64> = None;
-    let mut cell_timeout_ms: Option<u64> = None;
     let mut via: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut csv_path: Option<String> = None;
@@ -190,58 +208,25 @@ fn cmd_grid(args: &[String]) {
         match a.as_str() {
             "--spec" => {
                 let s = flag_value(&mut it, "--spec");
-                match s.parse() {
-                    Ok(spec) => specs.push(spec),
+                match s.parse::<DynamicSpec>() {
+                    Ok(spec) => req.specs.push(spec.to_string()),
                     Err(e) => bail(&format!("--spec {s:?}: {e}")),
                 }
             }
-            "--mappers" => {
-                mappers = Some(
-                    flag_value(&mut it, "--mappers")
-                        .split(',')
-                        .map(String::from)
-                        .collect(),
-                );
-            }
-            "--modes" => {
-                match flag_value(&mut it, "--modes")
-                    .split(',')
-                    .map(str::parse)
-                    .collect::<Result<Vec<EngineMode>, String>>()
-                {
-                    Ok(m) => modes = Some(m),
-                    Err(e) => bail(&e),
-                }
-            }
-            "--policies" => {
-                match flag_value(&mut it, "--policies")
-                    .split(',')
-                    .map(str::parse)
-                    .collect::<Result<Vec<RemapPolicy>, String>>()
-                {
-                    Ok(p) => policies = Some(p),
-                    Err(e) => bail(&e),
-                }
-            }
+            "--mappers" => req.mappers = flag_list(&mut it, "--mappers"),
+            "--modes" => req.modes = flag_list(&mut it, "--modes"),
+            "--policies" => req.policies = flag_list(&mut it, "--policies"),
             "--roots" => {
-                match flag_value(&mut it, "--roots")
+                req.roots = flag_value(&mut it, "--roots")
                     .split(',')
-                    .map(|r| r.trim().parse::<u32>())
-                    .collect::<Result<Vec<u32>, _>>()
-                {
-                    Ok(r) => roots = Some(r),
-                    Err(_) => bail("--roots expects comma-separated node numbers"),
-                }
+                    .map(|r| r.trim().parse())
+                    .collect::<Result<_, _>>()
+                    .unwrap_or_else(|_| bail("--roots expects comma-separated node numbers"))
             }
-            "--reps" => reps = Some(parse_int(&flag_value(&mut it, "--reps"), "--reps")),
-            "--jobs" => jobs = Some(parse_int(&flag_value(&mut it, "--jobs"), "--jobs")),
-            "--budget" => {
-                budget = Some(parse_int(&flag_value(&mut it, "--budget"), "--budget") as u64)
-            }
-            "--cell-timeout" => {
-                cell_timeout_ms =
-                    Some(parse_int(&flag_value(&mut it, "--cell-timeout"), "--cell-timeout") as u64)
-            }
+            "--reps" => req.reps = flag_num(&mut it, "--reps"),
+            "--jobs" => jobs = Some(flag_num(&mut it, "--jobs")),
+            "--budget" => req.budget = Some(flag_num(&mut it, "--budget")),
+            "--cell-timeout" => req.cell_timeout_ms = Some(flag_num(&mut it, "--cell-timeout")),
             "--via" => via = Some(flag_value(&mut it, "--via")),
             "--json" => json_path = Some(flag_value(&mut it, "--json")),
             "--csv" => csv_path = Some(flag_value(&mut it, "--csv")),
@@ -249,12 +234,6 @@ fn cmd_grid(args: &[String]) {
             other => bail(&format!("unknown grid flag {other:?} (see `harness help`)")),
         }
     }
-    let mappers = mappers.unwrap_or_else(|| {
-        gtd_baselines::mapper_names()
-            .into_iter()
-            .map(String::from)
-            .collect()
-    });
 
     let t0 = Instant::now();
     let (report, service) = match via {
@@ -269,25 +248,7 @@ fn cmd_grid(args: &[String]) {
                     "--resume-from applies to in-process grids; use `harness serve --resume-from`",
                 );
             }
-            let mut req = gtd_serve::GridRequest::new(
-                specs.iter().map(|s| s.to_string()),
-                mappers.iter().cloned(),
-            );
-            if let Some(m) = modes {
-                req.modes = m;
-            }
-            if let Some(p) = policies {
-                req.policies = p;
-            }
-            if let Some(r) = roots {
-                req.roots = r;
-            }
-            if let Some(r) = reps {
-                req.reps = r;
-            }
-            req.budget = budget;
-            req.cell_timeout_ms = cell_timeout_ms;
-            match gtd_serve::run_grid(&addr, &req, std::time::Duration::from_secs(10)) {
+            match gtd_serve::run_grid(&addr, &req, Duration::from_secs(10)) {
                 Ok(served) => (
                     gtd_bench::CampaignReport {
                         records: served.report.records,
@@ -299,28 +260,10 @@ fn cmd_grid(args: &[String]) {
             }
         }
         None => {
-            let mut campaign = Campaign::new().specs(specs).mappers(mappers);
-            if let Some(m) = modes {
-                campaign = campaign.modes(m);
-            }
-            if let Some(p) = policies {
-                campaign = campaign.policies(p);
-            }
-            if let Some(r) = roots {
-                campaign = campaign.roots(r.into_iter().map(NodeId));
-            }
-            if let Some(r) = reps {
-                campaign = campaign.reps(r);
-            }
-            if let Some(j) = jobs {
-                campaign = campaign.jobs(j);
-            }
-            if let Some(b) = budget {
-                campaign = campaign.tick_budget(b);
-            }
-            if let Some(ms) = cell_timeout_ms {
-                campaign = campaign.cell_timeout(std::time::Duration::from_millis(ms));
-            }
+            let mut campaign = req
+                .to_campaign()
+                .unwrap_or_else(|e| bail(&format!("{e}")))
+                .jobs(jobs.unwrap_or(1));
             if let Some(path) = resume_path {
                 let text = std::fs::read_to_string(&path)
                     .unwrap_or_else(|e| bail(&format!("{path}: {e}")));
@@ -392,11 +335,6 @@ fn cmd_grid(args: &[String]) {
     }
 }
 
-fn parse_int(s: &str, flag: &str) -> usize {
-    s.parse()
-        .unwrap_or_else(|_| bail(&format!("{flag} expects an integer, got {s:?}")))
-}
-
 // ---------------------------------------------------------------------------
 // harness serve / harness work (the campaign service)
 // ---------------------------------------------------------------------------
@@ -412,7 +350,7 @@ fn cmd_serve(args: &[String]) {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--listen" => opts.listen = flag_value(&mut it, "--listen"),
-            "--workers" => workers = parse_int(&flag_value(&mut it, "--workers"), "--workers"),
+            "--workers" => workers = flag_num(&mut it, "--workers"),
             "--cache" => opts.cache_path = Some(flag_value(&mut it, "--cache").into()),
             "--resume-from" => {
                 let path = flag_value(&mut it, "--resume-from");
@@ -423,21 +361,13 @@ fn cmd_serve(args: &[String]) {
                 opts.seed.extend(records);
             }
             "--lease-ms" => {
-                opts.lease_override = Some(std::time::Duration::from_millis(parse_int(
-                    &flag_value(&mut it, "--lease-ms"),
-                    "--lease-ms",
-                )
-                    as u64))
+                opts.lease_override = Some(Duration::from_millis(flag_num(&mut it, "--lease-ms")))
             }
             "--lease-max-ms" => {
-                opts.lease_max = Some(std::time::Duration::from_millis(parse_int(
-                    &flag_value(&mut it, "--lease-max-ms"),
-                    "--lease-max-ms",
-                ) as u64))
+                opts.lease_max = Some(Duration::from_millis(flag_num(&mut it, "--lease-max-ms")))
             }
             "--max-attempts" => {
-                opts.max_attempts =
-                    parse_int(&flag_value(&mut it, "--max-attempts"), "--max-attempts") as u32;
+                opts.max_attempts = flag_num(&mut it, "--max-attempts");
                 if opts.max_attempts == 0 {
                     bail("--max-attempts must be at least 1");
                 }
@@ -479,18 +409,8 @@ fn cmd_work(args: &[String]) {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--connect" => connect = Some(flag_value(&mut it, "--connect")),
-            "--connect-retries" => {
-                retries = parse_int(
-                    &flag_value(&mut it, "--connect-retries"),
-                    "--connect-retries",
-                ) as u32
-            }
-            "--connect-backoff-ms" => {
-                backoff_ms = parse_int(
-                    &flag_value(&mut it, "--connect-backoff-ms"),
-                    "--connect-backoff-ms",
-                ) as u64
-            }
+            "--connect-retries" => retries = flag_num(&mut it, "--connect-retries"),
+            "--connect-backoff-ms" => backoff_ms = flag_num(&mut it, "--connect-backoff-ms"),
             other => bail(&format!("unknown work flag {other:?} (see `harness help`)")),
         }
     }
@@ -539,6 +459,17 @@ impl GroupSamples {
         } else {
             parts.join(" ")
         }
+    }
+
+    /// What `compare` reads of one side: (median rounds, median remap
+    /// latency, fault column, errors).
+    fn summary(mut self) -> (Option<u64>, Option<u64>, String, usize) {
+        (
+            lower_median(&mut self.rounds),
+            lower_median(&mut self.remap),
+            self.fault_column(),
+            self.errors,
+        )
     }
 }
 
@@ -649,13 +580,8 @@ fn cmd_compare(args: &[String]) {
         bail(&format!("{new_path}: no grid rows found"));
     }
 
-    let keys: Vec<GroupKey> = old
-        .keys()
-        .chain(new.keys())
-        .cloned()
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
+    let keys: std::collections::BTreeSet<GroupKey> =
+        old.keys().chain(new.keys()).cloned().collect();
     let mut t = Table::new(&[
         "spec",
         "mapper",
@@ -672,118 +598,63 @@ fn cmd_compare(args: &[String]) {
         "flag",
     ]);
     let fmt = |v: Option<u64>| v.map_or("-".to_string(), |x| x.to_string());
+    let worse = |a: Option<u64>, b: Option<u64>| match (a, b) {
+        (Some(a), Some(b)) => (b as f64) > (a as f64) * (1.0 + threshold / 100.0),
+        _ => false,
+    };
     let mut regressions = 0usize;
     let mut missing = 0usize;
     for key in keys {
-        let (o, n) = (old.remove(&key), new.remove(&key));
-        let (spec, mapper, mode, policy) = key;
-        let row = |t: &mut Table,
-                   o_med,
-                   n_med,
-                   o_remap,
-                   n_remap,
-                   o_faults: String,
-                   n_faults: String,
-                   flag: String| {
-            let (delta, pct) = match (o_med, n_med) {
-                (Some(a), Some(b)) => (
-                    format!("{:+}", b as i64 - a as i64),
-                    if a > 0 {
-                        format!("{:+.1}", (b as f64 - a as f64) / a as f64 * 100.0)
-                    } else {
-                        "-".into()
-                    },
-                ),
-                _ => ("-".into(), "-".into()),
-            };
-            t.row(vec![
-                spec.clone(),
-                mapper.clone(),
-                mode.clone(),
-                policy.clone(),
-                fmt(o_med),
-                fmt(n_med),
-                delta,
-                pct,
-                fmt(o_remap),
-                fmt(n_remap),
-                o_faults,
-                n_faults,
-                flag,
-            ]);
-        };
-        match (o, n) {
-            (Some(mut o), Some(mut n)) => {
-                let (o_med, n_med) = (
-                    gtd_bench::campaign::lower_median(&mut o.rounds),
-                    gtd_bench::campaign::lower_median(&mut n.rounds),
-                );
-                let (o_remap, n_remap) = (
-                    gtd_bench::campaign::lower_median(&mut o.remap),
-                    gtd_bench::campaign::lower_median(&mut n.remap),
-                );
-                let worse = |a: Option<u64>, b: Option<u64>| match (a, b) {
-                    (Some(a), Some(b)) => (b as f64) > (a as f64) * (1.0 + threshold / 100.0),
-                    _ => false,
-                };
-                // Fault counters stay informational: a schedule that
-                // drops more characters is not by itself a regression.
-                let regressed =
-                    worse(o_med, n_med) || worse(o_remap, n_remap) || n.errors > o.errors;
+        let (o, n) = (
+            old.remove(&key).map(GroupSamples::summary),
+            new.remove(&key).map(GroupSamples::summary),
+        );
+        // Fault counters stay informational: a schedule that drops more
+        // characters is not by itself a regression.
+        let flag = match (&o, &n) {
+            (Some(o), Some(n)) => {
+                let regressed = worse(o.0, n.0) || worse(o.1, n.1) || n.3 > o.3;
+                regressions += usize::from(regressed);
                 if regressed {
-                    regressions += 1;
+                    "REGRESSED"
+                } else {
+                    ""
                 }
-                row(
-                    &mut t,
-                    o_med,
-                    n_med,
-                    o_remap,
-                    n_remap,
-                    o.fault_column(),
-                    n.fault_column(),
-                    if regressed {
-                        "REGRESSED".into()
-                    } else {
-                        String::new()
-                    },
-                );
             }
-            (Some(mut o), None) => {
-                missing += 1;
-                let (o_med, o_remap) = (
-                    gtd_bench::campaign::lower_median(&mut o.rounds),
-                    gtd_bench::campaign::lower_median(&mut o.remap),
-                );
-                row(
-                    &mut t,
-                    o_med,
-                    None,
-                    o_remap,
-                    None,
-                    o.fault_column(),
-                    "-".into(),
-                    "only in old".into(),
-                );
-            }
-            (None, Some(mut n)) => {
-                missing += 1;
-                let (n_med, n_remap) = (
-                    gtd_bench::campaign::lower_median(&mut n.rounds),
-                    gtd_bench::campaign::lower_median(&mut n.remap),
-                );
-                row(
-                    &mut t,
-                    None,
-                    n_med,
-                    None,
-                    n_remap,
-                    "-".into(),
-                    n.fault_column(),
-                    "only in new".into(),
-                );
-            }
+            (Some(_), None) => "only in old",
+            (None, Some(_)) => "only in new",
             (None, None) => unreachable!("key came from one of the maps"),
-        }
+        };
+        missing += usize::from(o.is_none() || n.is_none());
+        let (o_med, o_remap, o_faults, _) = o.unwrap_or((None, None, "-".into(), 0));
+        let (n_med, n_remap, n_faults, _) = n.unwrap_or((None, None, "-".into(), 0));
+        let (delta, pct) = match (o_med, n_med) {
+            (Some(a), Some(b)) => (
+                format!("{:+}", b as i64 - a as i64),
+                if a > 0 {
+                    format!("{:+.1}", (b as f64 - a as f64) / a as f64 * 100.0)
+                } else {
+                    "-".into()
+                },
+            ),
+            _ => ("-".into(), "-".into()),
+        };
+        let (spec, mapper, mode, policy) = key;
+        t.row(vec![
+            spec,
+            mapper,
+            mode,
+            policy,
+            fmt(o_med),
+            fmt(n_med),
+            delta,
+            pct,
+            fmt(o_remap),
+            fmt(n_remap),
+            o_faults,
+            n_faults,
+            flag.into(),
+        ]);
     }
     print!("{}", t.render());
     println!(
@@ -824,7 +695,7 @@ fn cmd_run(args: &[String]) {
     let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => scale = parse_int(&flag_value(&mut it, "--scale"), "--scale"),
+            "--scale" => scale = flag_num(&mut it, "--scale"),
             "--json" => json_path = Some(flag_value(&mut it, "--json")),
             other if other.starts_with("--") => {
                 bail(&format!("unknown run flag {other:?} (see `harness help`)"))
@@ -955,14 +826,15 @@ fn e2_scaling(out: &mut Out, scale: usize) {
     for m in 4..=6usize {
         specs.push(TopologySpec::Debruijn { k: 2, m });
     }
-    for w in specs.into_iter().map(Workload::from_spec) {
-        let d = algo::diameter(&w.topo) as f64;
-        let e = w.topo.num_edges() as f64;
-        let n = w.topo.num_nodes() as f64;
-        let run = GtdSession::on(&w.topo).run().expect("terminates");
-        run.map.verify_against(&w.topo, NodeId(0)).expect("exact");
+    for spec in specs {
+        let topo = spec.build();
+        let d = algo::diameter(&topo) as f64;
+        let e = topo.num_edges() as f64;
+        let n = topo.num_nodes() as f64;
+        let run = GtdSession::on(&topo).run().expect("terminates");
+        run.map.verify_against(&topo, NodeId(0)).expect("exact");
         t.row(vec![
-            w.name(),
+            spec.to_string(),
             n.to_string(),
             e.to_string(),
             d.to_string(),
@@ -973,7 +845,7 @@ fn e2_scaling(out: &mut Out, scale: usize) {
         out.json(json_line(
             "E2",
             json!({
-                "workload": w.name(), "n": n, "e": e, "d": d, "ticks": run.ticks,
+                "workload": spec.to_string(), "n": n, "e": e, "d": d, "ticks": run.ticks,
             }),
         ));
     }
@@ -1001,11 +873,13 @@ fn e2_scaling(out: &mut Out, scale: usize) {
         },
         TopologySpec::Debruijn { k: 2, m: 5 },
     ] {
-        let w = Workload::from_spec(spec);
-        let pb = GtdSession::on(&w.topo).run().expect("terminates").phases;
+        let pb = GtdSession::on(&spec.build())
+            .run()
+            .expect("terminates")
+            .phases;
         let tot = pb.total().max(1) as f64;
         t.row(vec![
-            w.name(),
+            spec.to_string(),
             pb.rcas.to_string(),
             format!("{:.0}", pb.search as f64 / tot * 100.0),
             format!("{:.0}", pb.echo as f64 / tot * 100.0),
@@ -1015,7 +889,7 @@ fn e2_scaling(out: &mut Out, scale: usize) {
         out.json(json_line(
             "E2b",
             json!({
-                "workload": w.name(), "rcas": pb.rcas, "search": pb.search,
+                "workload": spec.to_string(), "rcas": pb.rcas, "search": pb.search,
                 "echo": pb.echo, "mark": pb.mark, "cleanup": pb.report_cleanup,
             }),
         ));
@@ -1110,26 +984,14 @@ fn e5_cleanup(out: &mut Out, scale: usize) {
         "max chars/node",
         "pristine at end",
     ]);
-    for w in core_family_specs(scale)
-        .into_iter()
-        .map(Workload::from_spec)
-    {
-        let mut engine = gtd_core::build_gtd_engine(&w.topo, EngineMode::Sparse);
-        let mut events = Vec::new();
-        let mut terminated = false;
-        for _ in 0..200_000_000u64 {
-            events.clear();
-            engine.tick(&mut events);
-            if events
-                .iter()
-                .any(|&(_, ev)| ev == TranscriptEvent::Terminated)
-            {
-                terminated = true;
-                break;
-            }
-        }
-        assert!(terminated, "{} wedged", w.name());
-        engine.tick(&mut events);
+    for spec in core_family_specs(scale) {
+        let topo = spec.build();
+        let mut engine = gtd_core::build_gtd_engine(&topo, EngineMode::Sparse);
+        let (_, terminated) = engine.run_until(default_tick_budget(&topo), |&(_, ev)| {
+            ev == TranscriptEvent::Terminated
+        });
+        assert!(terminated, "{spec} wedged");
+        engine.tick(&mut Vec::new());
         let rcas: u64 = engine.nodes().iter().map(|n| n.stat_rcas_started()).sum();
         let bcas: u64 = engine.nodes().iter().map(|n| n.stat_bcas_started()).sum();
         let kills: u64 = engine.nodes().iter().map(|n| n.stat_kills_accepted()).sum();
@@ -1142,7 +1004,7 @@ fn e5_cleanup(out: &mut Out, scale: usize) {
         let pristine = engine.nodes().iter().all(|n| n.snake_state_pristine())
             && engine.signals_in_flight() == 0;
         t.row(vec![
-            w.name(),
+            spec.to_string(),
             rcas.to_string(),
             bcas.to_string(),
             kills.to_string(),
@@ -1152,7 +1014,7 @@ fn e5_cleanup(out: &mut Out, scale: usize) {
         out.json(json_line(
             "E5",
             json!({
-                "workload": w.name(), "rcas": rcas, "bcas": bcas, "kills": kills,
+                "workload": spec.to_string(), "rcas": rcas, "bcas": bcas, "kills": kills,
                 "max_chars": maxc, "pristine": pristine,
             }),
         ));
