@@ -27,15 +27,23 @@
 
 use crate::{flood_echo, source_routed_dfs};
 use gtd_core::{
-    phase_breakdown, EpochStatus, GtdError, GtdSession, PhaseBreakdown, RemapPolicy, RunStats,
-    VerifyError,
+    phase_breakdown, EpochStatus, GtdError, GtdSession, PhaseBreakdown, PreconditionViolation,
+    RemapPolicy, RunStats, VerifyError,
 };
 use gtd_netsim::{Edge, EngineMode, FaultPlane, MutationSchedule, NodeId, Topology};
 
 /// Why a mapper failed to produce a comparable edge set.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum MapperError {
-    /// The underlying GTD run failed (budget, precondition, decode).
+    /// The network or root violates a model precondition
+    /// ([`PreconditionViolation::check`]); nothing was mapped.
+    Precondition {
+        /// The mapper that refused to run.
+        mapper: &'static str,
+        /// The violated precondition.
+        violation: PreconditionViolation,
+    },
+    /// The underlying GTD run failed (budget, decode, invariant).
     Gtd(GtdError),
     /// The reconstructed map could not be resolved against ground truth
     /// (protocol bug — Theorem 4.1 promises this never happens).
@@ -62,6 +70,9 @@ pub enum MapperError {
 impl std::fmt::Display for MapperError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            MapperError::Precondition { mapper, violation } => {
+                write!(f, "{mapper} run failed: precondition violated: {violation}")
+            }
             MapperError::Gtd(e) => write!(f, "gtd run failed: {e}"),
             MapperError::Unresolvable(e) => write!(f, "map does not resolve: {e}"),
             MapperError::Degraded {
@@ -84,8 +95,36 @@ impl std::error::Error for MapperError {}
 
 impl From<GtdError> for MapperError {
     fn from(e: GtdError) -> Self {
-        MapperError::Gtd(e)
+        match e {
+            GtdError::Precondition(violation) => MapperError::Precondition {
+                mapper: "gtd",
+                violation,
+            },
+            e => MapperError::Gtd(e),
+        }
     }
+}
+
+/// A baseline mapper's run: refused with `mapper`'s
+/// [`MapperError::Precondition`] when [`PreconditionViolation::check`]
+/// fails, else `run`'s rounds, messages and edges.
+fn baseline_run(
+    mapper: &'static str,
+    topo: &Topology,
+    root: NodeId,
+    run: impl FnOnce() -> (u64, u64, Vec<Edge>),
+) -> Result<MapperRun, MapperError> {
+    PreconditionViolation::check(topo, root)
+        .map_err(|violation| MapperError::Precondition { mapper, violation })?;
+    let (rounds, messages, edges) = run();
+    Ok(MapperRun {
+        rounds,
+        messages: Some(messages),
+        edges,
+        stats: None,
+        phases: None,
+        clean: None,
+    })
 }
 
 /// What every mapper returns: the discovered wires in ground-truth
@@ -163,7 +202,9 @@ pub trait TopologyMapper {
     /// Short display name (table rows, bench ids, campaign grids).
     fn name(&self) -> &'static str;
 
-    /// Map `topo` from `root`.
+    /// Map `topo` from `root`. A network or root that violates a model
+    /// precondition ([`PreconditionViolation::check`]) is refused with
+    /// [`MapperError::Precondition`] before anything runs.
     fn map_network(&self, topo: &Topology, root: NodeId) -> Result<MapperRun, MapperError>;
 
     /// Map a network whose topology mutates at scheduled ticks, reporting
@@ -374,14 +415,9 @@ impl TopologyMapper for FloodEchoMapper {
     }
 
     fn map_network(&self, topo: &Topology, root: NodeId) -> Result<MapperRun, MapperError> {
-        let out = flood_echo(topo, root);
-        Ok(MapperRun {
-            rounds: out.rounds,
-            messages: Some(out.messages),
-            edges: out.edges,
-            stats: None,
-            phases: None,
-            clean: None,
+        baseline_run(self.name(), topo, root, || {
+            let out = flood_echo(topo, root);
+            (out.rounds, out.messages, out.edges)
         })
     }
 }
@@ -397,14 +433,9 @@ impl TopologyMapper for RoutedDfsMapper {
     }
 
     fn map_network(&self, topo: &Topology, root: NodeId) -> Result<MapperRun, MapperError> {
-        let out = source_routed_dfs(topo, root);
-        Ok(MapperRun {
-            rounds: out.rounds,
-            messages: Some(out.messages),
-            edges: out.edges,
-            stats: None,
-            phases: None,
-            clean: None,
+        baseline_run(self.name(), topo, root, || {
+            let out = source_routed_dfs(topo, root);
+            (out.rounds, out.messages, out.edges)
         })
     }
 }
@@ -458,6 +489,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_mapper_refuses_a_bad_root_or_a_network_that_is_not_strongly_connected() {
+        // Two disjoint 2-cycles: valid wiring, not strongly connected.
+        let mut b = gtd_netsim::TopologyBuilder::new(4, 2);
+        for (u, v) in [(0, 1), (1, 0), (2, 3), (3, 2)] {
+            b.connect_auto(NodeId(u), NodeId(v)).unwrap();
+        }
+        let split = b.build().unwrap();
+        let ring = generators::ring(8);
+        let root_n9 = PreconditionViolation::RootOutOfRange {
+            root: NodeId(9),
+            nodes: 8,
+        };
+        let cases = [
+            (&ring, NodeId(9), root_n9),
+            (
+                &split,
+                NodeId(0),
+                PreconditionViolation::NotStronglyConnected,
+            ),
+        ];
+        for mapper in all_mappers() {
+            for &(topo, root, violation) in &cases {
+                let want = MapperError::Precondition {
+                    mapper: mapper.name(),
+                    violation,
+                };
+                let dynamic = mapper.map_dynamic(topo, &MutationSchedule::default(), root);
+                assert_eq!(mapper.map_network(topo, root).unwrap_err(), want);
+                assert_eq!(dynamic.unwrap_err(), want);
+            }
+        }
+        assert_eq!(
+            MapperError::Precondition {
+                mapper: "routed-dfs",
+                violation: root_n9
+            }
+            .to_string(),
+            "routed-dfs run failed: precondition violated: root n9 out of range \
+             (network has 8 processors)"
+        );
     }
 
     #[test]

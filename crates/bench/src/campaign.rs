@@ -43,7 +43,7 @@
 
 use crate::json::{bool_field, num_field, str_field, JsonValue};
 use gtd_baselines::{mapper_by_name, GtdMapper, MapperError};
-use gtd_core::{GtdError, PhaseBreakdown, PreconditionViolation, RemapPolicy};
+use gtd_core::{GtdError, PhaseBreakdown, RemapPolicy};
 use gtd_netsim::{DynamicSpec, EngineMode, NodeId, ParseSpecError, Topology};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -119,9 +119,10 @@ impl CellSpec {
 
     /// Execute this cell against a pre-built base topology (callers that
     /// share one spec across many cells build it once). An unknown mapper
-    /// name or a root outside the base topology is captured as a
-    /// `precondition` [`CellError`] before any mapper runs — a cell
-    /// failure, never a panic.
+    /// name, a root outside the base topology or a network that is not
+    /// strongly connected is a `precondition` [`CellError`] — a cell
+    /// failure, never a panic (every mapper checks the model
+    /// preconditions before it runs).
     pub fn execute(&self, topo: &Topology) -> RunRecord {
         let cfg = GtdMapper {
             mode: self.mode,
@@ -142,18 +143,6 @@ impl CellSpec {
                     "unknown mapper {:?} (known: {})",
                     self.mapper,
                     gtd_baselines::mapper_names().join(", ")
-                ),
-            }),
-            Some(_) if self.root.idx() >= topo.num_nodes() => Err(CellError {
-                kind: "precondition",
-                // the text a `gtd` session reports for the same root
-                message: format!(
-                    "{} run failed: precondition violated: {}",
-                    self.mapper,
-                    PreconditionViolation::RootOutOfRange {
-                        root: self.root,
-                        nodes: topo.num_nodes(),
-                    }
                 ),
             }),
             Some(mapper) if self.spec.is_static() => match mapper.map_network(topo, self.root) {
@@ -594,7 +583,9 @@ impl From<MapperError> for CellError {
     fn from(e: MapperError) -> Self {
         let kind = match &e {
             MapperError::Gtd(GtdError::BudgetExhausted { .. }) => "budget-exhausted",
-            MapperError::Gtd(GtdError::Precondition(_)) => "precondition",
+            MapperError::Precondition { .. } | MapperError::Gtd(GtdError::Precondition(_)) => {
+                "precondition"
+            }
             MapperError::Gtd(GtdError::Decode(_)) => "decode",
             MapperError::Gtd(GtdError::RemapDiverged { .. }) => "remap-diverged",
             MapperError::Gtd(GtdError::Invariant { .. }) => "invariant",

@@ -7,6 +7,7 @@
 //! * `sanitize` — Miri and ThreadSanitizer passes, detected at runtime
 //!   and skipped with a visible notice when the toolchain lacks them.
 //! * `ci` — lint + model + sanitize, the order CI runs them.
+//! * `loc` — non-test code lines per file and in total.
 //! * `list` — the lint-rule and invariant registries.
 
 use gtd_check::model;
@@ -24,6 +25,7 @@ fn main() -> ExitCode {
         },
         Some("sanitize") => run_sanitize(&workspace_root()),
         Some("ci") => run_ci(&args[1..]),
+        Some("loc") => run_loc(&workspace_root()),
         Some("list") => {
             list();
             true
@@ -36,6 +38,7 @@ fn main() -> ExitCode {
                  model     bounded-exhaustive model check of the coordinator brain\n  \
                  sanitize  Miri + ThreadSanitizer passes (skipped without the toolchain)\n  \
                  ci        lint + model + sanitize\n  \
+                 loc       non-test code lines per file and in total\n  \
                  list      lint rules and model-checker invariants"
             );
             false
@@ -300,6 +303,21 @@ fn run_ci(args: &[String]) -> bool {
         }
     );
     ok
+}
+
+/// Print the non-test line count of every file the ROADMAP's rule
+/// covers (see [`gtd_check::loc`]), then the total.
+fn run_loc(root: &std::path::Path) -> bool {
+    let census = gtd_check::loc::census(root);
+    let Ok(files) = census.inspect_err(|e| eprintln!("gtd-check loc: cannot read: {e}")) else {
+        return false;
+    };
+    for (path, lines) in &files {
+        println!("{lines:>6}  {path}");
+    }
+    let total: usize = files.iter().map(|&(_, lines)| lines).sum();
+    println!("{total:>6}  total ({} files)", files.len());
+    true
 }
 
 fn list() {

@@ -14,12 +14,15 @@
 //! * [`lint`] + [`lexer`] — `gtd-lint`, token-level repo-specific
 //!   static analysis with a reviewed allowlist (`lint.allow`).
 //!
+//! Plus [`loc`], the non-test line count the ROADMAP reports.
+//!
 //! Binaries: `gtd-lint` (the lint pass alone) and `gtd-check`
-//! (`lint` / `model` / `sanitize` / `ci` / `list`).
+//! (`lint` / `model` / `sanitize` / `ci` / `loc` / `list`).
 
 pub mod brain;
 pub mod lexer;
 pub mod lint;
+pub mod loc;
 pub mod model;
 
 pub use lint::{lint_with_allowlist, parse_allowlist, LintOutcome, LintRule, LINT_RULES};

@@ -163,6 +163,31 @@ impl DfsState {
     }
 }
 
+/// The dying kinds, in lane order.
+const DYING: [SnakeKind; 3] = [SnakeKind::Id, SnakeKind::Od, SnakeKind::Bd];
+
+/// Row of `kind` in the lane tables ([`ProtocolNode`]'s `grow` and
+/// `dying`): one row per snake direction, in (IG, ID), out (OG, OD) and
+/// backwards (BG, BD). Every rule the automaton applies to a lane is
+/// written once over these tables.
+fn lane(kind: SnakeKind) -> usize {
+    match kind {
+        SnakeKind::Ig | SnakeKind::Id => 0,
+        SnakeKind::Og | SnakeKind::Od => 1,
+        SnakeKind::Bg | SnakeKind::Bd => 2,
+    }
+}
+
+/// The loop-mark pair an ordinary passage of a dying kind sets: pair #1
+/// for ID and BD, pair #2 for OD (§2.4).
+fn pair_of(kind: SnakeKind) -> MarkPair {
+    if kind == SnakeKind::Od {
+        MarkPair::Second
+    } else {
+        MarkPair::First
+    }
+}
+
 /// The identical synchronous finite-state processor of the paper.
 ///
 /// A saturated tick streams every processor's state once, so the struct
@@ -208,17 +233,13 @@ pub struct ProtocolNode {
     /// [`ProtocolNode::stat_dropped`] monotonic across restarts; and the
     /// end of the current power-cycle downtime.
     pool: DwellPool,
-    ig: GrowRelay,
-    og: GrowRelay,
-    bg: GrowRelay,
-    /// ID lane: passage on the A→root half; at the RCA initiator, the
-    /// OG→ID conversion.
-    dying_id: DyingPassage,
-    /// OD lane: passage on the root→A half; at the root, the ID→OD
-    /// conversion.
-    dying_od: DyingPassage,
-    /// BD lane: BCA loop marking; at B, the BG→BD conversion.
-    dying_bd: DyingPassage,
+    /// The IG, OG and BG relays.
+    grow: [GrowRelay; 3],
+    /// The ID, OD and BD passages. ID: the A→root half of an RCA loop;
+    /// at the RCA initiator, the OG→ID conversion. OD: the root→A half;
+    /// at the root, the ID→OD conversion. BD: BCA loop marking; at B,
+    /// the BG→BD conversion.
+    dying: [DyingPassage; 3],
     marks: LoopMarks,
     /// A loop token dwelling here (speed-1), with the stamp of its
     /// emission deadline (at most [`SPEED1_DWELL`] ahead) and its
@@ -313,19 +334,21 @@ impl ProtocolNode {
         if matches!(start, StartBehavior::GtdRoot) {
             assert!(meta.is_root, "GtdRoot behaviour belongs on the root");
         }
+        Self::factory_fresh(meta.is_root, meta.delta, out_ports, start)
+    }
+
+    /// A processor straight from the factory: only its power-on facts
+    /// set.
+    fn factory_fresh(is_root: bool, delta: u8, out_ports: PortMask, start: StartBehavior) -> Self {
         ProtocolNode {
-            is_root: meta.is_root,
-            delta: meta.delta,
+            is_root,
+            delta,
             out_ports,
             start,
             started: false,
             pool: DwellPool::default(),
-            ig: GrowRelay::new(SnakeKind::Ig),
-            og: GrowRelay::new(SnakeKind::Og),
-            bg: GrowRelay::new(SnakeKind::Bg),
-            dying_id: DyingPassage::new(SnakeKind::Id),
-            dying_od: DyingPassage::new(SnakeKind::Od),
-            dying_bd: DyingPassage::new(SnakeKind::Bd),
+            grow: SnakeKind::GROWING.map(GrowRelay::new),
+            dying: DYING.map(DyingPassage::new),
             marks: LoopMarks::new(),
             pending_loop: None,
             pending_bca: None,
@@ -339,7 +362,7 @@ impl ProtocolNode {
             rcas_started: 0,
             bcas_started: 0,
             max_chars: 0,
-            dfs: DfsState::fresh(meta.is_root),
+            dfs: DfsState::fresh(is_root),
         }
     }
 
@@ -351,19 +374,7 @@ impl ProtocolNode {
     /// created is gone. DFS bookkeeping is excluded — the paper never
     /// erases it.
     pub fn snake_state_pristine(&self) -> bool {
-        let pool = &self.pool;
-        self.ig.is_pristine(pool)
-            && self.og.is_pristine(pool)
-            && self.bg.is_pristine(pool)
-            && self.dying_id.is_pristine(pool)
-            && self.dying_od.is_pristine(pool)
-            && self.dying_bd.is_pristine(pool)
-            && self.marks.is_pristine()
-            && self.pending_loop.is_none()
-            && self.pending_bca.is_none()
-            && self.rca == RcaState::Idle
-            && self.bca == BcaState::Idle
-            && (!self.is_root || self.root_rca == RootRca::Open)
+        self.cleanup_checks().iter().all(|&(_, clean)| clean)
     }
 
     /// Characters of any kind dwelling in this processor (type-size /
@@ -385,28 +396,33 @@ impl ProtocolNode {
 
     /// Debug description of any non-pristine snake state (empty if clean).
     pub fn residue_description(&self) -> String {
-        let mut out = String::new();
+        let residue = self
+            .cleanup_checks()
+            .into_iter()
+            .filter(|&(_, clean)| !clean);
+        residue.map(|(name, _)| format!("{name} ")).collect()
+    }
+
+    /// Everything Lemma 4.2 promises to clean up, by name, each with
+    /// whether it is pristine.
+    fn cleanup_checks(&self) -> [(&'static str, bool); 12] {
         let pool = &self.pool;
-        for (name, ok) in [
-            ("ig", self.ig.is_pristine(pool)),
-            ("og", self.og.is_pristine(pool)),
-            ("bg", self.bg.is_pristine(pool)),
-            ("dying_id", self.dying_id.is_pristine(pool)),
-            ("dying_od", self.dying_od.is_pristine(pool)),
-            ("dying_bd", self.dying_bd.is_pristine(pool)),
+        let [ig, og, bg] = self.grow.each_ref().map(|r| r.is_pristine(pool));
+        let [id, od, bd] = self.dying.each_ref().map(|d| d.is_pristine(pool));
+        [
+            ("ig", ig),
+            ("og", og),
+            ("bg", bg),
+            ("dying_id", id),
+            ("dying_od", od),
+            ("dying_bd", bd),
             ("marks", self.marks.is_pristine()),
             ("pending_loop", self.pending_loop.is_none()),
             ("pending_bca", self.pending_bca.is_none()),
             ("rca", self.rca == RcaState::Idle),
             ("bca", self.bca == BcaState::Idle),
             ("root_rca", !self.is_root || self.root_rca == RootRca::Open),
-        ] {
-            if !ok {
-                out.push_str(name);
-                out.push(' ');
-            }
-        }
-        out
+        ]
     }
 
     /// Has the root reached the paper's terminal state?
@@ -459,40 +475,15 @@ impl ProtocolNode {
     pub fn restart(&mut self, now: u64) {
         assert!(!self.is_root, "the master computer's host never restarts");
         self.pool.retire();
-        self.ig = GrowRelay::new(SnakeKind::Ig);
-        self.og = GrowRelay::new(SnakeKind::Og);
-        self.bg = GrowRelay::new(SnakeKind::Bg);
-        self.dying_id = DyingPassage::new(SnakeKind::Id);
-        self.dying_od = DyingPassage::new(SnakeKind::Od);
-        self.dying_bd = DyingPassage::new(SnakeKind::Bd);
-        self.marks = LoopMarks::new();
-        self.pending_loop = None;
-        self.pending_bca = None;
-        self.rca = RcaState::Idle;
-        self.root_rca = RootRca::Open;
-        self.bca = BcaState::Idle;
-        self.bca_probe = false;
-        self.pending_restart = false;
-        self.reset_parity = false;
-        self.started = false;
-        self.dfs = DfsState::fresh(false);
+        *self = ProtocolNode {
+            pool: std::mem::take(&mut self.pool),
+            kills_accepted: self.kills_accepted,
+            rcas_started: self.rcas_started,
+            bcas_started: self.bcas_started,
+            max_chars: self.max_chars,
+            ..Self::factory_fresh(self.is_root, self.delta, self.out_ports, self.start)
+        };
         self.pool.spill_mut().go_dark(now + RESTART_DOWNTIME);
-    }
-
-    // ------------------------------------------------------------------
-    // Emission helpers
-    // ------------------------------------------------------------------
-
-    fn broadcast_snake(&self, outputs: &mut [Signal], kind: SnakeKind, c: SnakeChar) {
-        for o in self.out_ports.iter() {
-            outputs[o.idx()].put_snake(kind, c);
-        }
-    }
-
-    fn broadcast_kill(&self, outputs: &mut [Signal]) {
-        for o in self.out_ports.iter() {
-            outputs[o.idx()].set_kill();
-        }
     }
 
     // ------------------------------------------------------------------
@@ -504,20 +495,20 @@ impl ProtocolNode {
         // pristine relay; after a live topology mutation a straggler DFS
         // token can ask for an RCA while one is in flight — drop the
         // request (the session's remap driver recovers the stalled run).
-        if self.rca != RcaState::Idle || self.ig.is_marked() {
+        if self.rca != RcaState::Idle || self.grow[lane(SnakeKind::Ig)].is_marked() {
             return;
         }
-        self.ig.start(&mut self.pool, now);
+        self.grow[lane(SnakeKind::Ig)].start(&mut self.pool, now);
         self.rcas_started = self.rcas_started.saturating_add(1);
         self.rca = RcaState::AwaitOg { report, after };
     }
 
     fn start_bca(&mut self, via: Port, now: u64) {
         // Serialized like RCAs; see start_rca for the mutation caveat.
-        if self.bca != BcaState::Idle || self.bg.is_marked() {
+        if self.bca != BcaState::Idle || self.grow[lane(SnakeKind::Bg)].is_marked() {
             return;
         }
-        self.bg.start(&mut self.pool, now);
+        self.grow[lane(SnakeKind::Bg)].start(&mut self.pool, now);
         self.bcas_started = self.bcas_started.saturating_add(1);
         self.bca = BcaState::AwaitBgHead { via };
     }
@@ -530,10 +521,12 @@ impl ProtocolNode {
     /// real race where a stale KILL of a short-loop BCA could erase the
     /// next RCA's fresh flood (README, reconstruction choice 5).
     fn release_kill(&mut self, ctx: &mut Ctx) {
-        self.ig.erase(&mut self.pool);
-        self.og.erase(&mut self.pool);
-        self.bg.erase(&mut self.pool);
-        self.broadcast_kill(ctx.outputs);
+        for relay in &mut self.grow {
+            relay.erase(&mut self.pool);
+        }
+        for o in self.out_ports.iter() {
+            ctx.outputs[o.idx()].set_kill();
+        }
     }
 
     /// RCA step 4: on the OD tail, release the speed-1 FORWARD/BACK loop
@@ -612,20 +605,78 @@ impl ProtocolNode {
     // Per-channel input handlers
     // ------------------------------------------------------------------
 
-    fn kill_accepted(&self, p: Port) -> bool {
-        self.ig.parent() == Some(p) || self.og.parent() == Some(p) || self.bg.parent() == Some(p)
+    /// The idle relay: pass on a growing character by the flood rule
+    /// (§2.3.2).
+    fn relay_idle(&mut self, kind: SnakeKind, p: Port, c: SnakeChar, now: u64) {
+        let relay = &mut self.grow[lane(kind)];
+        if let Some(c) = relay.accept(p, c) {
+            relay.relay(&mut self.pool, c, now);
+        }
+    }
+
+    /// The loop-pair guard: may the `kind` lane adopt a head, marking
+    /// its predecessor on pair `pred` and its successor on the lane's own
+    /// pair? The two pairs differ only at the root's ID→OD conversion
+    /// (§2.3.3). Always in an undisturbed run; adopting over
+    /// mutation-era residue on the lane or the pairs would corrupt it.
+    fn lane_free(&self, kind: SnakeKind, pred: MarkPair) -> bool {
+        !self.dying[lane(kind)].is_active()
+            && self.marks.pred(pred).is_none()
+            && self.marks.succ(pair_of(kind)).is_none()
+    }
+
+    /// Head adoption: a head that arrived through `p` names successor
+    /// out-port `out`. Mark both ports, as [`Self::lane_free`] checked,
+    /// and begin the `kind` passage.
+    fn adopt_head(&mut self, kind: SnakeKind, pred: MarkPair, p: Port, out: Port) {
+        self.marks.set_pred(pred, p);
+        self.marks.set_succ(pair_of(kind), out);
+        self.dying[lane(kind)].begin(p, out);
+    }
+
+    /// Does `p` carry the rest of the `kind` lane's adopted stream? Only
+    /// its predecessor in-port does, and only until the tail.
+    fn on_path(&self, kind: SnakeKind, p: Port) -> bool {
+        let passage = &self.dying[lane(kind)];
+        !passage.is_done() && passage.pred() == Some(p)
+    }
+
+    /// The ordinary dying passage (§2.3.3) on the lane's own mark pair:
+    /// adopt a head while the lane and the pair are free, pass the
+    /// adopted stream on, and drop any other character (off-path, only
+    /// possible after a mutation).
+    fn pass_dying(&mut self, kind: SnakeKind, p: Port, c: SnakeChar, now: u64) {
+        let pair = pair_of(kind);
+        let c = c.filled(p);
+        match c {
+            SnakeChar::Head(hop) if self.lane_free(kind, pair) => {
+                self.adopt_head(kind, pair, p, hop.out_port);
+            }
+            _ if self.on_path(kind, p) => {
+                self.dying[lane(kind)].feed(&mut self.pool, p, c, now);
+            }
+            _ => {}
+        }
+    }
+
+    /// UNMARK erasure: reset the `kinds` passages and their dwelling
+    /// characters.
+    fn reset_dying(&mut self, kinds: impl IntoIterator<Item = SnakeKind>) {
+        for kind in kinds {
+            self.dying[lane(kind)].reset(&mut self.pool);
+        }
     }
 
     fn on_ig(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx) {
         if self.is_root {
             match self.root_rca {
                 RootRca::Open => {
-                    if self.og.is_marked() {
+                    if self.grow[lane(SnakeKind::Og)].is_marked() {
                         // Leftover OG state from a mutation-disturbed RCA:
                         // the root cannot become the OG origin again yet.
                         return;
                     }
-                    if let Some(c) = self.ig.accept(p, c) {
+                    if let Some(c) = self.grow[lane(SnakeKind::Ig)].accept(p, c) {
                         // First IG head of this RCA: adopt, transcribe, and
                         // begin converting to the OG snake (step 2). The OG
                         // relay becomes the OG tree's origin. A headless
@@ -636,13 +687,14 @@ impl ProtocolNode {
                             return;
                         };
                         ctx.events.push(TranscriptEvent::IgHop(hop));
-                        self.og.mark_initiator();
-                        self.og.relay(&mut self.pool, c, now);
+                        let og = &mut self.grow[lane(SnakeKind::Og)];
+                        og.mark_initiator();
+                        og.relay(&mut self.pool, c, now);
                         self.root_rca = RootRca::ConvertingIg;
                     }
                 }
                 RootRca::ConvertingIg => {
-                    if let Some(c) = self.ig.accept(p, c) {
+                    if let Some(c) = self.grow[lane(SnakeKind::Ig)].accept(p, c) {
                         match c {
                             SnakeChar::Tail => {
                                 ctx.events.push(TranscriptEvent::IgTail);
@@ -650,7 +702,8 @@ impl ProtocolNode {
                                 // the tail — "the root holds onto the tail
                                 // character while it sends OG(i, ∗) out of
                                 // each of its out-ports" (step 2).
-                                self.og.relay(&mut self.pool, SnakeChar::Tail, now);
+                                let og = &self.grow[lane(SnakeKind::Og)];
+                                og.relay(&mut self.pool, SnakeChar::Tail, now);
                                 self.root_rca = RootRca::AwaitId;
                             }
                             other => {
@@ -661,7 +714,7 @@ impl ProtocolNode {
                                     return;
                                 };
                                 ctx.events.push(TranscriptEvent::IgHop(hop));
-                                self.og.relay(&mut self.pool, other, now);
+                                self.grow[lane(SnakeKind::Og)].relay(&mut self.pool, other, now);
                             }
                         }
                     }
@@ -676,9 +729,7 @@ impl ProtocolNode {
             // We are the IG source of the running RCA; echoes are ignored.
             return;
         }
-        if let Some(c) = self.ig.accept(p, c) {
-            self.ig.relay(&mut self.pool, c, now);
-        }
+        self.relay_idle(SnakeKind::Ig, p, c, now);
     }
 
     fn on_og(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx) {
@@ -688,24 +739,17 @@ impl ProtocolNode {
         }
         match self.rca {
             RcaState::AwaitOg { report, after } => {
-                if self.dying_id.is_active()
-                    || self.marks.pred(MarkPair::First).is_some()
-                    || self.marks.succ(MarkPair::First).is_some()
-                {
-                    // Mutation-era residue occupies the #1 pair; adopting
-                    // another stream would corrupt it.
+                if !self.lane_free(SnakeKind::Id, MarkPair::First) {
                     return;
                 }
-                if let Some(c) = self.og.accept(p, c) {
+                if let Some(c) = self.grow[lane(SnakeKind::Og)].accept(p, c) {
                     // First surviving OG head: eat it as if it were an ID
                     // head (step 3) — its hop is our own first hop towards
                     // the root.
                     let Some(hop) = c.hop() else {
                         return; // headless straggler stream
                     };
-                    self.marks.set_pred(MarkPair::First, p);
-                    self.marks.set_succ(MarkPair::First, hop.out_port);
-                    self.dying_id.begin(p, hop.out_port);
+                    self.adopt_head(SnakeKind::Id, MarkPair::First, p, hop.out_port);
                     self.rca = RcaState::AwaitOdTail { report, after };
                 }
             }
@@ -715,22 +759,18 @@ impl ProtocolNode {
                 // that rather than the (KILL-erased) OG relay so post-KILL
                 // straggler heads cannot re-adopt us. Once the tail is
                 // consumed the conversion is over and everything is junk.
-                if !self.dying_id.is_done() && self.dying_id.pred() == Some(p) => {
+                if self.on_path(SnakeKind::Id, p) => {
                     let c = c.filled(p);
                     // Convert the rest of the OG stream into the ID snake.
                     let is_tail = c.is_tail();
-                    self.dying_id.feed(&mut self.pool, p, c, now);
+                    self.dying[lane(SnakeKind::Id)].feed(&mut self.pool, p, c, now);
                     if is_tail {
                         // The whole OG stream is consumed: the growing
                         // snakes are pure garbage now — kill them early.
                         self.release_kill(ctx);
                     }
                 }
-            RcaState::Idle => {
-                if let Some(c) = self.og.accept(p, c) {
-                    self.og.relay(&mut self.pool, c, now);
-                }
-            }
+            RcaState::Idle => self.relay_idle(SnakeKind::Og, p, c, now),
             // Step 4/5 phases: closed to OG (stragglers die here).
             _ => {}
         }
@@ -741,27 +781,20 @@ impl ProtocolNode {
             BcaState::AwaitBgHead { via } if p == via => {
                 let c = c.filled(p);
                 if let SnakeChar::Head(hop) = c {
-                    if self.dying_bd.is_active()
-                        || self.marks.pred(MarkPair::First).is_some()
-                        || self.marks.succ(MarkPair::First).is_some()
-                    {
-                        return; // mutation-era residue on the #1 pair
+                    if !self.lane_free(SnakeKind::Bd, MarkPair::First) {
+                        return;
                     }
                     // The first BG head returning through the designated
                     // in-port encodes the canonical loop B→…→A→B. Eat the
                     // head, mark our ports, start converting to BD.
-                    self.marks.set_pred(MarkPair::First, via);
-                    self.marks.set_succ(MarkPair::First, hop.out_port);
-                    self.dying_bd.begin(via, hop.out_port);
+                    self.adopt_head(SnakeKind::Bd, MarkPair::First, via, hop.out_port);
                     self.bca = BcaState::Converting { via };
                 }
             }
-            BcaState::Converting { via }
-                if p == via && !self.dying_bd.is_done() && self.dying_bd.pred() == Some(via) =>
-            {
+            BcaState::Converting { via } if p == via && self.on_path(SnakeKind::Bd, p) => {
                 let c = c.filled(p);
                 let is_tail = c.is_tail();
-                self.dying_bd.feed(&mut self.pool, via, c, now);
+                self.dying[lane(SnakeKind::Bd)].feed(&mut self.pool, via, c, now);
                 if is_tail {
                     self.bca = BcaState::AwaitBdTail { via };
                     // BG stream fully consumed: kill the flood early (the
@@ -769,11 +802,7 @@ impl ProtocolNode {
                     self.release_kill(ctx);
                 }
             }
-            BcaState::Idle => {
-                if let Some(c) = self.bg.accept(p, c) {
-                    self.bg.relay(&mut self.pool, c, now);
-                }
-            }
+            BcaState::Idle => self.relay_idle(SnakeKind::Bg, p, c, now),
             // B ignores BG characters on other ports / later phases.
             _ => {}
         }
@@ -785,31 +814,24 @@ impl ProtocolNode {
                 RootRca::AwaitId => {
                     let c = c.filled(p);
                     if let SnakeChar::Head(hop) = c {
-                        if self.dying_od.is_active()
-                            || self.marks.pred(MarkPair::First).is_some()
-                            || self.marks.succ(MarkPair::Second).is_some()
-                        {
-                            return; // mutation-era residue
-                        }
                         // Convert ID→OD: predecessor #1, successor #2
                         // (§2.3.3 — the root's exceptional port pairing).
+                        if !self.lane_free(SnakeKind::Od, MarkPair::First) {
+                            return;
+                        }
                         ctx.events.push(TranscriptEvent::IdHop(hop));
-                        self.marks.set_pred(MarkPair::First, p);
-                        self.marks.set_succ(MarkPair::Second, hop.out_port);
-                        self.dying_od.begin(p, hop.out_port);
+                        self.adopt_head(SnakeKind::Od, MarkPair::First, p, hop.out_port);
                         self.root_rca = RootRca::ConvertingId;
                     }
                 }
-                RootRca::ConvertingId
-                    if !self.dying_od.is_done() && self.dying_od.pred() == Some(p) =>
-                {
+                RootRca::ConvertingId if self.on_path(SnakeKind::Od, p) => {
                     let c = c.filled(p);
                     match c {
                         SnakeChar::Body(hop) => ctx.events.push(TranscriptEvent::IdHop(hop)),
                         SnakeChar::Tail => ctx.events.push(TranscriptEvent::IdTail),
                         SnakeChar::Head(_) => return, // cannot happen in a clean run
                     }
-                    self.dying_od.feed(&mut self.pool, p, c, now);
+                    self.dying[lane(SnakeKind::Od)].feed(&mut self.pool, p, c, now);
                     if c.is_tail() {
                         self.root_rca = RootRca::LoopPhase;
                     }
@@ -818,23 +840,8 @@ impl ProtocolNode {
             }
             return;
         }
-        // Ordinary passage on the A→root half (pair #1).
-        let c = c.filled(p);
-        match c {
-            SnakeChar::Head(hop)
-                if !self.dying_id.is_active()
-                    && self.marks.pred(MarkPair::First).is_none()
-                    && self.marks.succ(MarkPair::First).is_none() =>
-            {
-                self.marks.set_pred(MarkPair::First, p);
-                self.marks.set_succ(MarkPair::First, hop.out_port);
-                self.dying_id.begin(p, hop.out_port);
-            }
-            _ if !self.dying_id.is_done() && self.dying_id.pred() == Some(p) => {
-                self.dying_id.feed(&mut self.pool, p, c, now);
-            }
-            _ => {} // off-path character (only possible after a mutation)
-        }
+        // Ordinary passage on the A→root half.
+        self.pass_dying(SnakeKind::Id, p, c, now);
     }
 
     fn on_od(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx) {
@@ -853,23 +860,8 @@ impl ProtocolNode {
                 return;
             }
         }
-        // Ordinary passage on the root→A half (pair #2).
-        let c = c.filled(p);
-        match c {
-            SnakeChar::Head(hop)
-                if !self.dying_od.is_active()
-                    && self.marks.pred(MarkPair::Second).is_none()
-                    && self.marks.succ(MarkPair::Second).is_none() =>
-            {
-                self.marks.set_pred(MarkPair::Second, p);
-                self.marks.set_succ(MarkPair::Second, hop.out_port);
-                self.dying_od.begin(p, hop.out_port);
-            }
-            _ if !self.dying_od.is_done() && self.dying_od.pred() == Some(p) => {
-                self.dying_od.feed(&mut self.pool, p, c, now);
-            }
-            _ => {} // off-path character (only possible after a mutation)
-        }
+        // Ordinary passage on the root→A half.
+        self.pass_dying(SnakeKind::Od, p, c, now);
     }
 
     fn on_bd(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx) {
@@ -891,23 +883,8 @@ impl ProtocolNode {
                 return;
             }
         }
-        // Ordinary BD passage (pair #1; BCA loops are simple cycles).
-        let c = c.filled(p);
-        match c {
-            SnakeChar::Head(hop)
-                if !self.dying_bd.is_active()
-                    && self.marks.pred(MarkPair::First).is_none()
-                    && self.marks.succ(MarkPair::First).is_none() =>
-            {
-                self.marks.set_pred(MarkPair::First, p);
-                self.marks.set_succ(MarkPair::First, hop.out_port);
-                self.dying_bd.begin(p, hop.out_port);
-            }
-            _ if !self.dying_bd.is_done() && self.dying_bd.pred() == Some(p) => {
-                self.dying_bd.feed(&mut self.pool, p, c, now);
-            }
-            _ => {} // off-path character (only possible after a mutation)
-        }
+        // Ordinary BD passage (BCA loops are simple cycles).
+        self.pass_dying(SnakeKind::Bd, p, c, now);
     }
 
     fn on_loop(&mut self, p: Port, tok: LoopToken, now: u64, ctx: &mut Ctx) {
@@ -930,7 +907,7 @@ impl ProtocolNode {
             };
             ctx.outputs[succ.idx()].set_unmark();
             self.marks.clear();
-            self.dying_bd.reset(&mut self.pool);
+            self.reset_dying([SnakeKind::Bd]);
             self.bca = BcaState::Idle;
             if self.bca_probe {
                 ctx.events.push(TranscriptEvent::BcaComplete);
@@ -957,7 +934,7 @@ impl ProtocolNode {
                 LoopToken::Bca(_) => {}
             }
         }
-        if self.dying_bd.is_endpoint() {
+        if self.dying[lane(SnakeKind::Bd)].is_endpoint() {
             if let LoopToken::Bca(msg) = tok {
                 // We are the BCA target: capture the payload, act on it
                 // when the UNMARK reaches us and the network is clean.
@@ -973,8 +950,7 @@ impl ProtocolNode {
         if let RcaState::AwaitUnmarkReturn { after } = self.rca {
             if self.marks.pred(MarkPair::First) == Some(p) {
                 self.marks.clear();
-                self.dying_id.reset(&mut self.pool);
-                self.dying_od.reset(&mut self.pool);
+                self.reset_dying([SnakeKind::Id, SnakeKind::Od]);
                 self.rca = RcaState::Idle;
                 self.on_rca_done(after, now, ctx);
                 return;
@@ -982,9 +958,10 @@ impl ProtocolNode {
         }
         // Absorption by the BCA target: everything before us on the loop is
         // erased and all KILLs are dead — act on the payload.
-        if self.dying_bd.is_endpoint() && self.dying_bd.pred() == Some(p) {
+        let bd = &self.dying[lane(SnakeKind::Bd)];
+        if bd.is_endpoint() && bd.pred() == Some(p) {
             self.marks.clear();
-            self.dying_bd.reset(&mut self.pool);
+            self.reset_dying([SnakeKind::Bd]);
             // The endpoint always holds the payload in an undisturbed run;
             // a mutation can deliver the UNMARK without it.
             let Some(msg) = self.pending_bca.take() else {
@@ -996,20 +973,11 @@ impl ProtocolNode {
         // Ordinary forwarding: pass (speed-3) and forget the designations.
         if let Some(route) = self.marks.unmark(p) {
             ctx.outputs[route.succ.idx()].set_unmark();
-            match route.pair {
-                MarkPair::First => {
-                    self.dying_id.reset(&mut self.pool);
-                    self.dying_bd.reset(&mut self.pool);
-                }
-                MarkPair::Second => {
-                    self.dying_od.reset(&mut self.pool);
-                }
-            }
+            self.reset_dying(DYING.into_iter().filter(|&k| pair_of(k) == route.pair));
             if self.is_root {
                 // "Upon reception of this UNMARK token, the root reopens
                 // itself to IG-snakes" (step 5).
-                self.dying_od.reset(&mut self.pool);
-                self.dying_id.reset(&mut self.pool);
+                self.reset_dying([SnakeKind::Od, SnakeKind::Id]);
                 self.root_rca = RootRca::Open;
             }
         }
@@ -1072,26 +1040,22 @@ impl ProtocolNode {
             .pop_due_each(now, |kind, w| due[kind.idx()] = Some(w));
         for kind in SnakeKind::GROWING {
             let Some(w) = due[kind.idx()] else { continue };
-            match GrowEmit::unpack(w) {
-                GrowEmit::Heads => {
-                    for o in self.out_ports.iter() {
-                        outputs[o.idx()].put_snake(kind, SnakeChar::Head(Hop::star(o)));
-                    }
-                }
-                GrowEmit::Relay(c) => self.broadcast_snake(outputs, kind, c),
-                GrowEmit::Extend => {
-                    for o in self.out_ports.iter() {
-                        outputs[o.idx()].put_snake(kind, SnakeChar::Body(Hop::star(o)));
-                    }
-                }
-                GrowEmit::Tail => self.broadcast_snake(outputs, kind, SnakeChar::Tail),
+            let emit = GrowEmit::unpack(w);
+            for o in self.out_ports.iter() {
+                let c = match emit {
+                    GrowEmit::Heads => SnakeChar::Head(Hop::star(o)),
+                    GrowEmit::Relay(c) => c,
+                    GrowEmit::Extend => SnakeChar::Body(Hop::star(o)),
+                    GrowEmit::Tail => SnakeChar::Tail,
+                };
+                outputs[o.idx()].put_snake(kind, c);
             }
         }
         // Dying lanes route each character to their passage's successor
         // out-port, which is set whenever the lane holds characters.
-        for lane in [&self.dying_id, &self.dying_od, &self.dying_bd] {
-            let kind = lane.out_kind();
-            if let (Some(w), Some(port)) = (due[kind.idx()], lane.succ()) {
+        for passage in &self.dying {
+            let kind = passage.out_kind();
+            if let (Some(w), Some(port)) = (due[kind.idx()], passage.succ()) {
                 outputs[port.idx()].put_snake(kind, SnakeChar::unpack(w));
             }
         }
@@ -1189,7 +1153,9 @@ impl Automaton for ProtocolNode {
         let mut killed = false;
         if live.kill() {
             for i in 0..self.delta as usize {
-                if ctx.inputs[i].kill() && self.kill_accepted(Port(i as u8)) {
+                // a KILL is accepted only through a growing lane's parent
+                let parent = Some(Port(i as u8));
+                if ctx.inputs[i].kill() && self.grow.iter().any(|r| r.parent() == parent) {
                     killed = true;
                 }
             }
@@ -1427,10 +1393,10 @@ mod tests {
                 let (mut growing, mut dying, mut pooled) = (0, 0, 0);
                 drive(&mut engine, done, 1_000_000, |e| {
                     for n in e.nodes() {
-                        for r in [&n.ig, &n.og, &n.bg] {
+                        for r in &n.grow {
                             growing = growing.max(r.pending_len(&n.pool));
                         }
-                        for p in [&n.dying_id, &n.dying_od, &n.dying_bd] {
+                        for p in &n.dying {
                             dying = dying.max(p.pending_len(&n.pool));
                         }
                         pooled = pooled.max(n.pool.len());
@@ -1451,6 +1417,45 @@ mod tests {
                 let max_chars = engine.nodes().iter().map(|n| n.stat_max_chars()).max();
                 assert_eq!(max_chars, Some(pinned), "{at}: the high-water mark moved");
             }
+        }
+    }
+
+    #[test]
+    fn every_dying_lane_adopts_one_stream_and_drops_off_path_characters() {
+        // The ordinary passage, once per dying lane: a stray body on an
+        // idle lane is dropped, a head adopts the lane and its mark pair,
+        // and from then on only the adopted in-port feeds it — a body or
+        // a second head through another in-port leaves the node as it
+        // was. Clean runs never send an off-path character.
+        use gtd_netsim::{generators, EngineMode, NodeId};
+
+        let topo = generators::random_sc(12, 3, 4);
+        let engine = crate::runner::build_gtd_engine(&topo, EngineMode::Sparse);
+        let head = SnakeChar::Head(Hop::star(Port(2)));
+        let body = SnakeChar::Body(Hop::star(Port(1)));
+        for kind in DYING {
+            let mut n = engine.node(NodeId(1)).clone();
+            n.pass_dying(kind, Port(0), body, 0);
+            assert!(n.snake_state_pristine(), "{kind}: a stray body was kept");
+            n.pass_dying(kind, Port(0), head, 0);
+            let passage = &n.dying[lane(kind)];
+            assert_eq!(
+                (passage.pred(), passage.succ()),
+                (Some(Port(0)), Some(Port(2)))
+            );
+            let pair = pair_of(kind);
+            assert_eq!(n.marks.pred(pair), Some(Port(0)), "{kind}");
+            assert_eq!(n.marks.succ(pair), Some(Port(2)), "{kind}");
+            let adopted = format!("{n:?}");
+            n.pass_dying(kind, Port(1), body, 1);
+            n.pass_dying(kind, Port(1), head, 1);
+            assert_eq!(
+                format!("{n:?}"),
+                adopted,
+                "{kind}: an off-path character moved state"
+            );
+            n.pass_dying(kind, Port(0), body, 1);
+            assert_eq!(n.dying[lane(kind)].pending_len(&n.pool), 1, "{kind}");
         }
     }
 

@@ -61,6 +61,24 @@ pub enum PreconditionViolation {
     },
 }
 
+impl PreconditionViolation {
+    /// The model preconditions of mapping `topo` from `root`: the root
+    /// is one of its processors and the network is strongly connected.
+    /// Every mapper checks them before it runs, GTD sessions included.
+    pub fn check(topo: &Topology, root: NodeId) -> Result<(), PreconditionViolation> {
+        if root.idx() >= topo.num_nodes() {
+            return Err(PreconditionViolation::RootOutOfRange {
+                root,
+                nodes: topo.num_nodes(),
+            });
+        }
+        if !algo::is_strongly_connected(topo) {
+            return Err(PreconditionViolation::NotStronglyConnected);
+        }
+        Ok(())
+    }
+}
+
 impl std::fmt::Display for PreconditionViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -511,7 +529,6 @@ pub struct GtdSession<'a> {
     policy: RemapPolicy,
     par_shards: Option<usize>,
     fault: FaultPlane,
-    progress_window: Option<u64>,
     max_retries: u32,
     observer: Option<Observer<'a>>,
 }
@@ -530,7 +547,6 @@ impl<'a> GtdSession<'a> {
             policy: RemapPolicy::Lazy,
             par_shards: None,
             fault: FaultPlane::NONE,
-            progress_window: None,
             max_retries: 3,
             observer: None,
         }
@@ -601,16 +617,6 @@ impl<'a> GtdSession<'a> {
         self
     }
 
-    /// Wedge-detection window for [`Self::run_resilient`]: an attempt
-    /// that produces **no transcript progress** for this many ticks is
-    /// preempted and retried. Defaults to [`default_progress_window`]
-    /// scaled for the plane's wire delay; the window doubles on each
-    /// retry so persistent wedges get increasing patience.
-    pub fn progress_window(mut self, window: u64) -> Self {
-        self.progress_window = Some(window.max(1));
-        self
-    }
-
     /// How many fresh power-cycle retries a faulted run may consume
     /// after its first attempt before degrading to
     /// [`EpochStatus::Partial`] / [`EpochStatus::Exhausted`]. Each retry
@@ -627,19 +633,6 @@ impl<'a> GtdSession<'a> {
     pub fn observer(mut self, f: impl FnMut(u64, TranscriptEvent) + 'a) -> Self {
         self.observer = Some(Box::new(f));
         self
-    }
-
-    fn check_preconditions(&self) -> Result<(), PreconditionViolation> {
-        if self.root.idx() >= self.topo.num_nodes() {
-            return Err(PreconditionViolation::RootOutOfRange {
-                root: self.root,
-                nodes: self.topo.num_nodes(),
-            });
-        }
-        if !algo::is_strongly_connected(self.topo) {
-            return Err(PreconditionViolation::NotStronglyConnected);
-        }
-        Ok(())
     }
 
     /// Build a fresh engine on `topo` with the master on `root` (the
@@ -668,7 +661,7 @@ impl<'a> GtdSession<'a> {
     /// ticks unfaulted and up to `delay_max` more under the plane, so a
     /// delayed-but-lossless run still fits.
     fn stretched(&self, base: u64) -> u64 {
-        base.saturating_add(base / 3 * self.fault.delay_max)
+        base.saturating_add((base / 3).saturating_mul(self.fault.delay_max))
     }
 
     /// The effective per-run tick budget: the user's explicit budget, or
@@ -680,7 +673,7 @@ impl<'a> GtdSession<'a> {
 
     /// Run the protocol once and return the unified outcome.
     pub fn run(mut self) -> Result<RunOutcome, GtdError> {
-        self.check_preconditions()?;
+        PreconditionViolation::check(self.topo, self.root)?;
         let mut engine = self.build_engine_on(self.topo, self.root, 0);
         self.round(&mut engine)
     }
@@ -695,7 +688,7 @@ impl<'a> GtdSession<'a> {
     /// does not is a [`GtdError::Invariant`]. Zero rounds simulate
     /// nothing and return an empty list.
     pub fn run_repeated(mut self, rounds: usize) -> Result<Vec<RunOutcome>, GtdError> {
-        self.check_preconditions()?;
+        PreconditionViolation::check(self.topo, self.root)?;
         let mut engine = self.build_engine_on(self.topo, self.root, 0);
         let mut outcomes: Vec<RunOutcome> = Vec::with_capacity(rounds);
         for round in 0..rounds {
@@ -754,10 +747,11 @@ impl<'a> GtdSession<'a> {
     /// Run the protocol with **graceful degradation** under an active
     /// [`FaultPlane`]: instead of hanging on a wedge or erroring on
     /// budget exhaustion, the session watches transcript progress and
-    /// power-cycles the whole network when a configurable window
-    /// ([`Self::progress_window`]) passes without a new root event,
-    /// retrying up to [`Self::max_retries`] times with exponentially
-    /// growing patience and a re-seeded fault plane per attempt.
+    /// power-cycles the whole network when a window
+    /// ([`default_progress_window`], stretched for wire delay) passes
+    /// without a new root event, retrying up to [`Self::max_retries`]
+    /// times with exponentially growing patience and a re-seeded fault
+    /// plane per attempt.
     ///
     /// Always returns a structured [`ResilientOutcome`]:
     ///
@@ -773,11 +767,9 @@ impl<'a> GtdSession<'a> {
     /// Without an active plane it runs exactly one attempt (retries
     /// could only replay the identical deterministic run).
     pub fn run_resilient(mut self) -> Result<ResilientOutcome, GtdError> {
-        self.check_preconditions()?;
+        PreconditionViolation::check(self.topo, self.root)?;
         let budget = self.effective_budget(self.topo);
-        let window0 = self
-            .progress_window
-            .unwrap_or_else(|| self.stretched(default_progress_window(self.topo)));
+        let window0 = self.stretched(default_progress_window(self.topo));
         let strict = !self.fault.is_active();
         let retries = if strict { 0 } else { self.max_retries };
         // Holds the winning attempt, else the best partial one by edge
@@ -881,7 +873,7 @@ impl<'a> GtdSession<'a> {
     /// Deterministic across [`EngineMode`]s: all three produce identical
     /// epochs, transcripts and latencies.
     pub fn run_dynamic(mut self, schedule: &MutationSchedule) -> Result<RemapOutcome, GtdError> {
-        self.check_preconditions()?;
+        PreconditionViolation::check(self.topo, self.root)?;
         let faulted = self.fault.is_active();
         let strict = !faulted && schedule.is_empty();
         let mut tl = Timeline {

@@ -290,7 +290,8 @@ pub struct FaultPlane {
     pub loss: f64,
     /// Minimum extra delivery delay in ticks.
     pub delay_min: u64,
-    /// Maximum extra delivery delay in ticks (0 disables the delay axis).
+    /// Maximum extra delivery delay in ticks (0 disables the delay axis),
+    /// at most [`FaultPlane::MAX_DELAY`] in a valid spec.
     pub delay_max: u64,
     /// Seed for the per-character fault hash.
     pub seed: u64,
@@ -304,6 +305,11 @@ impl FaultPlane {
         delay_max: 0,
         seed: 0,
     };
+
+    /// The largest delay a spec may ask for: a million ticks, far past
+    /// any delay a run survives, and small enough that tick arithmetic
+    /// on delayed deliveries and delay-stretched budgets cannot overflow.
+    pub const MAX_DELAY: u64 = 1_000_000;
 
     /// Does this plane ever touch a character?
     pub fn is_active(&self) -> bool {
@@ -340,7 +346,10 @@ impl FaultPlane {
         if self.delay_max == 0 {
             return Some(0);
         }
-        let span = self.delay_max - self.delay_min + 1;
+        let span = self
+            .delay_max
+            .saturating_sub(self.delay_min)
+            .saturating_add(1);
         Some(self.delay_min + fault_hash(self.seed, out_slot as u64, emit, 1) % span)
     }
 }

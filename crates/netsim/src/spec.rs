@@ -501,7 +501,7 @@ impl TopologySpec {
                 fail(format!("k must be <= {MAX_DELTA} (got {k})"))
             }
             TopologySpec::BidiGridFaulty { w, h, p, .. }
-                if w * h < 2 || !(0.0..1.0).contains(&p) =>
+                if w.saturating_mul(h) < 2 || !(0.0..1.0).contains(&p) =>
             {
                 fail(format!(
                     "need w*h >= 2 and p in [0, 1) (got {w}x{h}, p={p})"
@@ -796,10 +796,11 @@ impl DynamicSpec {
                 reason: "loss must be in [0, 1]".to_string(),
             });
         }
-        if self.fault.delay_min > self.fault.delay_max {
+        let (min, max) = (self.fault.delay_min, self.fault.delay_max);
+        if let Some(reason) = delay_range_error(min, max) {
             return Err(ParseSpecError::BadFaultSuffix {
-                segment: format!("delay={}..{}", self.fault.delay_min, self.fault.delay_max),
-                reason: "delay range must satisfy min <= max".to_string(),
+                segment: format!("delay={min}..{max}"),
+                reason,
             });
         }
         Ok(())
@@ -857,6 +858,17 @@ impl fmt::Display for DynamicSpec {
     }
 }
 
+/// Why `min..max` is not a valid delay range, if it is not.
+fn delay_range_error(min: u64, max: u64) -> Option<String> {
+    if min > max {
+        Some("delay range must satisfy min <= max".to_string())
+    } else if max > FaultPlane::MAX_DELAY {
+        Some(format!("delay must be <= {} ticks", FaultPlane::MAX_DELAY))
+    } else {
+        None
+    }
+}
+
 /// Parse the `~key=value` fault segments following the base spec.
 fn parse_fault_segments<'a>(
     segments: impl Iterator<Item = &'a str>,
@@ -908,11 +920,8 @@ fn parse_fault_segments<'a>(
                         .map_err(|_| bad(segment, format!("{t:?} is not a tick count")))
                 };
                 let (min, max) = (parse_tick(lo)?, parse_tick(hi)?);
-                if min > max {
-                    return Err(bad(
-                        segment,
-                        "delay range must satisfy min <= max".to_string(),
-                    ));
+                if let Some(reason) = delay_range_error(min, max) {
+                    return Err(bad(segment, reason));
                 }
                 fault.delay_min = min;
                 fault.delay_max = max;
@@ -1118,6 +1127,7 @@ mod tests {
             "tree-loop:h=0",
             "random-sc:n=16,delta=1",
             "debruijn:2,40",
+            "bidi-grid-faulty:w=4294967296,h=4294967296,p=0",
         ] {
             let err = bad.parse::<TopologySpec>().unwrap_err();
             assert!(
@@ -1368,6 +1378,9 @@ mod tests {
             ("ring:8~loss=banana", "not a number"),
             ("ring:8~delay=3..1", "min <= max"),
             ("ring:8~delay=x..2", "not a tick count"),
+            ("ring:4~delay=0..18446744073709551615", "<= 1000000 ticks"),
+            ("ring:4~delay=18446744073709551615", "<= 1000000 ticks"),
+            ("ring:4~delay=1000001", "<= 1000000 ticks"),
             ("ring:8~jitter=2", "unknown fault knob"),
             ("ring:8~loss=0.1~loss=0.2", "given twice"),
         ] {
@@ -1408,6 +1421,14 @@ mod tests {
             spec.validate(),
             Err(ParseSpecError::BadFaultSuffix { .. })
         ));
+        spec.fault.delay_min = 0;
+        spec.fault.delay_max = u64::MAX;
+        assert!(matches!(
+            spec.validate(),
+            Err(ParseSpecError::BadFaultSuffix { .. })
+        ));
+        spec.fault.delay_max = FaultPlane::MAX_DELAY;
+        spec.validate().unwrap();
     }
 
     #[test]
