@@ -17,6 +17,7 @@
 //! diameter bound, which is exactly what makes this an *idealized*
 //! baseline).
 
+use gtd_core::PreconditionViolation;
 use gtd_netsim::{Edge, NodeId, Topology};
 use std::collections::BTreeSet;
 
@@ -34,8 +35,10 @@ pub struct FloodOutcome {
     pub records_shipped: u64,
 }
 
-/// Run the flood-echo mapper with the collector at `root`.
-pub fn flood_echo(topo: &Topology, root: NodeId) -> FloodOutcome {
+/// Run the flood-echo mapper with the collector at `root`, refusing a
+/// root or network that fails [`PreconditionViolation::check`].
+pub fn flood_echo(topo: &Topology, root: NodeId) -> Result<FloodOutcome, PreconditionViolation> {
+    PreconditionViolation::check(topo, root)?;
     let n = topo.num_nodes();
     // Round 0: learn in-edges — every processor knows (src, src_port,
     // self, in_port) for each of its in-wires after one exchange.
@@ -76,12 +79,12 @@ pub fn flood_echo(topo: &Topology, root: NodeId) -> FloodOutcome {
         );
     }
     let edges: Vec<Edge> = know[root.idx()].iter().copied().collect();
-    FloodOutcome {
+    Ok(FloodOutcome {
         rounds,
         edges,
         messages,
         records_shipped: records,
-    }
+    })
 }
 
 impl FloodOutcome {
@@ -99,7 +102,7 @@ mod tests {
     #[test]
     fn maps_ring_exactly() {
         let t = generators::ring(7);
-        let out = flood_echo(&t, NodeId(0));
+        let out = flood_echo(&t, NodeId(0)).unwrap();
         assert!(out.verify_against(&t));
         // ring diameter 6: knowledge from the far node needs 6 forward hops
         assert!(out.rounds <= 8, "rounds = {}", out.rounds);
@@ -109,8 +112,8 @@ mod tests {
     fn rounds_scale_with_diameter_not_size() {
         let small_d = generators::debruijn(2, 5); // 32 nodes, D ≈ 5
         let big_d = generators::ring(32); // 32 nodes, D = 31
-        let a = flood_echo(&small_d, NodeId(0));
-        let b = flood_echo(&big_d, NodeId(0));
+        let a = flood_echo(&small_d, NodeId(0)).unwrap();
+        let b = flood_echo(&big_d, NodeId(0)).unwrap();
         assert!(a.verify_against(&small_d));
         assert!(b.verify_against(&big_d));
         assert!(
@@ -127,7 +130,7 @@ mod tests {
     fn maps_random_networks() {
         for seed in 0..10 {
             let t = generators::random_sc(40, 3, seed);
-            let out = flood_echo(&t, NodeId(0));
+            let out = flood_echo(&t, NodeId(0)).unwrap();
             assert!(out.verify_against(&t), "seed {seed}");
             let d = algo::diameter(&t) as u64;
             assert!(out.rounds <= d + 2, "rounds {} > D+2 {}", out.rounds, d + 2);
@@ -139,7 +142,7 @@ mod tests {
         // The "win" of unbounded messages is bought with Ω(E) records per
         // wire per round — make the hidden cost visible.
         let t = generators::random_sc(40, 3, 1);
-        let out = flood_echo(&t, NodeId(0));
+        let out = flood_echo(&t, NodeId(0)).unwrap();
         assert!(out.records_shipped as usize > t.num_edges() * t.num_nodes() / 4);
     }
 }

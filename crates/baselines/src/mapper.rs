@@ -105,18 +105,15 @@ impl From<GtdError> for MapperError {
     }
 }
 
-/// A baseline mapper's run: refused with `mapper`'s
-/// [`MapperError::Precondition`] when [`PreconditionViolation::check`]
-/// fails, else `run`'s rounds, messages and edges.
+/// A baseline mapper's run from its rounds, messages and edges, or
+/// `mapper`'s [`MapperError::Precondition`] when the baseline refused
+/// the network ([`PreconditionViolation::check`]).
 fn baseline_run(
     mapper: &'static str,
-    topo: &Topology,
-    root: NodeId,
-    run: impl FnOnce() -> (u64, u64, Vec<Edge>),
+    run: Result<(u64, u64, Vec<Edge>), PreconditionViolation>,
 ) -> Result<MapperRun, MapperError> {
-    PreconditionViolation::check(topo, root)
-        .map_err(|violation| MapperError::Precondition { mapper, violation })?;
-    let (rounds, messages, edges) = run();
+    let (rounds, messages, edges) =
+        run.map_err(|violation| MapperError::Precondition { mapper, violation })?;
     Ok(MapperRun {
         rounds,
         messages: Some(messages),
@@ -415,10 +412,8 @@ impl TopologyMapper for FloodEchoMapper {
     }
 
     fn map_network(&self, topo: &Topology, root: NodeId) -> Result<MapperRun, MapperError> {
-        baseline_run(self.name(), topo, root, || {
-            let out = flood_echo(topo, root);
-            (out.rounds, out.messages, out.edges)
-        })
+        let run = flood_echo(topo, root).map(|out| (out.rounds, out.messages, out.edges));
+        baseline_run(self.name(), run)
     }
 }
 
@@ -433,10 +428,8 @@ impl TopologyMapper for RoutedDfsMapper {
     }
 
     fn map_network(&self, topo: &Topology, root: NodeId) -> Result<MapperRun, MapperError> {
-        baseline_run(self.name(), topo, root, || {
-            let out = source_routed_dfs(topo, root);
-            (out.rounds, out.messages, out.edges)
-        })
+        let run = source_routed_dfs(topo, root).map(|out| (out.rounds, out.messages, out.edges));
+        baseline_run(self.name(), run)
     }
 }
 
@@ -522,6 +515,11 @@ mod tests {
                 assert_eq!(mapper.map_network(topo, root).unwrap_err(), want);
                 assert_eq!(dynamic.unwrap_err(), want);
             }
+        }
+        // The free functions behind the baselines refuse the same cases.
+        for &(topo, root, violation) in &cases {
+            assert_eq!(flood_echo(topo, root).unwrap_err(), violation);
+            assert_eq!(source_routed_dfs(topo, root).unwrap_err(), violation);
         }
         assert_eq!(
             MapperError::Precondition {

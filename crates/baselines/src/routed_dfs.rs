@@ -13,6 +13,7 @@
 //! dwells, KILL floods and UNMARK circuits cost, and the O(N·D̄) extra a
 //! per-move RCA report would add.
 
+use gtd_core::PreconditionViolation;
 use gtd_netsim::{algo, Edge, NodeId, Topology};
 
 /// Result of a source-routed DFS run.
@@ -31,8 +32,13 @@ pub struct RoutedDfsOutcome {
     pub messages: u64,
 }
 
-/// Run the unbounded-memory DFS mapper from `root`.
-pub fn source_routed_dfs(topo: &Topology, root: NodeId) -> RoutedDfsOutcome {
+/// Run the unbounded-memory DFS mapper from `root`, refusing a root or
+/// network that fails [`PreconditionViolation::check`].
+pub fn source_routed_dfs(
+    topo: &Topology,
+    root: NodeId,
+) -> Result<RoutedDfsOutcome, PreconditionViolation> {
+    PreconditionViolation::check(topo, root)?;
     let n = topo.num_nodes();
     let e = topo.num_edges() as u64;
     let mut visited = vec![false; n];
@@ -84,13 +90,13 @@ pub fn source_routed_dfs(topo: &Topology, root: NodeId) -> RoutedDfsOutcome {
         }
     }
     edges.sort_unstable();
-    RoutedDfsOutcome {
+    Ok(RoutedDfsOutcome {
         rounds,
         edges,
         forward_moves,
         backward_moves,
         messages,
-    }
+    })
 }
 
 impl RoutedDfsOutcome {
@@ -108,7 +114,7 @@ mod tests {
     #[test]
     fn maps_ring_exactly() {
         let t = generators::ring(6);
-        let out = source_routed_dfs(&t, NodeId(0));
+        let out = source_routed_dfs(&t, NodeId(0)).unwrap();
         assert!(out.verify_against(&t));
         assert_eq!(out.forward_moves, 6);
         // every forward traversal is answered by exactly one backward move
@@ -119,7 +125,7 @@ mod tests {
     fn maps_random_networks() {
         for seed in 0..15 {
             let t = generators::random_sc(50, 3, seed);
-            let out = source_routed_dfs(&t, NodeId(0));
+            let out = source_routed_dfs(&t, NodeId(0)).unwrap();
             assert!(out.verify_against(&t), "seed {seed}");
             assert_eq!(out.forward_moves as usize, t.num_edges());
             assert_eq!(out.backward_moves as usize, t.num_edges());
@@ -132,7 +138,7 @@ mod tests {
             let t = generators::random_sc(40, 3, seed);
             let d = algo::diameter(&t) as u64;
             let e = t.num_edges() as u64;
-            let out = source_routed_dfs(&t, NodeId(0));
+            let out = source_routed_dfs(&t, NodeId(0)).unwrap();
             assert!(
                 out.rounds <= e * (d + 1),
                 "rounds {} > E(D+1) {}",
@@ -150,7 +156,7 @@ mod tests {
             b.connect_auto(NodeId(u), NodeId(v)).unwrap();
         }
         let t = b.build().unwrap();
-        let out = source_routed_dfs(&t, NodeId(0));
+        let out = source_routed_dfs(&t, NodeId(0)).unwrap();
         assert!(out.verify_against(&t));
     }
 }

@@ -796,7 +796,7 @@ impl<'a> GtdSession<'a> {
             };
             let end = ep.advance(&mut engine, limits, &mut self.observer)?;
             let (status, ticks, map) = ep.finish(end, &mut engine, self.topo, self.root, 0)?;
-            out.total_ticks += engine.tick_count();
+            out.total_ticks = out.total_ticks.saturating_add(engine.tick_count());
             let (grade, map) = match status {
                 EpochStatus::Verified => (status, map),
                 _ => ep.salvage(map),
@@ -1929,6 +1929,62 @@ mod tests {
         assert_eq!(res.stats.retries, 2);
         assert!(res.attempts.iter().all(|a| a.status == EpochStatus::Wedged));
         assert!(res.stats.fault_dropped > 0);
+    }
+
+    /// A plane built directly, past the parser's delay cap, delays every
+    /// character to the end of time: the due tick saturates instead of
+    /// overflowing, the run ends in a structured verdict, and the engine
+    /// and the oracle hold the same characters tick by tick.
+    #[test]
+    fn a_delay_near_the_end_of_time_saturates() {
+        use gtd_netsim::{oracle::Oracle, NodeMeta};
+        let topo = generators::ring(4);
+        let plane = FaultPlane {
+            loss: 0.0,
+            delay_min: u64::MAX - 1,
+            delay_max: u64::MAX,
+            seed: 5,
+        };
+        let res = GtdSession::on(&topo)
+            .faults(plane)
+            .max_retries(1)
+            .run_resilient()
+            .unwrap();
+        assert_eq!(res.status, EpochStatus::Exhausted);
+        assert!(res.attempts.iter().all(|a| a.status == EpochStatus::Wedged));
+        assert!(res.stats.fault_delayed > 0);
+        let mut node = |meta: NodeMeta| {
+            let start = if meta.is_root {
+                StartBehavior::GtdRoot
+            } else {
+                StartBehavior::Passive
+            };
+            ProtocolNode::new(&meta, start)
+        };
+        // The plane goes in once half the processors hold a character,
+        // so its first tick takes the saturated path's delay arm and the
+        // ticks after it the event path's.
+        let mut oracle = Oracle::new(&topo, NodeId(0), &mut node);
+        let mut engine = Engine::new(&topo, EngineMode::Sparse, node);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        while engine.signals_in_flight() < 2 {
+            oracle.tick(&mut a);
+            engine.tick(&mut b);
+        }
+        assert_eq!(a, b);
+        oracle.set_fault_plane(plane);
+        engine.set_fault_plane(plane);
+        for _ in 0..50 {
+            oracle.tick(&mut a);
+            engine.tick(&mut b);
+            assert_eq!(a, b, "tick {}", engine.tick_count());
+            assert_eq!(
+                oracle.faults(),
+                (engine.fault_dropped(), engine.fault_delayed())
+            );
+            assert_eq!(oracle.signals_in_flight(), engine.signals_in_flight());
+        }
+        assert!(engine.fault_delayed() > 0 && !engine.is_quiet());
     }
 
     #[test]

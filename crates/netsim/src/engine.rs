@@ -44,9 +44,10 @@
 use crate::ids::{NodeId, Port, PortMask};
 use crate::mutation::MembershipChange;
 use crate::pool::{PhaseFn, WorkerPool};
-use crate::topology::Topology;
+use crate::topology::{Topology, Wiring};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Static facts a processor knows about itself at power-on: which of its
 /// ports are wired (in-/out-port awareness, §1.2.1) and whether it is the
@@ -438,7 +439,7 @@ fn available_cores() -> usize {
 /// scratch (per-shard event buffers and step lists, frontier worklists,
 /// timer structures, cross-shard lanes) is reused across ticks, the
 /// worker pool is pre-spawned and coordinated by atomics, and topology
-/// mutations reuse the route-table rebuild buffers (`apply_scratch`).
+/// mutations reuse the invalidation rebuild buffers (`apply_scratch`).
 pub struct Engine<A: Automaton> {
     delta: usize,
     root: NodeId,
@@ -448,13 +449,12 @@ pub struct Engine<A: Automaton> {
     in_buf: Vec<A::Sig>,
     /// `out_buf[n*δ + o]` — signal written on out-port `o` of node `n`.
     out_buf: Vec<A::Sig>,
-    /// For each in-slot, the out-slot feeding it (saturated gather): a
-    /// copy of the topology's in-slot table.
-    route_in: Vec<u32>,
-    /// For each out-slot, the in-slot it feeds (event scatter): a copy of
-    /// the topology's out-slot table. Bijective on wired slots — which is
-    /// what makes cross-shard in-slot writes race-free.
-    route_out: Vec<u32>,
+    /// The route tables, shared with the topology the engine runs:
+    /// `ins[slot]` is the out-slot feeding an in-slot (saturated gather),
+    /// `outs[slot]` the in-slot an out-slot feeds (event scatter).
+    /// `outs` is bijective on wired slots — which is what makes
+    /// cross-shard in-slot writes race-free.
+    wiring: Arc<Wiring>,
     /// `wake_at[n]` — earliest tick node `n` asked to be stepped at
     /// ([`NO_WAKE`] = no request). The authoritative deadline store; the
     /// shard timer structures are only an index over it.
@@ -483,9 +483,9 @@ pub struct Engine<A: Automaton> {
     pool: Option<WorkerPool>,
     /// Per-shard event buffers, drained every tick.
     event_bufs: Vec<EventBuf<A::Event>>,
-    /// Route-table and invalidation rebuild buffers for
-    /// [`Engine::apply_topology_with`], reused across mutations so
-    /// mutation-dense schedules don't reallocate per event.
+    /// Invalidation rebuild buffers for [`Engine::apply_topology_with`],
+    /// reused across mutations so mutation-dense schedules don't
+    /// reallocate per event.
     apply_scratch: ApplyScratch<A::Sig>,
     /// The unreliable-wire model, when one is interposed
     /// ([`Engine::set_fault_plane`]); `None` on the reliable path.
@@ -523,8 +523,6 @@ impl<E> EventBuf<E> {
 
 /// Reusable buffers for the atomic rewire path.
 struct ApplyScratch<S> {
-    route_in: Vec<u32>,
-    route_out: Vec<u32>,
     in_buf: Vec<S>,
     wake_at: Vec<u64>,
     inv: Vec<Option<usize>>,
@@ -533,8 +531,6 @@ struct ApplyScratch<S> {
 impl<S> Default for ApplyScratch<S> {
     fn default() -> Self {
         ApplyScratch {
-            route_in: Vec::new(),
-            route_out: Vec::new(),
             in_buf: Vec::new(),
             wake_at: Vec::new(),
             inv: Vec::new(),
@@ -553,7 +549,9 @@ impl<S> Default for ApplyScratch<S> {
 /// writes only (a) state owned by its shard index, or (b) `in_buf` slots
 /// reached through `route_out`, which is bijective on wired slots so no
 /// two shards ever write the same slot. Phases are separated by pool
-/// barriers, so no read races a foreign write.
+/// barriers, so no read races a foreign write. The route tables are the
+/// topology's shared [`Wiring`], which nothing writes once built, and
+/// the engine's own handle keeps them alive for the whole dispatch.
 struct ParCtx<A: Automaton> {
     nodes: *mut A,
     in_buf: *mut A::Sig,
@@ -692,7 +690,7 @@ unsafe fn shard_scatter<A: Automaton>(ctx: *const (), s: usize) {
                     Some(0) => {}
                     Some(d) => {
                         (*c.fault.add(s)).delayed.push(Delayed {
-                            due: c.tick + 1 + d,
+                            due: (c.tick + 1).saturating_add(d),
                             in_slot: r,
                             emit: c.tick,
                             sig,
@@ -839,7 +837,7 @@ unsafe fn shard_gather<A: Automaton>(ctx: *const (), s: usize) {
                     Some(0) => {}
                     Some(d) => {
                         (*c.fault.add(s)).delayed.push(Delayed {
-                            due: c.tick + 1 + d,
+                            due: (c.tick + 1).saturating_add(d),
                             in_slot: in_slot as u32,
                             emit: c.tick,
                             sig,
@@ -957,8 +955,7 @@ impl<A: Automaton> Engine<A> {
             nodes,
             in_buf: vec![A::Sig::default(); n * delta],
             out_buf: vec![A::Sig::default(); n * delta],
-            route_in: topo.in_slots().to_vec(),
-            route_out: topo.out_slots().to_vec(),
+            wiring: Arc::clone(topo.wiring()),
             // Arm every wake for tick 0 (the power-on step).
             wake_at: vec![0; n],
             has_input: vec![false; n],
@@ -1101,8 +1098,7 @@ impl<A: Automaton> Engine<A> {
     /// — the live half of a topology mutation (paper §1: "the topology …
     /// might change").
     ///
-    /// * Route tables are rebuilt from the new wiring (into buffers reused
-    ///   across mutations — no per-event allocation once warmed).
+    /// * The engine adopts `new_topo`'s shared route tables (no copy).
     /// * In-flight signals are invalidated on every wire that was removed
     ///   or re-sourced: a character already delivered for the coming tick
     ///   survives only if the identical wire (same out-slot → same
@@ -1189,12 +1185,7 @@ impl<A: Automaton> Engine<A> {
                 inv.extend((0..new_n).map(|i| Some(if i < x { i } else { i + 1 })));
             }
         }
-        let route_in = &mut scratch.route_in;
-        let route_out = &mut scratch.route_out;
-        route_in.clear();
-        route_in.extend_from_slice(new_topo.in_slots());
-        route_out.clear();
-        route_out.extend_from_slice(new_topo.out_slots());
+        let (old_wires, new_wires) = (&*self.wiring, &**new_topo.wiring());
         // Carry in-flight characters across wires that connect the same
         // physical processors through the same ports; every removed or
         // re-sourced wire loses its character.
@@ -1203,7 +1194,7 @@ impl<A: Automaton> Engine<A> {
         in_buf.clear();
         in_buf.resize(new_n * delta, A::Sig::default());
         for (slot, dst) in in_buf.iter_mut().enumerate() {
-            let r = route_in[slot];
+            let r = new_wires.ins[slot];
             if r == NO_ROUTE {
                 continue;
             }
@@ -1213,7 +1204,7 @@ impl<A: Automaton> Engine<A> {
             };
             let old_in_slot = old_dst * delta + slot % delta;
             let old_out_slot = (old_src * delta + r as usize % delta) as u32;
-            if self.route_in[old_in_slot] == old_out_slot && self.in_buf[old_in_slot] != blank {
+            if old_wires.ins[old_in_slot] == old_out_slot && self.in_buf[old_in_slot] != blank {
                 *dst = self.in_buf[old_in_slot];
             }
         }
@@ -1254,8 +1245,9 @@ impl<A: Automaton> Engine<A> {
             let Some(old_id) = old else { continue };
             let changed = (0..delta).any(|p| {
                 let (old_slot, new_slot) = (old_id * delta + p, new_id * delta + p);
-                (self.route_out[old_slot] == NO_ROUTE) != (route_out[new_slot] == NO_ROUTE)
-                    || (self.route_in[old_slot] == NO_ROUTE) != (route_in[new_slot] == NO_ROUTE)
+                (old_wires.outs[old_slot] == NO_ROUTE) != (new_wires.outs[new_slot] == NO_ROUTE)
+                    || (old_wires.ins[old_slot] == NO_ROUTE)
+                        != (new_wires.ins[new_slot] == NO_ROUTE)
             });
             if changed {
                 let id = NodeId(new_id as u32);
@@ -1269,10 +1261,9 @@ impl<A: Automaton> Engine<A> {
                 wake_at[new_id] = wake_at[new_id].min(self.tick);
             }
         }
-        // Swap the rebuilt tables in; the displaced buffers become the
-        // next mutation's scratch.
-        std::mem::swap(&mut self.route_in, route_in);
-        std::mem::swap(&mut self.route_out, route_out);
+        // Adopt the new wiring and swap the rebuilt tables in; the
+        // displaced buffers become the next mutation's scratch.
+        self.wiring = Arc::clone(new_topo.wiring());
         std::mem::swap(&mut self.in_buf, in_buf);
         std::mem::swap(&mut self.wake_at, wake_at);
         self.apply_scratch = scratch;
@@ -1527,8 +1518,8 @@ impl<A: Automaton> Engine<A> {
             wake_at: self.wake_at.as_mut_ptr(),
             has_input: self.has_input.as_mut_ptr(),
             shards: self.shards.as_mut_ptr(),
-            route_in: self.route_in.as_ptr(),
-            route_out: self.route_out.as_ptr(),
+            route_in: self.wiring.ins.as_ptr(),
+            route_out: self.wiring.outs.as_ptr(),
             num_shards: self.shards.len(),
             chunk: self.chunk,
             delta: self.delta,
@@ -2298,6 +2289,26 @@ mod tests {
         assert_eq!(eng.signals_in_flight(), 1);
         let events = run_to_quiet(&mut eng);
         assert_eq!(events.len(), 5, "the full hop chain still completes");
+    }
+
+    /// The engine routes through its topology's own slot tables, never a
+    /// copy: at build, after a rewire (which adopts the new tables), and
+    /// through a clone of the topology.
+    #[test]
+    fn the_engine_reads_the_topologys_tables_in_place() {
+        let topo = generators::ring(4);
+        let clone = topo.clone();
+        assert!(Arc::ptr_eq(clone.wiring(), topo.wiring()));
+        for mode in [EngineMode::Dense, EngineMode::Sparse, EngineMode::Parallel] {
+            let mut eng = Engine::new(&clone, mode, hopper_factory);
+            assert!(Arc::ptr_eq(&eng.wiring, topo.wiring()), "{mode:?} at build");
+            let new = ring4_rerouted();
+            eng.apply_topology_with(&new, MembershipChange::None, &mut hopper_factory);
+            assert!(Arc::ptr_eq(&eng.wiring, new.wiring()), "{mode:?} rewired");
+            let ctx = eng.par_ctx();
+            assert_eq!(ctx.route_in, new.wiring().ins.as_ptr());
+            assert_eq!(ctx.route_out, new.wiring().outs.as_ptr());
+        }
     }
 
     #[test]

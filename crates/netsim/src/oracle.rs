@@ -123,7 +123,7 @@ impl<A: Automaton> Oracle<A> {
                     (sig, Some(0)) => self.inputs[v][i] = sig,
                     (sig, Some(d)) => {
                         self.faults.1 += 1;
-                        self.held.push((t + 1 + d, v, i, t, sig));
+                        self.held.push(((t + 1).saturating_add(d), v, i, t, sig));
                     }
                 }
             }

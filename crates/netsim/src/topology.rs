@@ -15,13 +15,16 @@
 //! in-slot that out-port `o` of `v` feeds, `ins[v·δ + i]` the out-slot
 //! feeding in-port `i` of `v`, and [`UNWIRED`] marks a free port. A δ=3
 //! network costs 24 bytes per node. The builder writes these tables, the
-//! finished topology keeps them, and the engine copies them as its route
-//! tables, so the wiring has one format from generator to tick. An
-//! endpoint is `slot / δ` and `slot % δ`, so lookups are O(1); degrees and
-//! masks read a node's δ slots. The query API below exposes thin views
+//! finished topology keeps them behind one shared, immutable handle, and
+//! every clone of the topology and every engine built over it reads that
+//! same allocation as its route tables, so the wiring has one format,
+//! held once, from generator to tick. An endpoint is `slot / δ` and
+//! `slot % δ`, so lookups are O(1); degrees and masks read a node's δ
+//! slots. The query API below exposes thin views
 //! (iterators and O(1) lookups) over these arrays; nothing allocates.
 
 use crate::ids::{Endpoint, NodeId, Port, PortMask};
+use std::sync::Arc;
 
 /// Largest supported port bound δ. Connectivity masks are single 64-bit
 /// words ([`PortMask`]); the paper's δ is a small constant, so this is not
@@ -89,23 +92,32 @@ impl std::fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
+/// A finished network's two slot tables, shared by every clone of its
+/// [`Topology`] and by every engine built over it; nothing writes them
+/// once [`TopologyBuilder::build`] has wrapped them.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub(crate) struct Wiring {
+    /// `outs[v·δ + o]` = the in-slot fed by out-port `o` of `v`, or
+    /// [`UNWIRED`].
+    pub(crate) outs: Vec<u32>,
+    /// `ins[v·δ + i]` = the out-slot feeding in-port `i` of `v`, or
+    /// [`UNWIRED`].
+    pub(crate) ins: Vec<u32>,
+}
+
 /// An immutable, validated network topology.
 ///
 /// Construct one through [`TopologyBuilder`] or the generators in
 /// [`crate::generators`]. Validation guarantees: at least two processors,
 /// every processor has ≥ 1 connected in-port and ≥ 1 connected out-port
 /// (required by the model, §1.1), no self-loops, and all port numbers < δ.
+/// Cloning is O(1): clones share the slot tables.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Topology {
     delta: u8,
     n: u32,
     edges: usize,
-    /// `outs[v·δ + o]` = the in-slot fed by out-port `o` of `v`, or
-    /// [`UNWIRED`].
-    outs: Vec<u32>,
-    /// `ins[v·δ + i]` = the out-slot feeding in-port `i` of `v`, or
-    /// [`UNWIRED`].
-    ins: Vec<u32>,
+    wiring: Arc<Wiring>,
 }
 
 impl Topology {
@@ -132,16 +144,10 @@ impl Topology {
         (0..self.n).map(NodeId)
     }
 
-    /// The out-slot table: entry `v·δ + o` is the in-slot out-port `o` of
-    /// `v` feeds, or [`UNWIRED`].
-    pub(crate) fn out_slots(&self) -> &[u32] {
-        &self.outs
-    }
-
-    /// The in-slot table: entry `v·δ + i` is the out-slot feeding in-port
-    /// `i` of `v`, or [`UNWIRED`].
-    pub(crate) fn in_slots(&self) -> &[u32] {
-        &self.ins
+    /// The shared slot tables; an engine keeps a clone of this handle as
+    /// its route tables.
+    pub(crate) fn wiring(&self) -> &Arc<Wiring> {
+        &self.wiring
     }
 
     /// `node`'s δ slots in `table`.
@@ -190,26 +196,26 @@ impl Topology {
     /// The remote endpoint fed by `node`'s out-port `port`, if wired.
     #[inline]
     pub fn out_endpoint(&self, node: NodeId, port: Port) -> Option<Endpoint> {
-        self.lookup(&self.outs, node, port)
+        self.lookup(&self.wiring.outs, node, port)
     }
 
     /// The remote endpoint feeding `node`'s in-port `port`, if wired.
     #[inline]
     pub fn in_endpoint(&self, node: NodeId, port: Port) -> Option<Endpoint> {
-        self.lookup(&self.ins, node, port)
+        self.lookup(&self.wiring.ins, node, port)
     }
 
     /// Out-port connectivity of a node as a bitmask (out-port awareness,
     /// §1.2.1). Bit `o` set ⇔ out-port `o` is wired.
     #[inline]
     pub fn out_mask(&self, node: NodeId) -> PortMask {
-        Self::mask(self.row(&self.outs, node))
+        Self::mask(self.row(&self.wiring.outs, node))
     }
 
     /// In-port connectivity of a node as a bitmask (in-port awareness, §1.2.1).
     #[inline]
     pub fn in_mask(&self, node: NodeId) -> PortMask {
-        Self::mask(self.row(&self.ins, node))
+        Self::mask(self.row(&self.wiring.ins, node))
     }
 
     /// Out-port connectivity flags of a node, one `bool` per port `0..δ`,
@@ -241,13 +247,13 @@ impl Topology {
     /// Out-neighbours of a node as `(out-port, remote endpoint)` pairs, in
     /// ascending port order.
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = (Port, Endpoint)> + '_ {
-        self.wired(self.row(&self.outs, node))
+        self.wired(self.row(&self.wiring.outs, node))
     }
 
     /// In-neighbours of a node as `(in-port, remote endpoint)` pairs, in
     /// ascending port order.
     pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = (Port, Endpoint)> + '_ {
-        self.wired(self.row(&self.ins, node))
+        self.wired(self.row(&self.wiring.ins, node))
     }
 
     /// Every wire in the network, in `(src node, src port)` order, as a
@@ -339,7 +345,8 @@ impl Topology {
 /// which keeps generator output deterministic in edge-insertion order.
 ///
 /// The builder writes [`Topology`]'s two slot tables directly, and
-/// [`TopologyBuilder::build`] moves them into the finished network.
+/// [`TopologyBuilder::build`] moves them, uncopied, into the finished
+/// network's shared handle.
 /// Per-node wired-port counts sit beside the tables, so free-port queries
 /// such as [`TopologyBuilder::can_connect`] are O(1) and never touch them.
 /// While every node's ports have been wired in order (always, unless an
@@ -595,8 +602,10 @@ impl TopologyBuilder {
             delta: self.delta,
             n: self.n as u32,
             edges: self.out_used.iter().map(|&c| c as usize).sum(),
-            outs: self.outs,
-            ins: self.ins,
+            wiring: Arc::new(Wiring {
+                outs: self.outs,
+                ins: self.ins,
+            }),
         }
     }
 
@@ -865,25 +874,27 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(0x7661_6c69_6461_7465);
         let mut outcomes = BTreeMap::new();
         for case in 0..4000 {
+            // Copy-on-write: the corruption never reaches `base`'s tables.
             let mut t = base.clone();
+            let w = Arc::make_mut(&mut t.wiring);
             let slot = |rng: &mut DetRng| rng.random_range(0..slots);
             let (s, r) = (slot(&mut rng) as usize, slot(&mut rng));
             let table = if rng.random_bool(0.5) {
-                &mut t.outs
+                &mut w.outs
             } else {
-                &mut t.ins
+                &mut w.ins
             };
             match rng.random_range(0..5) {
                 0 => table[s] = UNWIRED,
                 1 => {
-                    if t.outs[s] != UNWIRED {
-                        t.ins[t.outs[s] as usize] = UNWIRED;
+                    if w.outs[s] != UNWIRED {
+                        w.ins[w.outs[s] as usize] = UNWIRED;
                     }
-                    t.outs[s] = UNWIRED;
+                    w.outs[s] = UNWIRED;
                 }
                 2 => table[s] = rng.random_range(slots..UNWIRED),
                 3 => table[s] = r,
-                _ => (t.outs[s], t.ins[r as usize]) = (r, s as u32),
+                _ => (w.outs[s], w.ins[r as usize]) = (r, s as u32),
             }
             let expected = reference(&t);
             assert_eq!(t.validate(), expected, "case {case}");

@@ -112,7 +112,7 @@ fn gtd_and_routed_dfs_walk_the_same_number_of_edges() {
     // must both equal E exactly.
     let topo = generators::random_sc(25, 4, 2);
     let run = gtd::GtdSession::on(&topo).run().unwrap();
-    let b2 = gtd::baselines::source_routed_dfs(&topo, NodeId(0));
+    let b2 = gtd::baselines::source_routed_dfs(&topo, NodeId(0)).unwrap();
     assert_eq!(run.stats.edges_reported() as u64, b2.forward_moves);
     assert_eq!(b2.forward_moves as usize, topo.num_edges());
 }
