@@ -185,6 +185,12 @@ impl CellSpec {
                 Err(e) => Err(CellError::from(e)),
             },
         };
+        self.record(topo, result)
+    }
+
+    /// This cell's record of `result`, run against `topo`, its base
+    /// topology.
+    pub fn record(&self, topo: &Topology, result: Result<CellOutcome, CellError>) -> RunRecord {
         RunRecord {
             spec: self.spec.to_string(),
             mapper: self.mapper.clone(),
@@ -221,24 +227,16 @@ impl CellSpec {
         });
         match rx.recv_timeout(limit) {
             Ok(record) => record,
-            Err(_) => RunRecord {
-                spec: self.spec.to_string(),
-                mapper: self.mapper.clone(),
-                mode: self.mode,
-                policy: self.policy,
-                root: self.root,
-                rep: self.rep,
-                nodes: topo.num_nodes(),
-                edges: topo.num_edges(),
-                budget: self.budget,
-                result: Err(CellError {
+            Err(_) => self.record(
+                topo,
+                Err(CellError {
                     kind: "cell-timeout",
                     message: format!(
                         "cell exceeded the {} ms wall-clock timeout",
                         limit.as_millis()
                     ),
                 }),
-            },
+            ),
         }
     }
 }

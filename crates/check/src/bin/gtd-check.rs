@@ -2,7 +2,8 @@
 //!
 //! Subcommands:
 //!
-//! * `lint` — the repo-specific lint pass (same as `gtd-lint`).
+//! * `lint [--root DIR]` — the repo-specific lint pass over the workspace
+//!   at `DIR` (default: the one this binary was built from).
 //! * `model` — bounded-exhaustive model check of the coordinator brain.
 //! * `sanitize` — Miri and ThreadSanitizer passes, detected at runtime
 //!   and skipped with a visible notice when the toolchain lacks them.
@@ -18,7 +19,14 @@ use std::time::Instant;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let ok = match args.first().map(String::as_str) {
-        Some("lint") => run_lint(&workspace_root()),
+        Some("lint") => match args.get(1..) {
+            Some([]) => run_lint(&workspace_root()),
+            Some([flag, dir]) if flag == "--root" => run_lint(std::path::Path::new(dir)),
+            _ => {
+                eprintln!("gtd-check lint: usage: gtd-check lint [--root DIR]");
+                false
+            }
+        },
         Some("model") => match parse_model_args(&args[1..]) {
             Some((cfg, floor)) => run_model(cfg, floor),
             None => false,
@@ -34,7 +42,7 @@ fn main() -> ExitCode {
             println!(
                 "gtd-check <command>\n\n\
                  commands:\n  \
-                 lint      run the repo-specific lint rules (also: gtd-lint)\n  \
+                 lint      run the repo-specific lint rules [--root DIR]\n  \
                  model     bounded-exhaustive model check of the coordinator brain\n  \
                  sanitize  Miri + ThreadSanitizer passes (skipped without the toolchain)\n  \
                  ci        lint + model + sanitize\n  \
@@ -60,11 +68,17 @@ fn workspace_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
+/// Lint the workspace at `root` against its `lint.allow`. Clean means
+/// zero unsuppressed violations *and* zero stale allow entries; each
+/// finding names `rule: file:line` so CI logs point straight at it.
 fn run_lint(root: &std::path::Path) -> bool {
     let ws = match gtd_check::lint::Workspace::load(root) {
         Ok(ws) => ws,
         Err(e) => {
-            eprintln!("gtd-check lint: cannot load workspace: {e}");
+            eprintln!(
+                "gtd-check lint: cannot load workspace at {}: {e}",
+                root.display()
+            );
             return false;
         }
     };
@@ -75,14 +89,19 @@ fn run_lint(root: &std::path::Path) -> bool {
         println!("{v}");
     }
     for a in &outcome.stale {
+        let substring = a.substring.as_deref().map(|s| format!(" {s}"));
         println!(
-            "stale-allow: lint.allow:{}: `{} {}` matched nothing — remove it",
-            a.line, a.rule, a.file
+            "stale-allow: lint.allow:{}: `{} {}{}` matched nothing — remove it",
+            a.line,
+            a.rule,
+            a.file,
+            substring.unwrap_or_default()
         );
     }
     println!(
-        "lint: {} file(s), {} violation(s), {} suppressed, {} stale",
+        "gtd-check lint: {} file(s), {} rule(s), {} violation(s), {} suppressed, {} stale allow(s)",
         outcome.files_scanned,
+        gtd_check::LINT_RULES.len(),
         outcome.violations.len(),
         outcome.suppressed,
         outcome.stale.len()
@@ -321,7 +340,7 @@ fn run_loc(root: &std::path::Path) -> bool {
 }
 
 fn list() {
-    println!("lint rules (gtd-lint, allowlist: lint.allow):");
+    println!("lint rules (gtd-check lint, allowlist: lint.allow):");
     for rule in gtd_check::LINT_RULES {
         println!("  {:<24} {}", rule.name, rule.summary);
     }

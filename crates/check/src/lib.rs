@@ -11,13 +11,14 @@
 //!   adversarial event alphabet with state-hash pruning, an invariant
 //!   battery ([`model::INVARIANTS`]), and a mutant matrix proving each
 //!   invariant can actually fail.
-//! * [`lint`] + [`lexer`] — `gtd-lint`, token-level repo-specific
-//!   static analysis with a reviewed allowlist (`lint.allow`).
+//! * [`lint`] + [`lexer`] — `gtd-check lint`, token-level repo-specific
+//!   static analysis with a reviewed allowlist (`lint.allow`): each
+//!   token rule is one row of [`LINT_RULES`].
 //!
 //! Plus [`loc`], the non-test line count the ROADMAP reports.
 //!
-//! Binaries: `gtd-lint` (the lint pass alone) and `gtd-check`
-//! (`lint` / `model` / `sanitize` / `ci` / `loc` / `list`).
+//! Binary: `gtd-check` (`lint` / `model` / `sanitize` / `ci` / `loc` /
+//! `list`).
 
 pub mod brain;
 pub mod lexer;

@@ -1,11 +1,14 @@
-//! `gtd-lint`: repo-specific, token-level static analysis.
+//! The lint pass behind `gtd-check lint`: repo-specific, token-level
+//! static analysis.
 //!
 //! Each rule in [`LINT_RULES`] encodes an invariant of *this* codebase
 //! that the compiler cannot see — hot paths that must not allocate,
 //! wire-facing modules that must not panic on untrusted bytes,
 //! registries that must stay in sync with the grammars and docs that
 //! describe them. Rules scan [scrubbed](crate::lexer::scrub) source, so
-//! comments and string literals cannot trip (or hide) a finding.
+//! comments and string literals cannot trip (or hide) a finding. A token
+//! rule is one table row (tokens, scanned paths, scoped fns, message) that
+//! [`lint`] runs; only `registry-sync` has its own pass.
 //!
 //! Suppressions live in a reviewed `lint.allow` file at the workspace
 //! root, one entry per line (`rule path [substring]`); entries that
@@ -16,14 +19,27 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// A registered lint rule (the registry feeds `harness list`, the README
-/// table, and `gtd-lint`'s own output).
+/// table, and `gtd-check lint`'s own output). A token rule fires on any
+/// of its `tokens` in the files under `paths` (minus `#[cfg(test)]`
+/// regions) and in the bodies of its scoped fns; `registry-sync` has no
+/// token spec and is checked by its own pass.
 pub struct LintRule {
     pub name: &'static str,
     pub summary: &'static str,
     pub rationale: &'static str,
+    /// Scrubbed-source tokens that fire the rule.
+    pub tokens: &'static [&'static str],
+    /// Path prefixes scanned whole, test regions excepted.
+    pub paths: &'static [&'static str],
+    /// `(file, fns)`: scan only these fn bodies. A scoped fn that no
+    /// longer exists is itself a violation (a renamed or split hot path
+    /// must not silently disarm the rule); a missing *file* is skipped
+    /// so rule tests can build partial synthetic workspaces.
+    pub scopes: &'static [(&'static str, &'static [&'static str])],
+    pub message: &'static str,
 }
 
-/// Every rule, in run order.
+/// Every rule, in the order `harness list` and `gtd-check list` print.
 pub const LINT_RULES: &[LintRule] = &[
     LintRule {
         name: "no-alloc-in-tick-path",
@@ -35,6 +51,62 @@ pub const LINT_RULES: &[LintRule] = &[
                     measures; one stray format!/clone turns the profile to noise — \
                     and the remap/verify paths re-query the topology every epoch, \
                     so its connectivity views must stay allocation-free too",
+        // Tokens that allocate (or deep-copy) on the heap.
+        tokens: &[
+            "Vec::new",
+            "vec!",
+            ".to_vec()",
+            ".clone()",
+            "format!",
+            "String::new",
+            "String::from",
+            ".to_string()",
+            "Box::new",
+            ".collect()",
+        ],
+        paths: &[],
+        // `Engine::tick`, its two tick paths, the shard phases the pool fans
+        // out, the frontier rebuild and the pool's dispatch/claim/worker
+        // loop; plus the per-epoch paths: the topology's connectivity views
+        // (queried on every remap and verify) and the automaton's rewire hooks.
+        scopes: &[
+            (
+                "crates/netsim/src/engine.rs",
+                &[
+                    "tick",
+                    "tick_event",
+                    "tick_saturated",
+                    "shard_step",
+                    "shard_scatter",
+                    "shard_merge",
+                    "shard_step_all",
+                    "shard_gather",
+                    "rebuild_frontier",
+                    "run_phases",
+                ],
+            ),
+            (
+                "crates/netsim/src/pool.rs",
+                &["dispatch", "run_claims", "worker_loop"],
+            ),
+            (
+                "crates/netsim/src/topology.rs",
+                &[
+                    "out_endpoint",
+                    "in_endpoint",
+                    "out_mask",
+                    "in_mask",
+                    "out_connected",
+                    "in_connected",
+                    "edges",
+                ],
+            ),
+            (
+                "crates/core/src/node.rs",
+                &["flush_due", "on_rewire", "on_join"],
+            ),
+        ],
+        message: "allocation in the per-tick hot path",
     },
     LintRule {
         name: "no-lock-in-tick-path",
@@ -43,6 +115,16 @@ pub const LINT_RULES: &[LintRule] = &[
         rationale: "the pool's per-tick handshake is a seqlock-style epoch counter by \
                     design; a blocking primitive reintroduces the exact dispatch tax \
                     the sharded engine exists to remove",
+        tokens: &["Mutex", "RwLock", "Condvar", "Barrier", "mpsc", ".lock()"],
+        // The whole pool module is coordination path, plus the engine
+        // functions that drive pooled dispatch every tick.
+        paths: &["crates/netsim/src/pool.rs"],
+        scopes: &[(
+            "crates/netsim/src/engine.rs",
+            &["tick", "tick_event", "tick_saturated", "run_phases"],
+        )],
+        message: "blocking synchronisation on the per-tick coordination path \
+                  (the worker pool is a lock-free epoch handshake by design)",
     },
     LintRule {
         name: "no-unwrap-in-wire-paths",
@@ -50,6 +132,22 @@ pub const LINT_RULES: &[LintRule] = &[
                   coordinator, worker, or client modules",
         rationale: "these modules parse untrusted bytes from the network; malformed \
                     input must land as a structured ProtocolError, not a panic",
+        tokens: &[
+            ".unwrap()",
+            ".expect(",
+            "panic!(",
+            "unreachable!",
+            "todo!",
+            "unimplemented!",
+        ],
+        paths: &[
+            "crates/serve/src/protocol.rs",
+            "crates/serve/src/coordinator.rs",
+            "crates/serve/src/worker.rs",
+            "crates/serve/src/client.rs",
+        ],
+        scopes: &[],
+        message: "possible panic on a wire path (untrusted bytes must become ProtocolError)",
     },
     LintRule {
         name: "copy-sig-discipline",
@@ -57,6 +155,10 @@ pub const LINT_RULES: &[LintRule] = &[
                   automaton",
         rationale: "signals are Copy by design (PR 5 made routing copy-free); a clone \
                     that compiles is a silent performance regression",
+        tokens: &[".clone()", ".to_owned()", ".to_vec()"],
+        paths: &["crates/snake/src/", "crates/core/src/node.rs"],
+        scopes: &[],
+        message: "deep copy in signal-handling code (signals are Copy by design)",
     },
     LintRule {
         name: "debug-assert-policy",
@@ -64,6 +166,11 @@ pub const LINT_RULES: &[LintRule] = &[
         rationale: "mutation-era inputs (mid-run joins, stale signals) must be \
                     recoverably dropped; a debug_assert papers over a path release \
                     builds will take",
+        tokens: &["debug_assert", "debug_assert_eq", "debug_assert_ne"],
+        paths: &["crates/core/src/", "crates/snake/src/"],
+        scopes: &[],
+        message: "debug_assert on a mutation-era input path (drop recoverably instead: \
+                  release builds skip this check)",
     },
     LintRule {
         name: "registry-sync",
@@ -72,6 +179,10 @@ pub const LINT_RULES: &[LintRule] = &[
         rationale: "the registries are the source of truth for harness list, the \
                     suffix grammar, and the docs; the compiler cannot see a missing \
                     row",
+        tokens: &[],
+        paths: &[],
+        scopes: &[],
+        message: "",
     },
     LintRule {
         name: "pure-brain-no-wallclock",
@@ -80,6 +191,19 @@ pub const LINT_RULES: &[LintRule] = &[
         rationale: "the model checker's verdict is only valid if the brain it explores \
                     is deterministic and replayable; wall-clock or iteration-order \
                     nondeterminism would quietly invalidate every proof",
+        tokens: &[
+            "Instant",
+            "SystemTime",
+            "std::thread",
+            "TcpStream",
+            "TcpListener",
+            "HashMap",
+            "HashSet",
+        ],
+        paths: &["crates/check/src/brain.rs"],
+        scopes: &[],
+        message: "nondeterminism in the pure coordinator brain (the model checker's \
+                  verdict depends on exact replay)",
     },
 ];
 
@@ -189,245 +313,55 @@ impl Workspace {
     }
 }
 
-/// Run every rule. Findings come back sorted by (file, line).
+/// Run every rule. Findings come back sorted by (file, line, rule).
 pub fn lint(ws: &Workspace) -> Vec<Violation> {
     let mut out = Vec::new();
-    no_alloc_in_tick_path(ws, &mut out);
-    no_lock_in_tick_path(ws, &mut out);
-    no_unwrap_in_wire_paths(ws, &mut out);
-    copy_sig_discipline(ws, &mut out);
-    debug_assert_policy(ws, &mut out);
+    for rule in LINT_RULES {
+        for file in &ws.files {
+            if rule.paths.iter().any(|p| file.rel.starts_with(p)) {
+                let tests = lexer::test_regions(&file.scrubbed);
+                scan_tokens(
+                    file,
+                    0..file.raw.len(),
+                    &tests,
+                    rule,
+                    rule.message,
+                    &mut out,
+                );
+            }
+        }
+        for &(rel, fns) in rule.scopes {
+            let Some(file) = ws.file(rel) else { continue };
+            for name in fns {
+                match lexer::fn_body(&file.scrubbed, name) {
+                    Some(body) => {
+                        let message = format!("{} (fn `{name}`)", rule.message);
+                        scan_tokens(file, body, &[], rule, &message, &mut out);
+                    }
+                    None => out.push(Violation {
+                        rule: rule.name,
+                        file: rel.to_string(),
+                        line: 1,
+                        message: format!(
+                            "scoped function `{name}` not found — the hot path moved; \
+                             update the rule's scope"
+                        ),
+                        excerpt: String::new(),
+                    }),
+                }
+            }
+        }
+    }
     registry_sync(ws, &mut out);
-    pure_brain_no_wallclock(ws, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out
 }
 
-// ---------------------------------------------------------------- rules
+// -------------------------------------------------------- registry-sync
 
-/// Tokens that allocate (or deep-copy) on the heap.
-const ALLOC_TOKENS: &[&str] = &[
-    "Vec::new",
-    "vec!",
-    ".to_vec()",
-    ".clone()",
-    "format!",
-    "String::new",
-    "String::from",
-    ".to_string()",
-    "Box::new",
-    ".collect()",
-];
-
-/// Scan each named fn body in `rel` for `tokens`; a scoped fn that no
-/// longer exists is itself a violation (a renamed or split hot path must
-/// not silently disarm the rule). A missing *file* is skipped so rule
-/// unit tests can build partial synthetic workspaces.
-fn scan_scoped_fns(
-    ws: &Workspace,
-    rel: &str,
-    fns: &[&str],
-    tokens: &[&str],
-    rule: &'static str,
-    message: &str,
-    out: &mut Vec<Violation>,
-) {
-    let Some(file) = ws.file(rel) else {
-        return;
-    };
-    for name in fns {
-        let Some(body) = lexer::fn_body(&file.scrubbed, name) else {
-            out.push(Violation {
-                rule,
-                file: rel.to_string(),
-                line: 1,
-                message: format!(
-                    "scoped function `{name}` not found — the hot path moved; \
-                     update the rule's scope"
-                ),
-                excerpt: String::new(),
-            });
-            continue;
-        };
-        scan_tokens(
-            file,
-            body.clone(),
-            &[],
-            tokens,
-            rule,
-            &format!("{message} (fn `{name}`)"),
-            out,
-        );
-    }
-}
-
-/// The per-tick hot path: `Engine::tick`, its two tick paths, the
-/// shard phase functions the pool fans out, the frontier rebuild, and
-/// the pool's own dispatch/claim/worker loop — plus the per-epoch paths:
-/// the topology's slot-table connectivity views (iterator/mask forms, queried
-/// on every remap and verify) and the automaton's rewire hooks.
-const TICK_PATH_SCOPES: &[(&str, &[&str])] = &[
-    (
-        "crates/netsim/src/engine.rs",
-        &[
-            "tick",
-            "tick_event",
-            "tick_saturated",
-            "shard_step",
-            "shard_scatter",
-            "shard_merge",
-            "shard_step_all",
-            "shard_gather",
-            "rebuild_frontier",
-            "run_phases",
-        ],
-    ),
-    (
-        "crates/netsim/src/pool.rs",
-        &["dispatch", "run_claims", "worker_loop"],
-    ),
-    (
-        "crates/netsim/src/topology.rs",
-        &[
-            "out_endpoint",
-            "in_endpoint",
-            "out_mask",
-            "in_mask",
-            "out_connected",
-            "in_connected",
-            "edges",
-        ],
-    ),
-    (
-        "crates/core/src/node.rs",
-        &["flush_due", "on_rewire", "on_join"],
-    ),
-];
-
-fn no_alloc_in_tick_path(ws: &Workspace, out: &mut Vec<Violation>) {
-    const RULE: &str = "no-alloc-in-tick-path";
-    for &(rel, fns) in TICK_PATH_SCOPES {
-        scan_scoped_fns(
-            ws,
-            rel,
-            fns,
-            ALLOC_TOKENS,
-            RULE,
-            "allocation in the per-tick hot path",
-            out,
-        );
-    }
-}
-
-/// Blocking-synchronisation primitives (the pool is pure atomics).
-const LOCK_TOKENS: &[&str] = &["Mutex", "RwLock", "Condvar", "Barrier", "mpsc", ".lock()"];
-
-fn no_lock_in_tick_path(ws: &Workspace, out: &mut Vec<Violation>) {
-    const RULE: &str = "no-lock-in-tick-path";
-    const MESSAGE: &str = "blocking synchronisation on the per-tick coordination path \
-                           (the worker pool is a lock-free epoch handshake by design)";
-    // The whole pool module is coordination path; only its test mod is
-    // exempt.
-    if let Some(file) = ws.file("crates/netsim/src/pool.rs") {
-        let tests = lexer::test_regions(&file.scrubbed);
-        scan_tokens(
-            file,
-            0..file.raw.len(),
-            &tests,
-            LOCK_TOKENS,
-            RULE,
-            MESSAGE,
-            out,
-        );
-    }
-    // Plus the engine functions that drive pooled dispatch every tick.
-    scan_scoped_fns(
-        ws,
-        "crates/netsim/src/engine.rs",
-        &["tick", "tick_event", "tick_saturated", "run_phases"],
-        LOCK_TOKENS,
-        RULE,
-        MESSAGE,
-        out,
-    );
-}
-
-/// Tokens that can panic on malformed input.
-const PANIC_TOKENS: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!",
-    "todo!",
-    "unimplemented!",
-];
-
-fn no_unwrap_in_wire_paths(ws: &Workspace, out: &mut Vec<Violation>) {
-    const RULE: &str = "no-unwrap-in-wire-paths";
-    for rel in [
-        "crates/serve/src/protocol.rs",
-        "crates/serve/src/coordinator.rs",
-        "crates/serve/src/worker.rs",
-        "crates/serve/src/client.rs",
-    ] {
-        let Some(file) = ws.file(rel) else { continue };
-        let tests = lexer::test_regions(&file.scrubbed);
-        scan_tokens(
-            file,
-            0..file.raw.len(),
-            &tests,
-            PANIC_TOKENS,
-            RULE,
-            "possible panic on a wire path (untrusted bytes must become ProtocolError)",
-            out,
-        );
-    }
-}
-
-fn copy_sig_discipline(ws: &Workspace, out: &mut Vec<Violation>) {
-    const RULE: &str = "copy-sig-discipline";
-    const TOKENS: &[&str] = &[".clone()", ".to_owned()", ".to_vec()"];
-    for file in &ws.files {
-        let in_scope =
-            file.rel.starts_with("crates/snake/src/") || file.rel == "crates/core/src/node.rs";
-        if !in_scope {
-            continue;
-        }
-        let tests = lexer::test_regions(&file.scrubbed);
-        scan_tokens(
-            file,
-            0..file.raw.len(),
-            &tests,
-            TOKENS,
-            RULE,
-            "deep copy in signal-handling code (signals are Copy by design)",
-            out,
-        );
-    }
-}
-
-fn debug_assert_policy(ws: &Workspace, out: &mut Vec<Violation>) {
-    const RULE: &str = "debug-assert-policy";
-    for file in &ws.files {
-        let in_scope =
-            file.rel.starts_with("crates/core/src/") || file.rel.starts_with("crates/snake/src/");
-        if !in_scope {
-            continue;
-        }
-        let tests = lexer::test_regions(&file.scrubbed);
-        scan_tokens(
-            file,
-            0..file.raw.len(),
-            &tests,
-            &["debug_assert", "debug_assert_eq", "debug_assert_ne"],
-            RULE,
-            "debug_assert on a mutation-era input path (drop recoverably instead: \
-             release builds skip this check)",
-            out,
-        );
-    }
-}
-
+/// The one rule that is not a token search: the live registries against
+/// their enums, their examples against the grammars, and every name
+/// against the README.
 fn registry_sync(ws: &Workspace, out: &mut Vec<Violation>) {
     const RULE: &str = "registry-sync";
     let mut push = |file: &str, line: usize, message: String| {
@@ -576,47 +510,19 @@ fn registry_sync(ws: &Workspace, out: &mut Vec<Violation>) {
     }
 }
 
-fn pure_brain_no_wallclock(ws: &Workspace, out: &mut Vec<Violation>) {
-    const RULE: &str = "pure-brain-no-wallclock";
-    const TOKENS: &[&str] = &[
-        "Instant",
-        "SystemTime",
-        "std::thread",
-        "TcpStream",
-        "TcpListener",
-        "HashMap",
-        "HashSet",
-    ];
-    let Some(file) = ws.file("crates/check/src/brain.rs") else {
-        return;
-    };
-    let tests = lexer::test_regions(&file.scrubbed);
-    scan_tokens(
-        file,
-        0..file.raw.len(),
-        &tests,
-        TOKENS,
-        RULE,
-        "nondeterminism in the pure coordinator brain (the model checker's \
-         verdict depends on exact replay)",
-        out,
-    );
-}
-
-/// Scan `range` of a scrubbed file for `tokens`, skipping `holes`
+/// Scan `range` of a scrubbed file for the rule's tokens, skipping `holes`
 /// (test-mod regions), with identifier-boundary checks so `Instant`
 /// cannot match inside `InstantiationError`.
 fn scan_tokens(
     file: &SourceFile,
     range: std::ops::Range<usize>,
     holes: &[std::ops::Range<usize>],
-    tokens: &[&str],
-    rule: &'static str,
+    rule: &LintRule,
     message: &str,
     out: &mut Vec<Violation>,
 ) {
     let hay = &file.scrubbed[range.clone()];
-    for token in tokens {
+    for token in rule.tokens {
         let mut from = 0;
         while let Some(pos) = hay[from..].find(token) {
             let at = range.start + from + pos;
@@ -636,7 +542,7 @@ fn scan_tokens(
                 .trim()
                 .to_string();
             out.push(Violation {
-                rule,
+                rule: rule.name,
                 file: file.rel.clone(),
                 line,
                 message: format!("`{token}`: {message}"),

@@ -915,10 +915,12 @@ impl<'a> GtdSession<'a> {
                 if last_verified && tl.muts.iter().all(|m| m.remap_latency.is_some()) {
                     break;
                 }
-                if last_verified && tl.fired < tl.muts.len() && tl.engine.is_quiet() {
+                let idle = tl
+                    .next_mutation_at()
+                    .filter(|_| last_verified && tl.engine.is_quiet());
+                if let Some(next) = idle {
                     // Nothing to re-map yet: idle the quiet network to the
                     // next mutation tick (O(1) — quiet networks stay quiet).
-                    let next = tl.next_mutation_at();
                     tl.engine.skip_lull(next);
                     continue;
                 }
@@ -950,7 +952,7 @@ impl<'a> GtdSession<'a> {
                 if can_restart {
                     tl.engine.node_mut(tl.root).master_restart();
                 } else {
-                    tl.base += engine.tick_count();
+                    tl.base = tl.now();
                     retired_faults.0 += engine.fault_dropped();
                     retired_faults.1 += engine.fault_delayed();
                     power_cycles += 1;
@@ -1065,8 +1067,8 @@ enum EpochEnd {
 struct Limits {
     /// End of the epoch's tick budget.
     budget_at: u64,
-    /// Tick of the next scheduled mutation.
-    mutation_at: u64,
+    /// Tick of the next scheduled mutation, if any.
+    mutation_at: Option<u64>,
     /// Ticks without a root event after which the epoch is wedged.
     window: u64,
 }
@@ -1074,11 +1076,10 @@ struct Limits {
 impl Limits {
     /// A budget and nothing else.
     fn budget(budget_at: u64) -> Self {
-        let never = u64::MAX;
         Limits {
             budget_at,
-            mutation_at: never,
-            window: never,
+            mutation_at: None,
+            window: u64::MAX,
         }
     }
 }
@@ -1139,7 +1140,7 @@ impl Epoch {
         Epoch {
             root,
             base,
-            start: base + engine.tick_count(),
+            start: base.saturating_add(engine.tick_count()),
             capture,
             strict,
             master: MasterComputer::new(),
@@ -1165,7 +1166,7 @@ impl Epoch {
         loop {
             let now = engine.tick_count();
             let wedge_at = self.last_progress.saturating_add(limits.window);
-            if now >= limits.mutation_at {
+            if limits.mutation_at.is_some_and(|m| now >= m) {
                 return Ok(EpochEnd::MutationDue);
             } else if now >= limits.budget_at {
                 return Ok(EpochEnd::Budget);
@@ -1177,12 +1178,13 @@ impl Epoch {
             // Fast-forward deadline-driven lulls (speed-1 dwells leave
             // whole ticks with nothing to step), capped so every limit
             // fires at exactly the tick a one-by-one loop would reach.
-            if engine.skip_lull(limits.budget_at.min(limits.mutation_at).min(wedge_at)) > 0 {
+            let mutation_at = limits.mutation_at.unwrap_or(u64::MAX);
+            if engine.skip_lull(limits.budget_at.min(mutation_at).min(wedge_at)) > 0 {
                 continue;
             }
             self.scratch.clear();
             engine.tick(&mut self.scratch);
-            let t = self.base + engine.tick_count();
+            let t = self.now(engine);
             let mut terminated = false;
             for &(nid, ev) in &self.scratch {
                 // A mutation-era stray (e.g. a BCA probe event from a
@@ -1237,7 +1239,7 @@ impl Epoch {
         min_settle: u32,
     ) -> Result<(EpochStatus, u64, Option<NetworkMap>), GtdError> {
         let EpochEnd::Terminated { tick } = end else {
-            return Ok((EpochStatus::Wedged, self.base + engine.tick_count(), None));
+            return Ok((EpochStatus::Wedged, self.now(engine), None));
         };
         for i in 0..SETTLE_CAP {
             if i >= min_settle && engine.is_quiet() {
@@ -1260,8 +1262,13 @@ impl Epoch {
     }
 
     fn invariant(&self, engine: &Engine<ProtocolNode>, what: &'static str) -> GtdError {
-        let tick = self.base + engine.tick_count();
+        let tick = self.now(engine);
         GtdError::Invariant { what, tick }
+    }
+
+    /// The global tick of `engine`'s clock (saturating at the end of time).
+    fn now(&self, engine: &Engine<ProtocolNode>) -> u64 {
+        self.base.saturating_add(engine.tick_count())
     }
 
     /// The master's map so far — complete once it has accepted
@@ -1311,19 +1318,21 @@ struct Timeline {
 
 impl Timeline {
     fn now(&self) -> u64 {
-        self.base + self.engine.tick_count()
+        self.base.saturating_add(self.engine.tick_count())
     }
 
-    /// Engine tick of the next unfired mutation (`u64::MAX`: none).
-    fn next_mutation_at(&self) -> u64 {
+    /// Engine tick of the next unfired mutation, if any.
+    fn next_mutation_at(&self) -> Option<u64> {
         let next = self.muts.get(self.fired);
-        next.map_or(u64::MAX, |m| m.scheduled.tick.saturating_sub(self.base))
+        next.map(|m| m.scheduled.tick.saturating_sub(self.base))
     }
 
     /// Apply every mutation whose tick has arrived (between ticks).
     fn fire_due(&mut self) {
+        // Firing rewires the engine but does not move its clock.
+        let now = self.now();
         while let Some(m) = self.muts.get_mut(self.fired) {
-            if m.scheduled.tick > self.base + self.engine.tick_count() {
+            if m.scheduled.tick > now {
                 break;
             }
             let mutation = m.scheduled.mutation;
@@ -1351,7 +1360,7 @@ impl Timeline {
                 self.membership_dirty |= applied.membership != MembershipChange::None;
                 applied.kind
             };
-            m.applied_at = Some(self.base + self.engine.tick_count());
+            m.applied_at = Some(now);
             m.applied_as = Some(kind);
             self.fired += 1;
         }
@@ -1525,7 +1534,7 @@ mod tests {
             Ok(EpochEnd::Window)
         ));
         let mutation = Limits {
-            mutation_at: 30,
+            mutation_at: Some(30),
             ..never
         };
         assert!(matches!(
@@ -1985,6 +1994,39 @@ mod tests {
             assert_eq!(oracle.signals_in_flight(), engine.signals_in_flight());
         }
         assert!(engine.fault_delayed() > 0 && !engine.is_quiet());
+    }
+
+    /// The same plane through a dynamic run with no mutations: a lull
+    /// skip takes the clock to `u64::MAX`, where "no mutation due" must
+    /// not read as "a mutation is due now" (that spun the epoch loop
+    /// forever). Run on a thread so a regression fails instead of hanging.
+    #[test]
+    fn a_dynamic_run_ends_at_the_end_of_time() {
+        use gtd_netsim::MutationSchedule;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let topo = generators::ring(4);
+            let plane = FaultPlane {
+                loss: 0.0,
+                delay_min: u64::MAX - 1,
+                delay_max: u64::MAX,
+                seed: 5,
+            };
+            let out = GtdSession::on(&topo)
+                .faults(plane)
+                .run_dynamic(&MutationSchedule::new());
+            let _ = tx.send(out.map(|o| {
+                let statuses: Vec<_> = o.epochs.iter().map(|e| e.status).collect();
+                (statuses, o.final_degraded())
+            }));
+        });
+        let (statuses, degraded) = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("run_dynamic returned within 30 s")
+            .unwrap();
+        use EpochStatus::{Exhausted, Wedged};
+        assert_eq!(statuses, [Wedged, Wedged, Exhausted]);
+        assert!(degraded);
     }
 
     #[test]

@@ -167,7 +167,7 @@ fn cmd_list(args: &[String]) {
     println!("faulted transcripts are byte-identical across engine modes and shard counts;");
     println!("~loss=0 (or any all-zero plane) is exactly the unfaulted spec");
 
-    println!("\nchecks (gtd-lint rules; run `cargo run -p gtd-check --bin gtd-lint`):\n");
+    println!("\nchecks (lint rules; run `cargo run -p gtd-check -- lint`):\n");
     let mut t = Table::new(&["rule", "enforces"]);
     for rule in gtd_check::LINT_RULES {
         t.row(vec![rule.name.to_string(), rule.summary.to_string()]);

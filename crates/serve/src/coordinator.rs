@@ -635,21 +635,13 @@ fn lost_record(
     why: &str,
 ) -> RunRecord {
     let topo = &topos[&cell.spec.to_string()];
-    RunRecord {
-        spec: cell.spec.to_string(),
-        mapper: cell.mapper.clone(),
-        mode: cell.mode,
-        policy: cell.policy,
-        root: cell.root,
-        rep: cell.rep,
-        nodes: topo.num_nodes(),
-        edges: topo.num_edges(),
-        budget: cell.budget,
-        result: Err(CellError {
+    cell.record(
+        topo,
+        Err(CellError {
             kind: "worker-lost",
             message: format!("cell abandoned after {attempts} lease(s): {why}"),
         }),
-    }
+    )
 }
 
 /// A journal/observability row: the record payload plus `worker_id` and

@@ -28,7 +28,7 @@
 //! crate adds no dependencies beyond the workspace's own.
 //!
 //! Wire-facing code must not panic on peer input, so the whole crate
-//! warns on `unwrap`/`expect`; `gtd-lint` enforces the same rule
+//! warns on `unwrap`/`expect`; `gtd-check lint` enforces the same rule
 //! token-level on the wire-path files.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
