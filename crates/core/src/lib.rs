@@ -48,7 +48,8 @@ pub use master::{DecodeError, MapEdge, MasterComputer, NetworkMap, VerifyError};
 pub use node::{ProtocolNode, StartBehavior, RESTART_DOWNTIME};
 pub use phases::{phase_breakdown, PhaseBreakdown};
 pub use runner::{
-    build_gtd_engine, build_gtd_engine_sharded, run_single_bca, run_single_rca, BcaProbe, RcaProbe,
+    build_gtd_engine, build_gtd_engine_sharded, build_gtd_engine_with, needs_wide_word,
+    run_single_bca, run_single_rca, BcaProbe, RcaProbe,
 };
 pub use session::{
     default_progress_window, default_tick_budget, AttemptOutcome, EpochOutcome, EpochStatus,

@@ -27,10 +27,12 @@ use crate::events::{RcaReport, TranscriptEvent};
 use gtd_netsim::{Automaton, NodeMeta, Port, PortMask, StepCtx};
 use gtd_snake::{
     BcaMsg, DfsToken, DwellItem, DwellPool, DyingPassage, GrowEmit, GrowRelay, Hop, LoopMarks,
-    LoopToken, MarkPair, OptPort, Presence, Signal, SnakeChar, SnakeKind, TickStamp, SPEED1_DWELL,
+    LoopToken, MarkPair, OptPort, Presence, Signal, SnakeChar, SnakeKind, TickStamp, WireWord,
+    SPEED1_DWELL,
 };
+use std::marker::PhantomData;
 
-type Ctx<'a> = StepCtx<'a, Signal, TranscriptEvent>;
+type Ctx<'a, W> = StepCtx<'a, Signal<W>, TranscriptEvent>;
 
 /// Downtime (in ticks) a power-cycled processor spends dark before it
 /// rejoins with amnesia — the `node-restart` fault's fixed repair time.
@@ -190,6 +192,11 @@ fn pair_of(kind: SnakeKind) -> MarkPair {
 
 /// The identical synchronous finite-state processor of the paper.
 ///
+/// `W` is the word its wire characters pack into ([`WireWord`]): the
+/// default `u64` carries ports below 4, `u128` every port below 64. The
+/// word changes the size of the engine's wire buffers and nothing else;
+/// the session picks it from δ ([`crate::runner::needs_wide_word`]).
+///
 /// A saturated tick streams every processor's state once, so the struct
 /// holds only what `step` reads and writes as the protocol runs, at most
 /// 128 bytes (a const assert; 1M processors are 122 MiB). The hot budget,
@@ -215,7 +222,7 @@ fn pair_of(kind: SnakeKind) -> MarkPair {
 /// processor and every processor a GTD map visits starts an RCA, so
 /// counting them in the box would box it on every processor of every run.
 #[derive(Clone, Debug)]
-pub struct ProtocolNode {
+pub struct ProtocolNode<W: WireWord = u64> {
     // -- static configuration (power-on facts) --
     is_root: bool,
     delta: u8,
@@ -272,13 +279,16 @@ pub struct ProtocolNode {
     bcas_started: u32,
     /// High-water mark of characters dwelling here at once, saturating.
     max_chars: u8,
+    /// The wire word the processor's characters pack into (no storage).
+    word: PhantomData<W>,
 }
 
 // A saturated tick streams every processor's state once: at n = 1M a byte
 // here is a megabyte of traffic per tick. See the budget above.
 const _: () = assert!(std::mem::size_of::<ProtocolNode>() <= 128);
+const _: () = assert!(std::mem::size_of::<ProtocolNode<u128>>() <= 128);
 
-impl ProtocolNode {
+impl<W: WireWord> ProtocolNode<W> {
     /// KILL tokens this processor accepted (erasures performed).
     pub fn stat_kills_accepted(&self) -> u64 {
         u64::from(self.kills_accepted)
@@ -323,9 +333,26 @@ impl ProtocolNode {
 }
 
 impl ProtocolNode {
-    /// Build the processor for one network position. `start` is
-    /// [`StartBehavior::GtdRoot`] on the root for a full GTD run.
+    /// Build the processor for one network position on the narrow wire
+    /// word (δ ≤ 4; [`ProtocolNode::with_word`] builds on any word).
+    /// `start` is [`StartBehavior::GtdRoot`] on the root for a full GTD
+    /// run.
     pub fn new(meta: &NodeMeta, start: StartBehavior) -> Self {
+        Self::with_word(meta, start)
+    }
+}
+
+impl<W: WireWord> ProtocolNode<W> {
+    /// Build the processor for one network position on the wire word
+    /// `W`. Panics if the network's δ exceeds what `W` carries
+    /// ([`Signal::MAX_DELTA`]): its ports would not round-trip.
+    pub fn with_word(meta: &NodeMeta, start: StartBehavior) -> Self {
+        assert!(
+            meta.delta <= Signal::<W>::MAX_DELTA,
+            "δ = {} exceeds the {}-port wire word; build the engine with a wider word",
+            meta.delta,
+            Signal::<W>::MAX_DELTA
+        );
         let out_ports = meta.out_connected;
         assert!(
             !out_ports.is_empty(),
@@ -363,6 +390,7 @@ impl ProtocolNode {
             bcas_started: 0,
             max_chars: 0,
             dfs: DfsState::fresh(is_root),
+            word: PhantomData,
         }
     }
 
@@ -520,7 +548,7 @@ impl ProtocolNode {
     /// 4.2's catch-up margin from O(1) ticks to Θ(loop) ticks, closing a
     /// real race where a stale KILL of a short-loop BCA could erase the
     /// next RCA's fresh flood (README, reconstruction choice 5).
-    fn release_kill(&mut self, ctx: &mut Ctx) {
+    fn release_kill(&mut self, ctx: &mut Ctx<W>) {
         for relay in &mut self.grow {
             relay.erase(&mut self.pool);
         }
@@ -531,7 +559,7 @@ impl ProtocolNode {
 
     /// RCA step 4: on the OD tail, release the speed-1 FORWARD/BACK loop
     /// token (the KILL flood was already released at OG-tail consumption).
-    fn rca_step4(&mut self, report: RcaReport, after: AfterRca, ctx: &mut Ctx) {
+    fn rca_step4(&mut self, report: RcaReport, after: AfterRca, ctx: &mut Ctx<W>) {
         let tok = match report {
             RcaReport::Forward { out_port, in_port } => LoopToken::Forward { out_port, in_port },
             RcaReport::Back => LoopToken::Back,
@@ -545,7 +573,7 @@ impl ProtocolNode {
         self.rca = RcaState::AwaitLoopReturn { after };
     }
 
-    fn on_rca_done(&mut self, after: AfterRca, now: u64, ctx: &mut Ctx) {
+    fn on_rca_done(&mut self, after: AfterRca, now: u64, ctx: &mut Ctx<W>) {
         match after {
             AfterRca::Descend => {
                 self.dfs.cursor = 0;
@@ -562,7 +590,7 @@ impl ProtocolNode {
 
     /// Send the DFS token out the current out-port, backtrack via BCA, or —
     /// at the root — terminate (§3).
-    fn advance_dfs(&mut self, now: u64, ctx: &mut Ctx) {
+    fn advance_dfs(&mut self, now: u64, ctx: &mut Ctx<W>) {
         if let Some(o) = self.out_ports.nth(usize::from(self.dfs.cursor)) {
             self.dfs.awaiting = true;
             ctx.outputs[o.idx()].put_dfs(DfsToken { sender_out_port: o });
@@ -581,7 +609,7 @@ impl ProtocolNode {
 
     /// The BCA delivered its payload to us (we are the loop endpoint and
     /// have just absorbed the UNMARK — the network is clean again).
-    fn on_bca_payload(&mut self, msg: BcaMsg, now: u64, ctx: &mut Ctx) {
+    fn on_bca_payload(&mut self, msg: BcaMsg, now: u64, ctx: &mut Ctx<W>) {
         match msg {
             BcaMsg::DfsReturn => {
                 if !self.dfs.awaiting {
@@ -667,7 +695,7 @@ impl ProtocolNode {
         }
     }
 
-    fn on_ig(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx) {
+    fn on_ig(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx<W>) {
         if self.is_root {
             match self.root_rca {
                 RootRca::Open => {
@@ -732,7 +760,7 @@ impl ProtocolNode {
         self.relay_idle(SnakeKind::Ig, p, c, now);
     }
 
-    fn on_og(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx) {
+    fn on_og(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx<W>) {
         if self.is_root {
             // The root is the OG source; it never re-admits OG characters.
             return;
@@ -776,7 +804,7 @@ impl ProtocolNode {
         }
     }
 
-    fn on_bg(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx) {
+    fn on_bg(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx<W>) {
         match self.bca {
             BcaState::AwaitBgHead { via } if p == via => {
                 let c = c.filled(p);
@@ -808,7 +836,7 @@ impl ProtocolNode {
         }
     }
 
-    fn on_id(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx) {
+    fn on_id(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx<W>) {
         if self.is_root {
             match self.root_rca {
                 RootRca::AwaitId => {
@@ -844,7 +872,7 @@ impl ProtocolNode {
         self.pass_dying(SnakeKind::Id, p, c, now);
     }
 
-    fn on_od(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx) {
+    fn on_od(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx<W>) {
         if self.is_root {
             // The OD snake travels root→A and never revisits the root.
             return;
@@ -864,7 +892,7 @@ impl ProtocolNode {
         self.pass_dying(SnakeKind::Od, p, c, now);
     }
 
-    fn on_bd(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx) {
+    fn on_bd(&mut self, p: Port, c: SnakeChar, now: u64, ctx: &mut Ctx<W>) {
         if let BcaState::AwaitBdTail { via } = self.bca {
             if p == via {
                 // The physical BD tail has circled the loop: every
@@ -887,7 +915,7 @@ impl ProtocolNode {
         self.pass_dying(SnakeKind::Bd, p, c, now);
     }
 
-    fn on_loop(&mut self, p: Port, tok: LoopToken, now: u64, ctx: &mut Ctx) {
+    fn on_loop(&mut self, p: Port, tok: LoopToken, now: u64, ctx: &mut Ctx<W>) {
         // Absorption by the RCA initiator (step 4 → step 5).
         if let RcaState::AwaitLoopReturn { after } = self.rca {
             if self.marks.pred(MarkPair::First) == Some(p) {
@@ -945,7 +973,7 @@ impl ProtocolNode {
         self.marks.advance(route);
     }
 
-    fn on_unmark(&mut self, p: Port, now: u64, ctx: &mut Ctx) {
+    fn on_unmark(&mut self, p: Port, now: u64, ctx: &mut Ctx<W>) {
         // Absorption by the RCA initiator: the RCA is over (step 5).
         if let RcaState::AwaitUnmarkReturn { after } = self.rca {
             if self.marks.pred(MarkPair::First) == Some(p) {
@@ -984,7 +1012,7 @@ impl ProtocolNode {
         // An off-loop UNMARK (impossible without a mutation) is dropped.
     }
 
-    fn on_dfs_forward(&mut self, o: Port, i: Port, now: u64, ctx: &mut Ctx) {
+    fn on_dfs_forward(&mut self, o: Port, i: Port, now: u64, ctx: &mut Ctx<W>) {
         if self.is_root {
             // Root self-communication short-circuit (README, reconstruction
             // choice 2): the transcript is piped locally, then the token
@@ -1019,7 +1047,7 @@ impl ProtocolNode {
     /// anything still dwelling emerges: the wake deadline this processor
     /// hands the engine's frontier. `None` when nothing is left dwelling
     /// (the processor is purely input-driven).
-    fn flush_due(&mut self, now: u64, outputs: &mut [Signal]) -> Option<u64> {
+    fn flush_due(&mut self, now: u64, outputs: &mut [Signal<W>]) -> Option<u64> {
         // At most one emission per snake kind per tick. In an undisturbed
         // run deadlines within one lane are spaced ≥ 1 tick apart (one
         // character per wire per tick) and the processor steps on every
@@ -1074,11 +1102,11 @@ impl ProtocolNode {
     }
 }
 
-impl Automaton for ProtocolNode {
-    type Sig = Signal;
+impl<W: WireWord> Automaton for ProtocolNode<W> {
+    type Sig = Signal<W>;
     type Event = TranscriptEvent;
 
-    fn step(&mut self, ctx: &mut Ctx) {
+    fn step(&mut self, ctx: &mut Ctx<W>) {
         let now = ctx.tick;
 
         // A power-cycled processor is dark: every arriving character is

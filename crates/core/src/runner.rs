@@ -1,21 +1,30 @@
-//! The standalone RCA/BCA probes and the raw engine constructor.
+//! The standalone RCA/BCA probes and the raw engine constructors.
 //!
 //! The full-protocol entry points live on
 //! [`GtdSession`](crate::session::GtdSession). The single-probe runners
 //! ([`run_single_rca`],
 //! [`run_single_bca`]) are the canonical way to measure one auxiliary
-//! protocol in isolation (experiments E3/E4).
+//! protocol in isolation (experiments E3/E4). Both, like the session,
+//! size the wire word to the network's δ ([`needs_wide_word`]).
 
 use crate::events::TranscriptEvent;
 use crate::node::{ProtocolNode, StartBehavior};
 use crate::session::{default_tick_budget, GtdError};
 use gtd_netsim::{algo, Engine, EngineMode, NodeId, Port, Topology};
+use gtd_snake::{Signal, WireWord};
 
-/// Build a GTD engine over `topo` with the root at node 0 — exposed so
-/// tests and experiments can drive ticks manually (mid-run invariant
-/// checks, phase censuses).
+/// Does `topo`'s δ exceed what the narrow `u64` wire word carries? Such
+/// networks run on `u128` words ([`ProtocolNode`]'s `W`).
+pub fn needs_wide_word(topo: &Topology) -> bool {
+    topo.delta() > Signal::<u64>::MAX_DELTA
+}
+
+/// Build a GTD engine over `topo` with the root at node 0 on the narrow
+/// wire word — exposed so tests and experiments can drive ticks manually
+/// (mid-run invariant checks, phase censuses). Panics if δ > 4; see
+/// [`build_gtd_engine_with`].
 pub fn build_gtd_engine(topo: &Topology, mode: EngineMode) -> Engine<ProtocolNode> {
-    build_gtd_engine_sharded(topo, mode, None)
+    build_gtd_engine_with(topo, mode, NodeId(0), None)
 }
 
 /// [`build_gtd_engine`] with an explicit parallel shard count (ignored
@@ -25,14 +34,55 @@ pub fn build_gtd_engine_sharded(
     mode: EngineMode,
     par_shards: Option<usize>,
 ) -> Engine<ProtocolNode> {
-    Engine::with_root_sharded(topo, mode, NodeId(0), par_shards, &mut |meta| {
+    build_gtd_engine_with(topo, mode, NodeId(0), par_shards)
+}
+
+/// The GTD engine over `topo` on the wire word `W`, with the master on
+/// `root`: the root powers on as [`StartBehavior::GtdRoot`], every other
+/// processor passive. The one builder behind the two above and
+/// [`GtdSession`](crate::session::GtdSession); any network whose δ fits
+/// `W` ([`Signal::MAX_DELTA`]) runs identically on either word.
+pub fn build_gtd_engine_with<W: WireWord>(
+    topo: &Topology,
+    mode: EngineMode,
+    root: NodeId,
+    par_shards: Option<usize>,
+) -> Engine<ProtocolNode<W>> {
+    Engine::with_root_sharded(topo, mode, root, par_shards, &mut |meta| {
         let start = if meta.is_root {
             StartBehavior::GtdRoot
         } else {
             StartBehavior::Passive
         };
-        ProtocolNode::new(&meta, start)
+        ProtocolNode::with_word(&meta, start)
     })
+}
+
+/// An engine where `who` powers on with `start` and everyone else waits.
+fn probe_engine<W: WireWord>(
+    topo: &Topology,
+    mode: EngineMode,
+    who: NodeId,
+    start: StartBehavior,
+) -> Engine<ProtocolNode<W>> {
+    Engine::new(topo, mode, |meta| {
+        let start = if meta.id == who {
+            start
+        } else {
+            StartBehavior::Passive
+        };
+        ProtocolNode::with_word(&meta, start)
+    })
+}
+
+/// Drain the final tick's emissions (there are none in a clean run), then:
+/// is the network quiet with every processor back in its factory snake
+/// state (Lemma 4.2)?
+fn drains_clean<W: WireWord>(engine: &mut Engine<ProtocolNode<W>>) -> bool {
+    engine.tick(&mut Vec::new());
+    engine.is_quiet()
+        && engine.signals_in_flight() == 0
+        && engine.nodes().iter().all(|n| n.snake_state_pristine())
 }
 
 /// Measurements from a standalone RCA (experiment E3, Lemma 4.3).
@@ -55,14 +105,19 @@ pub fn run_single_rca(topo: &Topology, a: NodeId, mode: EngineMode) -> Result<Rc
         NodeId(0),
         "the root communicates with itself locally (README, reconstruction choice 2)"
     );
-    let mut engine = Engine::new(topo, mode, |meta| {
-        let start = if meta.id == a {
-            StartBehavior::SingleRca
-        } else {
-            StartBehavior::Passive
-        };
-        ProtocolNode::new(&meta, start)
-    });
+    if needs_wide_word(topo) {
+        rca_probe::<u128>(topo, a, mode)
+    } else {
+        rca_probe::<u64>(topo, a, mode)
+    }
+}
+
+fn rca_probe<W: WireWord>(
+    topo: &Topology,
+    a: NodeId,
+    mode: EngineMode,
+) -> Result<RcaProbe, GtdError> {
+    let mut engine = probe_engine::<W>(topo, mode, a, StartBehavior::SingleRca);
     let budget = default_tick_budget(topo);
     let (_, fired) = engine.run_until(budget, |&(nid, ev)| {
         nid == a && ev == TranscriptEvent::RcaComplete
@@ -74,17 +129,11 @@ pub fn run_single_rca(topo: &Topology, a: NodeId, mode: EngineMode) -> Result<Rc
         });
     }
     let ticks = engine.tick_count();
-    // Drain the final tick's emissions (there are none in a clean run).
-    let mut scratch = Vec::new();
-    engine.tick(&mut scratch);
-    let clean_at_end = engine.is_quiet()
-        && engine.signals_in_flight() == 0
-        && engine.nodes().iter().all(|n| n.snake_state_pristine());
     Ok(RcaProbe {
         ticks,
         dist_to_root: algo::bfs_dist(topo, a)[0],
         dist_from_root: algo::bfs_dist(topo, NodeId(0))[a.idx()],
-        clean_at_end,
+        clean_at_end: drains_clean(&mut engine),
     })
 }
 
@@ -109,18 +158,24 @@ pub fn run_single_bca(
     via: Port,
     mode: EngineMode,
 ) -> Result<BcaProbe, GtdError> {
+    if needs_wide_word(topo) {
+        bca_probe::<u128>(topo, b, via, mode)
+    } else {
+        bca_probe::<u64>(topo, b, via, mode)
+    }
+}
+
+fn bca_probe<W: WireWord>(
+    topo: &Topology,
+    b: NodeId,
+    via: Port,
+    mode: EngineMode,
+) -> Result<BcaProbe, GtdError> {
     let target = topo
         .in_endpoint(b, via)
         .expect("BCA requires a wired in-port")
         .node;
-    let mut engine = Engine::new(topo, mode, |meta| {
-        let start = if meta.id == b {
-            StartBehavior::SingleBca { via }
-        } else {
-            StartBehavior::Passive
-        };
-        ProtocolNode::new(&meta, start)
-    });
+    let mut engine = probe_engine::<W>(topo, mode, b, StartBehavior::SingleBca { via });
     let budget = default_tick_budget(topo);
     let mut ticks_initiator = None;
     let mut ticks_delivered = None;
@@ -147,16 +202,11 @@ pub fn run_single_bca(
             }
         }
     }
-    scratch.clear();
-    engine.tick(&mut scratch);
-    let clean_at_end = engine.is_quiet()
-        && engine.signals_in_flight() == 0
-        && engine.nodes().iter().all(|n| n.snake_state_pristine());
     Ok(BcaProbe {
         ticks_initiator: ticks_initiator.expect("initiator finishes before delivery"),
         ticks_delivered: ticks_delivered.unwrap(),
         loop_len: algo::bfs_dist(topo, b)[target.idx()] + 1,
-        clean_at_end,
+        clean_at_end: drains_clean(&mut engine),
     })
 }
 

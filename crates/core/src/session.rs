@@ -6,7 +6,10 @@
 //! [`GtdSession::run_repeated`], [`GtdSession::run_resilient`] and
 //! [`GtdSession::run_dynamic`] — are policies over one epoch stepper
 //! that ticks the engine, feeds the root's transcript to the master
-//! computer, settles the network and decodes the map.
+//! computer, settles the network and decodes the map. Each entry point
+//! sizes the wire word to the network once, before it builds an engine
+//! ([`needs_wide_word`]); mutations keep δ, so power-cycle rebuilds keep
+//! the word.
 //!
 //! ```
 //! use gtd_core::GtdSession;
@@ -39,10 +42,12 @@ use crate::events::TranscriptEvent;
 use crate::master::{DecodeError, MasterComputer, NetworkMap};
 use crate::node::{ProtocolNode, StartBehavior};
 use crate::phases::{phase_breakdown, PhaseBreakdown};
+use crate::runner::{build_gtd_engine_with, needs_wide_word};
 use gtd_netsim::{
     algo, restart_victim, Engine, EngineMode, FaultPlane, MembershipChange, MutationKind,
     MutationSchedule, NodeId, ScheduledMutation, Topology,
 };
+use gtd_snake::WireWord;
 
 /// A model precondition the session detected before simulating a single
 /// tick (paper §1.1 assumes them; the protocol would simply never
@@ -641,16 +646,13 @@ impl<'a> GtdSession<'a> {
     /// the root's id by then). `attempt` re-seeds an active fault plane:
     /// a power-cycle resets the engine clock, so a retry under the
     /// identical seed would replay the identical fault pattern.
-    fn build_engine_on(&self, topo: &Topology, root: NodeId, attempt: u32) -> Engine<ProtocolNode> {
-        let mut engine =
-            Engine::with_root_sharded(topo, self.mode, root, self.par_shards, &mut |meta| {
-                let behaviour = if meta.is_root {
-                    StartBehavior::GtdRoot
-                } else {
-                    StartBehavior::Passive
-                };
-                ProtocolNode::new(&meta, behaviour)
-            });
+    fn build_engine_on<W: WireWord>(
+        &self,
+        topo: &Topology,
+        root: NodeId,
+        attempt: u32,
+    ) -> Engine<ProtocolNode<W>> {
+        let mut engine = build_gtd_engine_with(topo, self.mode, root, self.par_shards);
         if self.fault.is_active() {
             engine.set_fault_plane(self.fault.with_attempt(attempt));
         }
@@ -672,10 +674,9 @@ impl<'a> GtdSession<'a> {
     }
 
     /// Run the protocol once and return the unified outcome.
-    pub fn run(mut self) -> Result<RunOutcome, GtdError> {
-        PreconditionViolation::check(self.topo, self.root)?;
-        let mut engine = self.build_engine_on(self.topo, self.root, 0);
-        self.round(&mut engine)
+    pub fn run(self) -> Result<RunOutcome, GtdError> {
+        let mut rounds = self.run_repeated(1)?;
+        Ok(rounds.pop().expect("one round ran"))
     }
 
     /// Run the protocol `rounds` times on the same live network: after
@@ -687,9 +688,17 @@ impl<'a> GtdSession<'a> {
     /// rounds of an unfaulted run produce identical maps; a round that
     /// does not is a [`GtdError::Invariant`]. Zero rounds simulate
     /// nothing and return an empty list.
-    pub fn run_repeated(mut self, rounds: usize) -> Result<Vec<RunOutcome>, GtdError> {
+    pub fn run_repeated(self, rounds: usize) -> Result<Vec<RunOutcome>, GtdError> {
+        if needs_wide_word(self.topo) {
+            self.repeated::<u128>(rounds)
+        } else {
+            self.repeated::<u64>(rounds)
+        }
+    }
+
+    fn repeated<W: WireWord>(mut self, rounds: usize) -> Result<Vec<RunOutcome>, GtdError> {
         PreconditionViolation::check(self.topo, self.root)?;
-        let mut engine = self.build_engine_on(self.topo, self.root, 0);
+        let mut engine = self.build_engine_on::<W>(self.topo, self.root, 0);
         let mut outcomes: Vec<RunOutcome> = Vec::with_capacity(rounds);
         for round in 0..rounds {
             if round > 0 {
@@ -713,7 +722,10 @@ impl<'a> GtdSession<'a> {
     /// One mapping round on `engine`, from the root's (re)start to its
     /// decoded map: the whole of [`Self::run`], one round of
     /// [`Self::run_repeated`].
-    fn round(&mut self, engine: &mut Engine<ProtocolNode>) -> Result<RunOutcome, GtdError> {
+    fn round<W: WireWord>(
+        &mut self,
+        engine: &mut Engine<ProtocolNode<W>>,
+    ) -> Result<RunOutcome, GtdError> {
         let budget = self.effective_budget(self.topo);
         let mut ep = Epoch::new(engine, 0, self.root, self.capture, !self.fault.is_active());
         let limits = Limits::budget(engine.tick_count().saturating_add(budget));
@@ -766,7 +778,15 @@ impl<'a> GtdSession<'a> {
     /// [`GtdError::Invariant`] for a protocol bug in an unfaulted run.
     /// Without an active plane it runs exactly one attempt (retries
     /// could only replay the identical deterministic run).
-    pub fn run_resilient(mut self) -> Result<ResilientOutcome, GtdError> {
+    pub fn run_resilient(self) -> Result<ResilientOutcome, GtdError> {
+        if needs_wide_word(self.topo) {
+            self.resilient::<u128>()
+        } else {
+            self.resilient::<u64>()
+        }
+    }
+
+    fn resilient<W: WireWord>(mut self) -> Result<ResilientOutcome, GtdError> {
         PreconditionViolation::check(self.topo, self.root)?;
         let budget = self.effective_budget(self.topo);
         let window0 = self.stretched(default_progress_window(self.topo));
@@ -785,7 +805,7 @@ impl<'a> GtdSession<'a> {
             events: Vec::new(),
         };
         for attempt in 0..=retries {
-            let mut engine = self.build_engine_on(self.topo, self.root, attempt);
+            let mut engine = self.build_engine_on::<W>(self.topo, self.root, attempt);
             let mut ep = Epoch::new(&engine, 0, self.root, self.capture, strict);
             // Each retry doubles the wedge window: a pattern that stalls
             // slowly should not be preempted at the same impatience that
@@ -872,12 +892,23 @@ impl<'a> GtdSession<'a> {
     ///
     /// Deterministic across [`EngineMode`]s: all three produce identical
     /// epochs, transcripts and latencies.
-    pub fn run_dynamic(mut self, schedule: &MutationSchedule) -> Result<RemapOutcome, GtdError> {
+    pub fn run_dynamic(self, schedule: &MutationSchedule) -> Result<RemapOutcome, GtdError> {
+        if needs_wide_word(self.topo) {
+            self.dynamic::<u128>(schedule)
+        } else {
+            self.dynamic::<u64>(schedule)
+        }
+    }
+
+    fn dynamic<W: WireWord>(
+        mut self,
+        schedule: &MutationSchedule,
+    ) -> Result<RemapOutcome, GtdError> {
         PreconditionViolation::check(self.topo, self.root)?;
         let faulted = self.fault.is_active();
         let strict = !faulted && schedule.is_empty();
         let mut tl = Timeline {
-            engine: self.build_engine_on(self.topo, self.root, 0),
+            engine: self.build_engine_on::<W>(self.topo, self.root, 0),
             topo: self.topo.clone(),
             root: self.root,
             base: 0,
@@ -1124,14 +1155,14 @@ struct Epoch {
 
 /// Lifetime drop counters of `engine`: automata, fault-plane drops,
 /// fault-plane delays.
-fn drop_counters(engine: &Engine<ProtocolNode>) -> [u64; 3] {
+fn drop_counters<W: WireWord>(engine: &Engine<ProtocolNode<W>>) -> [u64; 3] {
     let dropped = engine.nodes().iter().map(|n| n.stat_dropped()).sum();
     [dropped, engine.fault_dropped(), engine.fault_delayed()]
 }
 
 impl Epoch {
-    fn new(
-        engine: &Engine<ProtocolNode>,
+    fn new<W: WireWord>(
+        engine: &Engine<ProtocolNode<W>>,
         base: u64,
         root: NodeId,
         capture: bool,
@@ -1157,9 +1188,9 @@ impl Epoch {
     /// dead master ends the epoch. Each root event is classified into
     /// [`RunStats`], handed to the observer, captured and fed to the
     /// master, in that order.
-    fn advance(
+    fn advance<W: WireWord>(
         &mut self,
-        engine: &mut Engine<ProtocolNode>,
+        engine: &mut Engine<ProtocolNode<W>>,
         limits: Limits,
         observer: &mut Option<Observer<'_>>,
     ) -> Result<EpochEnd, GtdError> {
@@ -1230,10 +1261,10 @@ impl Epoch {
     /// [`EpochStatus::Wedged`] at the current tick: the root never
     /// terminated, so its token died, the budget or window ran out, or the
     /// transcript stopped decoding. Only a strict epoch errors.
-    fn finish(
+    fn finish<W: WireWord>(
         &mut self,
         end: EpochEnd,
-        engine: &mut Engine<ProtocolNode>,
+        engine: &mut Engine<ProtocolNode<W>>,
         topo: &Topology,
         root: NodeId,
         min_settle: u32,
@@ -1261,13 +1292,17 @@ impl Epoch {
         })
     }
 
-    fn invariant(&self, engine: &Engine<ProtocolNode>, what: &'static str) -> GtdError {
+    fn invariant<W: WireWord>(
+        &self,
+        engine: &Engine<ProtocolNode<W>>,
+        what: &'static str,
+    ) -> GtdError {
         let tick = self.now(engine);
         GtdError::Invariant { what, tick }
     }
 
     /// The global tick of `engine`'s clock (saturating at the end of time).
-    fn now(&self, engine: &Engine<ProtocolNode>) -> u64 {
+    fn now<W: WireWord>(&self, engine: &Engine<ProtocolNode<W>>) -> u64 {
         self.base.saturating_add(engine.tick_count())
     }
 
@@ -1287,7 +1322,7 @@ impl Epoch {
     }
 
     /// The transcript counters plus the drops of this epoch alone.
-    fn stats(&self, engine: &Engine<ProtocolNode>) -> RunStats {
+    fn stats<W: WireWord>(&self, engine: &Engine<ProtocolNode<W>>) -> RunStats {
         let [dropped, fault_dropped, fault_delayed] = drop_counters(engine);
         let [d0, f0, l0] = self.drops_before;
         RunStats {
@@ -1301,8 +1336,8 @@ impl Epoch {
 
 /// A dynamic run's live network: the mutated topology, the engine on it
 /// and how far the schedule has fired.
-struct Timeline {
-    engine: Engine<ProtocolNode>,
+struct Timeline<W: WireWord> {
+    engine: Engine<ProtocolNode<W>>,
     topo: Topology,
     /// The master's host: `node-leave` below the root shifts its id.
     root: NodeId,
@@ -1316,7 +1351,7 @@ struct Timeline {
     membership_dirty: bool,
 }
 
-impl Timeline {
+impl<W: WireWord> Timeline<W> {
     fn now(&self) -> u64 {
         self.base.saturating_add(self.engine.tick_count())
     }
@@ -1353,7 +1388,7 @@ impl Timeline {
             } else {
                 let applied = self.topo.apply_or_fallback_rooted(&mutation, self.root);
                 self.topo = applied.topology;
-                let passive = &mut |meta| ProtocolNode::new(&meta, StartBehavior::Passive);
+                let passive = &mut |meta| ProtocolNode::with_word(&meta, StartBehavior::Passive);
                 self.engine
                     .apply_topology_with(&self.topo, applied.membership, passive);
                 self.root = applied.membership.relabel(self.root);
@@ -1390,6 +1425,47 @@ mod tests {
             out.events.last(),
             Some(&(_, TranscriptEvent::Terminated))
         ));
+    }
+
+    /// Two mapping rounds on the wire word `W`, the second re-mapped by
+    /// the RESET flood: each round's transcript, ticks, stats and
+    /// cleanliness, then every processor's counters.
+    #[allow(clippy::type_complexity)]
+    fn on_word<W: WireWord>(
+        topo: &Topology,
+    ) -> (
+        Vec<(Vec<(u64, TranscriptEvent)>, u64, RunStats, bool)>,
+        Vec<[u64; 5]>,
+    ) {
+        let mut session = GtdSession::on(topo);
+        let mut engine = session.build_engine_on::<W>(topo, NodeId(0), 0);
+        let mut rounds = Vec::new();
+        for round in 0..2 {
+            if round > 0 {
+                engine.node_mut(NodeId(0)).master_restart();
+            }
+            let out = session.round(&mut engine).expect("maps");
+            rounds.push((out.events, out.ticks, out.stats, out.clean_at_end));
+        }
+        let counters = engine.nodes().iter().map(|n| {
+            [
+                n.stat_kills_accepted(),
+                n.stat_rcas_started(),
+                n.stat_bcas_started(),
+                n.stat_max_chars(),
+                n.stat_dropped(),
+            ]
+        });
+        (rounds, counters.collect())
+    }
+
+    #[test]
+    fn the_wire_word_changes_nothing_but_memory() {
+        for spec in gtd_netsim::spec::registry_examples() {
+            let topo = spec.build();
+            assert!(!needs_wide_word(&topo), "{spec}");
+            assert_eq!(on_word::<u64>(&topo), on_word::<u128>(&topo), "{spec}");
+        }
     }
 
     #[test]

@@ -775,7 +775,8 @@ unsafe fn shard_step_all<A: Automaton>(ctx: *const (), s: usize) {
 }
 
 /// In-slots whose source signals [`shard_gather`] loads as one batch
-/// (32 × the 16-byte GTD signal = 512 B of stack).
+/// (32 × an 8-byte GTD signal = 256 B of stack; 512 B on the 16-byte
+/// word).
 const GATHER_BLOCK: usize = 32;
 
 /// Saturated phase B (per shard): range gather — copy every wired

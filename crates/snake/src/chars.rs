@@ -34,7 +34,7 @@ pub enum SnakeKind {
 }
 
 impl SnakeKind {
-    /// All kinds, in slot order (indexes [`crate::Signal`]'s snake array).
+    /// All kinds, in slot order (orders [`crate::Signal`]'s snake slots).
     pub const ALL: [SnakeKind; 6] = [
         SnakeKind::Ig,
         SnakeKind::Og,
@@ -126,7 +126,7 @@ impl Hop {
 
 /// An optional port in one byte, where `Option<Port>` takes two: 0 is
 /// none and `p + 1` is port `p`, the encoding of [`crate::Signal`]'s DFS
-/// byte. The ports a processor remembers (loop marks, dying-lane
+/// field. The ports a processor remembers (loop marks, dying-lane
 /// predecessors and successors, the DFS parent) are stored this way.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct OptPort(u8);
